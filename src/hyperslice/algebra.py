@@ -11,7 +11,7 @@ coefficients of a product are exact signed sums of coefficient products
 
 The table is stored three ways: an index matrix K with e_i e_j = S[i,j] e_K[i,j],
 a sign matrix S, and a dense structure tensor T with (ab)_k = sum_ij a_i b_j T[i,j,k].
-The tensor form feeds einsum for batched products.
+The tensor form feeds the matmul product kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "trace",
     "inverse",
     "multiply_batch",
-    "conjugate_batch",
     "left_mult_matrix",
     "right_mult_matrix",
     "multiplication_table",
@@ -149,6 +148,8 @@ _TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
     4: _build_tables(4),
     8: _build_tables(8),
 }
+# T reshaped to (dim, dim*dim): row i holds the matrix T[i] of b -> e_i b
+_FLAT_TENSORS = {dim: tables[2].reshape(dim, dim * dim) for dim, tables in _TABLES.items()}
 
 
 def multiplication_table(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +276,7 @@ def scalar(tag: AlgebraTag, t: float) -> AlgebraElement:
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_same_tag(a, b)
-    tensor = structure_tensor(a.tag)
-    return AlgebraElement(a.tag, np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, tensor))
+    return AlgebraElement(a.tag, multiply_batch(a.tag, a.coeffs, b.coeffs))
 
 
 def conjugate(a: AlgebraElement) -> AlgebraElement:
@@ -309,21 +309,16 @@ def inverse(a: AlgebraElement) -> AlgebraElement:
 
 
 def multiply_batch(tag: AlgebraTag, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise algebra product of coefficient arrays, broadcasting (dim,) against (N, dim)."""
-    tensor = structure_tensor(tag)
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    if A.shape[0] == 1 and B.shape[0] > 1:
-        A = np.broadcast_to(A, B.shape)
-    if B.shape[0] == 1 and A.shape[0] > 1:
-        B = np.broadcast_to(B, A.shape)
-    return np.einsum("ni,nj,ijk->nk", A, B, tensor, optimize=True)
+    """Row-wise algebra product of coefficient arrays, broadcasting (dim,) or (1, dim) against (N, dim).
 
-
-def conjugate_batch(A: np.ndarray) -> np.ndarray:
-    out = np.array(A, dtype=np.float64, copy=True)
-    out[..., 1:] = -out[..., 1:]
-    return out
+    Each row a of A becomes the (dim, dim) matrix a T with (ab) = b (a T);
+    one batched matmul then applies it to the matching row of B.  Two (dim,)
+    vectors give one (dim,) product.
+    """
+    d = tag.dim
+    A = np.asarray(A, dtype=np.float64)
+    AT = (A @ _FLAT_TENSORS[d]).reshape(*A.shape[:-1], d, d)
+    return (np.asarray(B, dtype=np.float64)[..., None, :] @ AT)[..., 0, :]
 
 
 def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
@@ -350,6 +345,8 @@ class ImaginaryUnit:
 
     def __post_init__(self) -> None:
         c = self.value.coeffs
+        if not np.isfinite(c).all():
+            raise ValueError("imaginary unit coefficients must be finite")
         if abs(c[0]) > TOL_UNIT:
             raise ValueError(f"imaginary unit has real part {c[0]:.3e}")
         if abs(float(np.dot(c, c)) - 1.0) > TOL_UNIT:

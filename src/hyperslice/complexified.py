@@ -13,8 +13,6 @@ take values here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .algebra import (
@@ -36,7 +34,6 @@ __all__ = [
     "c_multiply_batch",
     "c_involution",
     "complex_conjugate",
-    "c_involutions",
     "scalar_action",
     "times_i",
     "c_norm",
@@ -127,15 +124,6 @@ def c_involution(w: ComplexifiedElement) -> ComplexifiedElement:
 def complex_conjugate(w: ComplexifiedElement) -> ComplexifiedElement:
     """w-bar: negate the central imaginary part."""
     return ComplexifiedElement(w.re, -w.im)
-
-
-class Involutions(NamedTuple):
-    c_inv: ComplexifiedElement
-    conj: ComplexifiedElement
-
-
-def c_involutions(w: ComplexifiedElement) -> Involutions:
-    return Involutions(c_involution(w), complex_conjugate(w))
 
 
 def scalar_action(c: complex, w: ComplexifiedElement) -> ComplexifiedElement:

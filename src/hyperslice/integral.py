@@ -25,7 +25,9 @@ singularity at x never meets a node.
 
 Every integral is computed twice, componentwise over the complex component
 functions F_J^k and directly in the algebra, and the two routes must agree to
-1e-12.
+1e-12.  Both rules take their nodes from one product-grid helper, capped at
+NODE_BUDGET nodes, and share one chunk-ordered reduction into the two algebra
+values.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .algebra import (
     units_close,
 )
 from .slicefun import SliceFunction, SlicePoint, lift_evaluate, representation_symmetric, slice_point
-from .stem import Smoothness, StemPolynomial, evaluate_stem_batch, wirtinger_batch
+from .stem import Smoothness, evaluate_stem_batch, wirtinger_batch
 
 __all__ = [
     "SliceMismatchError",
@@ -75,6 +77,8 @@ __all__ = [
 INTERIOR_MARGIN = 0.05
 ROUTE_AGREEMENT_TOL = 1e-12
 CHUNK = 65536
+# largest product grid a rule may build: 6x the V=3 volume grid at n=2
+NODE_BUDGET = 1 << 24
 
 
 class SliceMismatchError(ValueError):
@@ -102,8 +106,10 @@ class PolydiscDomain:
         r = np.atleast_1d(np.asarray(self.radii, dtype=np.float64)).copy()
         if c.shape != r.shape or c.ndim != 1:
             raise ValueError("centers and radii must be 1-d arrays of equal length")
-        if np.any(r <= 0.0):
-            raise ValueError("radii must be positive")
+        if not np.isfinite(c).all():
+            raise ValueError("centers must be finite")
+        if not (np.isfinite(r) & (r > 0.0)).all():
+            raise ValueError("radii must be positive and finite")
         # real centers keep the disc set conjugation invariant
         jc, _ = canonicalize_unit(self.j)
         c.setflags(write=False)
@@ -187,10 +193,14 @@ def bm_report_from_json(data: dict) -> BMReport:
 
 
 def _worker_count() -> int:
+    raw = os.environ.get("HYPERSLICE_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("HYPERSLICE_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"HYPERSLICE_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _chunks(total: int, size: int = CHUNK):
@@ -210,6 +220,44 @@ def _map_chunks(fn, total: int):
         return [fn(lo, hi) for lo, hi in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda span: fn(*span), spans))
+
+
+def _reduce(tag: AlgebraTag, LJ: np.ndarray, pieces, scale: float = 1.0):
+    """Sum chunk results in chunk order into (direct, componentwise, node count).
+
+    pieces yields (fn, total) with fn(lo, hi) -> (direct (dim,), componentwise
+    complex (dim,)); the componentwise sum s becomes Re(s) + J Im(s).
+    """
+    direct = np.zeros(tag.dim)
+    comp = np.zeros(tag.dim, dtype=np.complex128)
+    nodes = 0
+    for fn, total in pieces:
+        nodes += total
+        for d_part, c_part in _map_chunks(fn, total):
+            direct = direct + d_part
+            comp = comp + c_part
+    comp_el = element(tag, scale * np.real(comp)) + element(tag, LJ @ (scale * np.imag(comp)))
+    return element(tag, scale * direct), comp_el, nodes
+
+
+def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray], LJ: np.ndarray):
+    """Sum over nodes of c (F1 + i F2), directly in the algebra and componentwise.
+
+    The direct route lifts F to F1 + J F2 and applies the complex weight c as
+    Re(c) + J Im(c), both by left multiplication with J.
+    """
+    F1, F2 = F
+    fvals = F1 + F2 @ LJ.T
+    direct = np.real(c)[:, None] * fvals + np.imag(c)[:, None] * (fvals @ LJ.T)
+    return direct.sum(axis=0), (c[:, None] * (F1 + 1j * F2)).sum(axis=0)
+
+
+def _agreed(direct: AlgebraElement, comp: AlgebraElement) -> AlgebraElement:
+    """The direct value, once the componentwise route agrees with it to ROUTE_AGREEMENT_TOL."""
+    gap = (direct - comp).norm()
+    if gap > ROUTE_AGREEMENT_TOL * max(1.0, direct.norm()):
+        raise RuntimeError(f"componentwise and direct routes disagree by {gap:.3e}")
+    return direct
 
 
 def _check_point(dom: PolydiscDomain, x: SlicePoint) -> None:
@@ -245,6 +293,25 @@ def _gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _product_grid(vals: list, weights: list, scale=1.0):
+    """Tensor-product nodes Z (N, n) and weights scale * prod_l weights[l] from per-disc rules.
+
+    The grid size is checked against NODE_BUDGET before anything of size N
+    is allocated.
+    """
+    count = math.prod(v.shape[0] for v in vals)
+    if count > NODE_BUDGET:
+        raise ValueError(f"quadrature grid of {count} nodes exceeds the budget of {NODE_BUDGET}")
+    grids = np.meshgrid(*[np.arange(v.shape[0]) for v in vals], indexing="ij")
+    Z = np.empty((count, len(vals)), dtype=np.complex128)
+    W = np.full(count, scale, dtype=np.result_type(scale, *weights))
+    for l, g in enumerate(grids):
+        idx = g.ravel()
+        Z[:, l] = vals[l][idx]
+        W *= weights[l][idx]
+    return Z, W
+
+
 def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, k: int):
     """Quadrature nodes and complex form-coefficients for boundary face k.
 
@@ -260,34 +327,21 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, k: int):
 
     vals: list[np.ndarray] = []
     weights: list[np.ndarray] = []
-    jacs: list[np.ndarray] = []
-    theta = 2.0 * math.pi * np.arange(M) / M
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(M) / M))
     w_ang = 2.0 * math.pi / M
+    t01, w01 = _gauss_legendre_01(R)
     for l in range(n):
         if l == k:
-            ring = np.exp(1j * theta)
             vals.append(dom.centers[l] + dom.radii[l] * ring)
-            weights.append(np.full(M, w_ang))
-            jacs.append(1j * dom.radii[l] * ring)
+            weights.append(np.full(M, w_ang) * (1j * dom.radii[l] * ring))
         else:
-            t01, w01 = _gauss_legendre_01(R)
             rho = dom.radii[l] * t01
             wr = dom.radii[l] * w01
-            ring = np.exp(1j * theta)
             vals.append((dom.centers[l] + rho[:, None] * ring[None, :]).ravel())
-            weights.append((wr[:, None] * np.full(M, w_ang)[None, :]).ravel())
             # dxi-bar_l ^ dxi_l pulls back to 2i rho drho dphi
-            jacs.append(2j * np.repeat(rho, M))
-
-    grids = np.meshgrid(*[np.arange(v.shape[0]) for v in vals], indexing="ij")
-    idx = [g.ravel() for g in grids]
-    N = idx[0].shape[0]
-    Z = np.empty((N, n), dtype=np.complex128)
-    coeff = np.full(N, cn * orient * sgn, dtype=np.complex128)
-    for l in range(n):
-        Z[:, l] = vals[l][idx[l]]
-        coeff *= weights[l][idx[l]] * jacs[l][idx[l]]
-    return Z, coeff
+            jac = 2j * np.repeat(rho, M)
+            weights.append((wr[:, None] * np.full(M, w_ang)[None, :]).ravel() * jac)
+    return _product_grid(vals, weights, cn * orient * sgn)
 
 
 def _kernel_g(Z: np.ndarray, x_z: np.ndarray, j: int, n: int) -> np.ndarray:
@@ -312,53 +366,28 @@ def cauchy_kernel_values(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpe
 
 def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     _check_point(dom, x)
-    n = dom.n
-    tag = f.tag
-    dim = tag.dim
     LJ = left_mult_matrix(dom.j.value)
-    x_z = x.z
 
-    direct = np.zeros(dim)
-    comp = np.zeros(dim, dtype=np.complex128)
-    nodes = 0
-    for k in range(n):
+    def _face(k):
         Z, coeff = _face_nodes(dom, spec, k)
-        nodes += Z.shape[0]
-        gk = _kernel_g(Z, x_z, k, n)
-        full = coeff * gk
+        c = coeff * _kernel_g(Z, x.z, k, dom.n)
+        return (lambda lo, hi: _node_sums(c[lo:hi], evaluate_stem_batch(f.stem, Z[lo:hi]), LJ)), Z.shape[0]
 
-        def _piece(lo, hi, Zk=Z, ck=full):
-            c = ck[lo:hi]
-            F1, F2 = evaluate_stem_batch(f.stem, Zk[lo:hi])
-            fvals = F1 + F2 @ LJ.T
-            d = np.real(c)[:, None] * fvals + np.imag(c)[:, None] * (fvals @ LJ.T)
-            cw = c[:, None] * (F1 + 1j * F2)
-            return d.sum(axis=0), cw.sum(axis=0)
-
-        for d_part, c_part in _map_chunks(_piece, Z.shape[0]):
-            direct = direct + d_part
-            comp = comp + c_part
-    direct_el = element(tag, direct)
-    comp_el = element(tag, np.real(comp)) + element(tag, LJ @ np.imag(comp))
-    return direct_el, comp_el, nodes
+    # faces are built as the reduction reaches them, so at most two are held at once
+    return _reduce(f.tag, LJ, (_face(k) for k in range(dom.n)))
 
 
 def bm_boundary_dual(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Both evaluation routes (direct algebra, componentwise complex) for testing."""
-    direct, comp, _ = _bm_boundary_both(f, dom, x, spec)
-    return direct, comp
+    return _bm_boundary_both(f, dom, x, spec)[:2]
 
 
 def bm_boundary_integral(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> AlgebraElement:
-    direct, comp, _ = _bm_boundary_both(f, dom, x, spec)
-    gap = (direct - comp).norm()
-    if gap > ROUTE_AGREEMENT_TOL * max(1.0, direct.norm()):
-        raise RuntimeError(f"componentwise and direct routes disagree by {gap:.3e}")
-    return direct
+    return _agreed(*bm_boundary_dual(f, dom, x, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +408,10 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
     per_panel = max(2, V + 1)
     rng = np.random.default_rng(seed)
     x_z = x.z
+    t01, w01 = _gauss_legendre_01(per_panel)
+    # panel m spans [2^{-m-1}, 2^{-m}] of the ray, the last one [0, 2^{-levels}]
+    b_hi = 2.0 ** -np.arange(levels + 1.0)
+    b_lo = np.append(b_hi[1:], 0.0)
 
     vals: list[np.ndarray] = []
     weights: list[np.ndarray] = []
@@ -389,73 +422,34 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
         u = np.exp(1j * phi)
         edotu = np.real(np.conj(e) * u)
         smax = -edotu + np.sqrt(edotu**2 + dom.radii[l] ** 2 - abs(e) ** 2)
-        t01, w01 = _gauss_legendre_01(per_panel)
-        breaks = [2.0 ** (-m) for m in range(levels + 1)] + [0.0]
-        v_parts = []
-        w_parts = []
-        for m in range(M):
-            for b_hi, b_lo in zip(breaks[:-1], breaks[1:]):
-                hi = smax[m] * b_hi
-                lo = smax[m] * b_lo
-                s = lo + (hi - lo) * t01
-                w = (hi - lo) * w01
-                v_parts.append(x_z[l] + s * u[m])
-                w_parts.append(w * s * (2.0 * math.pi / M))
-        vals.append(np.concatenate(v_parts))
-        weights.append(np.concatenate(w_parts))
-
-    grids = np.meshgrid(*[np.arange(v.shape[0]) for v in vals], indexing="ij")
-    idx = [g.ravel() for g in grids]
-    N = idx[0].shape[0]
-    Z = np.empty((N, dom.n), dtype=np.complex128)
-    W = np.ones(N)
-    for l in range(dom.n):
-        Z[:, l] = vals[l][idx[l]]
-        W *= weights[l][idx[l]]
-    return Z, W
+        # axes (angle, panel, node), flattened in that order
+        hi = (smax[:, None] * b_hi[None, :])[:, :, None]
+        lo = (smax[:, None] * b_lo[None, :])[:, :, None]
+        s = lo + (hi - lo) * t01
+        vals.append((x_z[l] + s * u[:, None, None]).ravel())
+        weights.append(((hi - lo) * w01 * s * (2.0 * math.pi / M)).ravel())
+    return _product_grid(vals, weights)
 
 
 def _bm_volume_both(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int
 ):
     _check_point(dom, x)
-    stem = f.stem
-    if not isinstance(stem, StemPolynomial) and stem.smoothness < Smoothness.C1:
+    if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
-    tag = f.tag
-    dim = tag.dim
     LJ = left_mult_matrix(dom.j.value)
-    vol_const = math.factorial(n - 1) / math.pi**n
-    x_z = x.z
-
     Z, W = _volume_nodes(dom, x, spec, seed)
 
     def _piece(lo, hi):
-        Zc = Z[lo:hi]
-        Wc = W[lo:hi]
-        d_rows = np.zeros((Zc.shape[0], dim))
-        c_rows = np.zeros((Zc.shape[0], dim), dtype=np.complex128)
+        direct, comp = 0.0, 0.0
         for jx in range(n):
-            g = _kernel_g(Zc, x_z, jx, n)
-            _, (b1, b2) = wirtinger_batch(stem, Zc, jx)
-            a, b = np.real(g), np.imag(g)
-            d_rows += (a[:, None] * b1 - b[:, None] * b2) + (
-                a[:, None] * b2 + b[:, None] * b1
-            ) @ LJ.T
-            c_rows += g[:, None] * (b1 + 1j * b2)
-        return (Wc[:, None] * d_rows).sum(axis=0), (Wc[:, None] * c_rows).sum(axis=0)
+            c = W[lo:hi] * _kernel_g(Z[lo:hi], x.z, jx, n)
+            d_part, c_part = _node_sums(c, wirtinger_batch(f.stem, Z[lo:hi], jx)[1], LJ)
+            direct, comp = direct + d_part, comp + c_part
+        return direct, comp
 
-    direct = np.zeros(dim)
-    comp = np.zeros(dim, dtype=np.complex128)
-    for d_part, c_part in _map_chunks(_piece, Z.shape[0]):
-        direct = direct + d_part
-        comp = comp + c_part
-    direct_el = element(tag, vol_const * direct)
-    comp_el = element(tag, vol_const * np.real(comp)) + element(
-        tag, LJ @ (vol_const * np.imag(comp))
-    )
-    return direct_el, comp_el, Z.shape[0]
+    return _reduce(f.tag, LJ, [(_piece, Z.shape[0])], math.factorial(n - 1) / math.pi**n)
 
 
 def bm_volume_dual(
@@ -465,8 +459,7 @@ def bm_volume_dual(
     spec: QuadratureSpec,
     seed: int = 0,
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    direct, comp, _ = _bm_volume_both(f, dom, x, spec, seed)
-    return direct, comp
+    return _bm_volume_both(f, dom, x, spec, seed)[:2]
 
 
 def bm_volume_integral(
@@ -477,21 +470,11 @@ def bm_volume_integral(
     seed: int = 0,
 ) -> AlgebraElement:
     """The dbar correction, signed so that boundary - volume = f(x)."""
-    direct, comp, _ = _bm_volume_both(f, dom, x, spec, seed)
-    gap = (direct - comp).norm()
-    if gap > ROUTE_AGREEMENT_TOL * max(1.0, direct.norm()):
-        raise RuntimeError(f"componentwise and direct routes disagree by {gap:.3e}")
-    return direct
+    return _agreed(*bm_volume_dual(f, dom, x, spec, seed))
 
 
 # ---------------------------------------------------------------------------
 # off-slice evaluation and Hartogs extension
-
-
-def _is_analytic(f: SliceFunction) -> bool:
-    if f.poly is not None:
-        return True
-    return f.stem.smoothness >= Smoothness.ANALYTIC
 
 
 def off_slice_evaluate(
@@ -513,7 +496,7 @@ def off_slice_evaluate(
     x = slice_point(q_point.alpha, q_point.beta, dom.j)
     xb = x.conjugated()
     if include_volume is None:
-        include_volume = not _is_analytic(f)
+        include_volume = f.stem.smoothness < Smoothness.ANALYTIC
     Rx = bm_boundary_integral(f, dom, x, spec)
     Rxb = bm_boundary_integral(f, dom, xb, spec)
     if include_volume:

@@ -39,8 +39,11 @@ from .algebra import (
 from .stem import (
     StemFunction,
     StemPolynomial,
+    _stem_samples,
+    central_differences,
     check_intrinsic,
     evaluate_stem,
+    evaluate_stem_batch,
     is_holomorphic,
     poly_product,
     restrict_stem,
@@ -128,6 +131,8 @@ class SlicePoint:
         b = np.asarray(self.beta, dtype=np.float64)
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("alpha and beta must be 1-d arrays of equal length")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("alpha and beta must be finite")
         a = a.copy()
         b = b.copy()
         a.setflags(write=False)
@@ -231,7 +236,11 @@ class SliceFunction:
     """Lift of an intrinsic stem; evaluation happens through the stem components."""
 
     stem: "StemFunction | StemPolynomial"
-    poly: StemPolynomial | None = None
+
+    @property
+    def poly(self) -> StemPolynomial | None:
+        """The stem when it is a polynomial, else None."""
+        return self.stem if isinstance(self.stem, StemPolynomial) else None
 
     @property
     def tag(self) -> AlgebraTag:
@@ -249,7 +258,7 @@ def lift(F, validate: bool = True, samples=None, tol: float = 1e-10) -> SliceFun
     """Wrap a stem as a slice function, verifying intrinsicity on a sample grid."""
     if isinstance(F, StemPolynomial):
         # algebra-coefficient polynomials are intrinsic identically
-        return SliceFunction(stem=F, poly=F)
+        return SliceFunction(F)
     if not F.intrinsic:
         raise IntrinsicityError("stem is flagged non-intrinsic")
     if validate:
@@ -258,7 +267,7 @@ def lift(F, validate: bool = True, samples=None, tol: float = 1e-10) -> SliceFun
             raise IntrinsicityError(
                 f"stem violates intrinsicity by {report.max_violation:.3e} (tol {tol:.1e})"
             )
-    return SliceFunction(stem=F, poly=None)
+    return SliceFunction(F)
 
 
 def lift_evaluate(f: SliceFunction, x: SlicePoint) -> AlgebraElement:
@@ -341,10 +350,7 @@ def spherical_derivative(f: SliceFunction, x: SlicePoint) -> AlgebraElement:
     With that scaling the derivative equals F2(z)/|beta| and the pointwise
     identity f(x) = value + Im(x) * derivative holds with Im(x) = |beta| J.
     """
-    if x.is_real:
-        raise RealPointError("spherical derivative undefined at real points")
-    nbeta = float(np.linalg.norm(x.beta))
-    return evaluate_stem(f.stem, x.z).im / nbeta
+    return spherical(f, x).derivative
 
 
 def spherical(f: SliceFunction, x: SlicePoint) -> SphericalData:
@@ -366,13 +372,7 @@ def imaginary_element(x: SlicePoint) -> AlgebraElement:
 
 def slice_product(f: SliceFunction, g: SliceFunction) -> SliceFunction:
     """The lift of the stem product; pointwise f(x)g(x) only for real-stem factors."""
-    if f.tag != g.tag or f.arity != g.arity:
-        raise AlgebraMismatchError("slice functions with different tag or arity")
-    if f.poly is not None and g.poly is not None:
-        p = poly_product(f.poly, g.poly)
-        return SliceFunction(stem=p, poly=p)
-    prod = stem_product(f.stem, g.stem)
-    return SliceFunction(stem=prod, poly=None)
+    return SliceFunction(stem_product(f.stem, g.stem))
 
 
 def star_product(p, q) -> StemPolynomial:
@@ -390,21 +390,9 @@ def is_real_slice(f: SliceFunction, samples=None, tol: float = 1e-10, rng=None) 
     """True when both stem components are real valued on the sample set."""
     if samples is None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(3)
-        dom = getattr(f.stem, "domain", None)
-        if dom is None:
-            from .stem import _default_domain
-
-            dom = _default_domain(f.arity)
-        samples = dom.sample_symmetric(gen, 16)
-    for z in samples:
-        w = evaluate_stem(f.stem, z)
-        off = max(
-            float(np.max(np.abs(w.re.coeffs[1:]), initial=0.0)),
-            float(np.max(np.abs(w.im.coeffs[1:]), initial=0.0)),
-        )
-        if off > tol:
-            return False
-    return True
+        samples = _stem_samples(f.stem, gen, 16)
+    F1, F2 = evaluate_stem_batch(f.stem, np.asarray(samples, dtype=np.complex128).reshape(-1, f.arity))
+    return bool(max(np.max(np.abs(F1[:, 1:]), initial=0.0), np.max(np.abs(F2[:, 1:]), initial=0.0)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -434,33 +422,18 @@ def check_slice_regular(
     if units is None:
         units = [sample_unit_imaginary(f.tag, gen) for _ in range(2)]
     if samples is None:
-        dom = getattr(f.stem, "domain", None)
-        if dom is None:
-            from .stem import _default_domain
-
-            dom = _default_domain(f.arity)
-        samples = dom.sample_symmetric(gen, 8)
-    samples = np.asarray(samples, dtype=np.complex128)
+        samples = _stem_samples(f.stem, gen, 8)
+    samples = np.asarray(samples, dtype=np.complex128).reshape(-1, f.arity)
 
     worst = 0.0
     L = [left_mult_matrix(J.value) for J in units]
-    for z in samples:
-        for t in range(f.arity):
-            step = np.zeros(f.arity, dtype=np.complex128)
-            step[t] = h
-            wap = evaluate_stem(f.stem, z + step)
-            wam = evaluate_stem(f.stem, z - step)
-            wbp = evaluate_stem(f.stem, z + 1j * step)
-            wbm = evaluate_stem(f.stem, z - 1j * step)
-            da1 = (wap.re.coeffs - wam.re.coeffs) / (2.0 * h)
-            da2 = (wap.im.coeffs - wam.im.coeffs) / (2.0 * h)
-            db1 = (wbp.re.coeffs - wbm.re.coeffs) / (2.0 * h)
-            db2 = (wbp.im.coeffs - wbm.im.coeffs) / (2.0 * h)
-            for LJ in L:
-                dalpha = da1 + LJ @ da2
-                dbeta = db1 + LJ @ db2
-                res = dalpha + LJ @ dbeta
-                worst = max(worst, float(np.linalg.norm(res)))
+    for t in range(f.arity):
+        (da1, da2), (db1, db2) = central_differences(f.stem, samples, t, h)
+        for LJ in L:
+            # rows of a (S, dim) array times LJ.T apply LJ to each sample
+            dbeta = db1 + db2 @ LJ.T
+            res = da1 + da2 @ LJ.T + dbeta @ LJ.T
+            worst = max(worst, float(np.max(np.linalg.norm(res, axis=1), initial=0.0)))
     stem_rep = is_holomorphic(f.stem, samples=samples, tol=tol, h=h)
     return RegularityReport(worst, stem_rep.max_residual, worst <= tol and stem_rep.passed)
 
@@ -528,8 +501,4 @@ def restrict_slice(f: SliceFunction, axis: int, anchors) -> SliceFunction:
             raise NonIntrinsicRestrictionError(
                 f"anchor {k} has imaginary part {a[k].imag:.3e}; restriction would not be intrinsic"
             )
-    base = f.poly if f.poly is not None else f.stem
-    r = restrict_stem(base, axis, a)
-    if isinstance(r, StemPolynomial):
-        return SliceFunction(stem=r, poly=r)
-    return SliceFunction(stem=r, poly=None)
+    return SliceFunction(restrict_stem(f.stem, axis, a))

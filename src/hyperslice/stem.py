@@ -4,23 +4,26 @@ A stem function F is *intrinsic* when F(conj z) = complex_conjugate(F(z)); only
 intrinsic stems induce well-defined slice functions.  The even-odd splitting
 F = F1 + i F2 gives the two algebra-valued components used everywhere else.
 
-Two concrete representations coexist:
+Every stem speaks one protocol, read through attributes: `batch_evaluator`
+(Z (N, n) -> (F1, F2) arrays (N, dim)) or a scalar `evaluator`, optional exact
+derivative hooks `batch_wirtinger` / `wirtinger_evaluator`, plus `smoothness`,
+`domain` and `intrinsic`.  Two containers implement it:
 
   * StemPolynomial: finitely many monomials z^mu with algebra coefficients on
     the right.  These are automatically intrinsic, have exact Wirtinger
-    derivatives, and evaluate in vectorized form over large node sets.
-  * StemFunction: an arbitrary evaluator with optional batch and derivative
-    hooks, a smoothness grade, and a sampling domain.
+    derivatives, and evaluate as one matrix product.
+  * StemFunction: user-supplied hooks, a smoothness grade, and a sampling domain.
 
-Wirtinger derivatives fall back to central finite differences with step
-DEFAULT_FD_STEP when no exact hook is present.
+The batch hook wins when both evaluators are given, and a scalar evaluation
+is row 0 of a batch of one.  Wirtinger derivatives fall back to central
+finite differences with step DEFAULT_FD_STEP when no exact hook is present.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,15 +35,8 @@ from .algebra import (
     element,
     multiply,
     parse_algebra,
-    zero,
 )
-from .complexified import (
-    ComplexifiedElement,
-    c_multiply,
-    c_multiply_batch,
-    complex_conjugate,
-    times_i,
-)
+from .complexified import ComplexifiedElement, c_multiply_batch
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -62,6 +58,7 @@ __all__ = [
     "wirtinger",
     "WirtingerPair",
     "wirtinger_batch",
+    "central_differences",
     "is_holomorphic",
     "HolomorphyReport",
     "stem_product",
@@ -101,8 +98,10 @@ class Domain:
         r = np.asarray(self.radii, dtype=np.float64)
         if c.shape != r.shape or c.ndim != 1:
             raise ValueError("centers and radii must be 1-d arrays of equal length")
-        if np.any(r <= 0.0):
-            raise ValueError("radii must be positive")
+        if not np.isfinite(c).all():
+            raise ValueError("centers must be finite")
+        if not (np.isfinite(r) & (r > 0.0)).all():
+            raise ValueError("radii must be positive and finite")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
 
@@ -159,17 +158,18 @@ def _default_domain(arity: int) -> Domain:
 
 @dataclass(frozen=True, eq=False)
 class StemFunction:
-    """A stem function given by an evaluator z -> A (x) C.
+    """A stem function given by hooks; at least one of the two evaluators is required.
 
-    Optional hooks:
-      wirtinger_evaluator(z, t) -> (dF/dz_t, dF/dzbar_t) as ComplexifiedElements
+    Hooks:
+      evaluator(z) -> ComplexifiedElement for z of shape (n,)
       batch_evaluator(Z) -> (F1, F2) arrays of shape (N, dim) for Z of shape (N, n)
+      wirtinger_evaluator(z, t) -> (dF/dz_t, dF/dzbar_t) as ComplexifiedElements
       batch_wirtinger(Z, t) -> ((dz_F1, dz_F2), (dzbar_F1, dzbar_F2)) arrays
     """
 
     arity: int
     tag: AlgebraTag
-    evaluator: Callable[[np.ndarray], ComplexifiedElement]
+    evaluator: Callable[[np.ndarray], ComplexifiedElement] | None = None
     smoothness: Smoothness = Smoothness.C1
     wirtinger_evaluator: Callable | None = None
     batch_evaluator: Callable | None = None
@@ -180,6 +180,8 @@ class StemFunction:
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
+        if self.evaluator is None and self.batch_evaluator is None:
+            raise ValueError("a stem needs an evaluator or a batch_evaluator")
 
     def __call__(self, z) -> ComplexifiedElement:
         return evaluate_stem(self, z)
@@ -190,55 +192,53 @@ class StemPolynomial:
     """sum_mu z^mu a_mu with multi-indices mu and algebra coefficients a_mu on the right.
 
     Such stems are intrinsic for free: z^mu conjugates to conj(z^mu) and the
-    coefficients are untouched by complex conjugation on A (x) C.
+    coefficients are untouched by complex conjugation on A (x) C.  The terms
+    are also held as an exponent matrix (T, n) and a coefficient matrix
+    (T, dim), built once.
     """
 
     tag: AlgebraTag
     arity: int
     terms: dict
+    exponents: np.ndarray = field(init=False, repr=False)
+    coefficients: np.ndarray = field(init=False, repr=False)
+
+    evaluator = None
+    wirtinger_evaluator = None
+    smoothness = Smoothness.ANALYTIC
+    intrinsic = True
+
+    def __post_init__(self) -> None:
+        T = len(self.terms)
+        mus = np.array(list(self.terms), dtype=np.intp).reshape(T, self.arity)
+        coeffs = np.array([c.coeffs for c in self.terms.values()]).reshape(T, self.tag.dim)
+        object.__setattr__(self, "exponents", mus)
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def degree(self) -> int:
         return max((sum(mu) for mu in self.terms), default=0)
 
-    def evaluate(self, z) -> ComplexifiedElement:
-        z = np.asarray(z, dtype=np.complex128).reshape(self.arity)
-        re = np.zeros(self.tag.dim)
-        im = np.zeros(self.tag.dim)
-        for mu, coeff in self.terms.items():
-            w = complex(np.prod(z**np.asarray(mu)))
-            re += w.real * coeff.coeffs
-            im += w.imag * coeff.coeffs
-        return ComplexifiedElement(element(self.tag, re), element(self.tag, im))
+    @property
+    def domain(self) -> Domain:
+        return _default_domain(self.arity)
 
-    def evaluate_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(F1, F2) arrays of shape (N, dim); powers are accumulated once per axis."""
+    def batch_evaluator(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F1, F2) arrays of shape (N, dim): the monomial matrix (N, T) times the coefficients."""
         Z = np.asarray(Z, dtype=np.complex128)
-        N = Z.shape[0]
-        dim = self.tag.dim
-        F1 = np.zeros((N, dim))
-        F2 = np.zeros((N, dim))
-        if not self.terms:
-            return F1, F2
-        max_deg = [0] * self.arity
-        for mu in self.terms:
-            for t, m in enumerate(mu):
-                max_deg[t] = max(max_deg[t], m)
-        powers = []
+        W = np.ones((Z.shape[0], len(self.terms)), dtype=np.complex128)
         for t in range(self.arity):
-            P = np.empty((N, max_deg[t] + 1), dtype=np.complex128)
-            P[:, 0] = 1.0
-            for m in range(1, max_deg[t] + 1):
+            # powers of z_t accumulated once per axis, then gathered per term
+            P = np.ones((Z.shape[0], self.exponents[:, t].max(initial=0) + 1), dtype=np.complex128)
+            for m in range(1, P.shape[1]):
                 P[:, m] = P[:, m - 1] * Z[:, t]
-            powers.append(P)
-        for mu, coeff in self.terms.items():
-            w = np.ones(N, dtype=np.complex128)
-            for t, m in enumerate(mu):
-                if m:
-                    w = w * powers[t][:, m]
-            F1 += np.real(w)[:, None] * coeff.coeffs[None, :]
-            F2 += np.imag(w)[:, None] * coeff.coeffs[None, :]
-        return F1, F2
+            W *= P[:, self.exponents[:, t]]
+        return W.real @ self.coefficients, W.imag @ self.coefficients
+
+    def batch_wirtinger(self, Z: np.ndarray, t: int):
+        """Exact derivatives: dF/dz_t from wirtinger_poly, dF/dzbar_t identically zero."""
+        d = self.wirtinger_poly(t).batch_evaluator(Z)
+        return d, (np.zeros_like(d[0]), np.zeros_like(d[1]))
 
     def wirtinger_poly(self, t: int) -> "StemPolynomial":
         """Exact dF/dz_t as a polynomial; dF/dzbar_t is identically zero."""
@@ -269,29 +269,6 @@ class StemPolynomial:
 
     def __sub__(self, other: "StemPolynomial") -> "StemPolynomial":
         return self + (-other)
-
-    def as_stem(self) -> StemFunction:
-        def _wirt(z, t, _p=self):
-            dz = _p.wirtinger_poly(t).evaluate(z)
-            dzero = ComplexifiedElement(zero(_p.tag), zero(_p.tag))
-            return dz, dzero
-
-        def _batch_wirt(Z, t, _p=self):
-            d = _p.wirtinger_poly(t).evaluate_batch(Z)
-            zeros_pair = (np.zeros_like(d[0]), np.zeros_like(d[1]))
-            return d, zeros_pair
-
-        return StemFunction(
-            arity=self.arity,
-            tag=self.tag,
-            evaluator=self.evaluate,
-            smoothness=Smoothness.ANALYTIC,
-            wirtinger_evaluator=_wirt,
-            batch_evaluator=self.evaluate_batch,
-            batch_wirtinger=_batch_wirt,
-            domain=_default_domain(self.arity),
-            intrinsic=True,
-        )
 
 
 def stem_polynomial(tag: AlgebraTag, arity: int, terms: dict) -> StemPolynomial:
@@ -347,18 +324,19 @@ def poly_product(p: StemPolynomial, q: StemPolynomial) -> StemPolynomial:
 # evaluation and component extraction
 
 
+def _row0(tag: AlgebraTag, pair) -> ComplexifiedElement:
+    """Row 0 of a component pair (F1, F2) as one element of A (x) C."""
+    return ComplexifiedElement(element(tag, pair[0][0]), element(tag, pair[1][0]))
+
+
 def evaluate_stem(F, z) -> ComplexifiedElement:
-    if isinstance(F, StemPolynomial):
-        return F.evaluate(z)
-    z = np.asarray(z, dtype=np.complex128).reshape(F.arity)
-    return F.evaluator(z)
+    """F(z) for one point z of shape (n,): row 0 of a batch of one."""
+    return _row0(F.tag, evaluate_stem_batch(F, np.asarray(z, dtype=np.complex128).reshape(1, F.arity)))
 
 
 def evaluate_stem_batch(F, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate at all rows of Z, returning (F1, F2) component arrays of shape (N, dim)."""
     Z = np.asarray(Z, dtype=np.complex128)
-    if isinstance(F, StemPolynomial):
-        return F.evaluate_batch(Z)
     if F.batch_evaluator is not None:
         F1, F2 = F.batch_evaluator(Z)
         return np.asarray(F1, dtype=np.float64), np.asarray(F2, dtype=np.float64)
@@ -390,8 +368,12 @@ class IntrinsicReport(NamedTuple):
 
 
 def _stem_samples(F, rng: np.random.Generator, count: int) -> np.ndarray:
-    dom = getattr(F, "domain", None) or _default_domain(F.arity if hasattr(F, "arity") else 1)
-    return dom.sample_symmetric(rng, count)
+    return (F.domain or _default_domain(F.arity)).sample_symmetric(rng, count)
+
+
+def _row_norms(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
+    """|F1 + i F2| per row, the norm of A (x) C."""
+    return np.hypot(np.linalg.norm(F1, axis=1), np.linalg.norm(F2, axis=1))
 
 
 def check_intrinsic(F, samples=None, tol: float = 1e-10, rng=None) -> IntrinsicReport:
@@ -399,14 +381,11 @@ def check_intrinsic(F, samples=None, tol: float = 1e-10, rng=None) -> IntrinsicR
     if samples is None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
         samples = _stem_samples(F, gen, 32)
-    worst = 0.0
-    count = 0
-    for z in samples:
-        lhs = evaluate_stem(F, np.conj(z))
-        rhs = complex_conjugate(evaluate_stem(F, z))
-        worst = max(worst, (lhs - rhs).norm())
-        count += 1
-    return IntrinsicReport(worst, worst <= tol, count)
+    Z = np.asarray(samples, dtype=np.complex128).reshape(-1, F.arity)
+    lhs1, lhs2 = evaluate_stem_batch(F, np.conj(Z))
+    rhs1, rhs2 = evaluate_stem_batch(F, Z)
+    worst = float(np.max(_row_norms(lhs1 - rhs1, lhs2 + rhs2), initial=0.0))
+    return IntrinsicReport(worst, worst <= tol, Z.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,49 +397,37 @@ class WirtingerPair(NamedTuple):
     dzbar: ComplexifiedElement
 
 
+def central_differences(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
+    """((dF1/dalpha_t, dF2/dalpha_t), (dF1/dbeta_t, dF2/dbeta_t)) at every row of Z = alpha + i beta."""
+    Z = np.asarray(Z, dtype=np.complex128)
+    step = np.zeros(F.arity, dtype=np.complex128)
+    step[t] = h
+    ap1, ap2 = evaluate_stem_batch(F, Z + step)
+    am1, am2 = evaluate_stem_batch(F, Z - step)
+    bp1, bp2 = evaluate_stem_batch(F, Z + 1j * step)
+    bm1, bm2 = evaluate_stem_batch(F, Z - 1j * step)
+    s = 0.5 / h
+    return ((ap1 - am1) * s, (ap2 - am2) * s), ((bp1 - bm1) * s, (bp2 - bm2) * s)
+
+
 def wirtinger(F, z, t: int, h: float = DEFAULT_FD_STEP) -> WirtingerPair:
-    """(dF/dz_t, dF/dzbar_t); exact for polynomials, else hook or central differences."""
-    arity = F.arity
-    if not 0 <= t < arity:
-        raise ValueError(f"axis {t} out of range for arity {arity}")
-    if isinstance(F, StemPolynomial):
-        dz = F.wirtinger_poly(t).evaluate(z)
-        return WirtingerPair(dz, ComplexifiedElement(zero(F.tag), zero(F.tag)))
+    """(dF/dz_t, dF/dzbar_t) at one point: the scalar hook if given, else a batch of one."""
+    if not 0 <= t < F.arity:
+        raise ValueError(f"axis {t} out of range for arity {F.arity}")
     if F.wirtinger_evaluator is not None:
         dz, dzbar = F.wirtinger_evaluator(np.asarray(z, dtype=np.complex128), t)
         return WirtingerPair(dz, dzbar)
-    z = np.asarray(z, dtype=np.complex128).reshape(arity)
-    step_re = np.zeros(arity, dtype=np.complex128)
-    step_re[t] = h
-    step_im = np.zeros(arity, dtype=np.complex128)
-    step_im[t] = 1j * h
-    dalpha = (evaluate_stem(F, z + step_re) - evaluate_stem(F, z - step_re)) * (0.5 / h)
-    dbeta = (evaluate_stem(F, z + step_im) - evaluate_stem(F, z - step_im)) * (0.5 / h)
-    dz = (dalpha - times_i(dbeta)) * 0.5
-    dzbar = (dalpha + times_i(dbeta)) * 0.5
-    return WirtingerPair(dz, dzbar)
+    dz, dzbar = wirtinger_batch(F, np.asarray(z, dtype=np.complex128).reshape(1, F.arity), t, h)
+    return WirtingerPair(_row0(F.tag, dz), _row0(F.tag, dzbar))
 
 
 def wirtinger_batch(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
     """Batched derivatives: ((dz_F1, dz_F2), (dzbar_F1, dzbar_F2)) of shape (N, dim) each."""
     Z = np.asarray(Z, dtype=np.complex128)
-    if isinstance(F, StemPolynomial):
-        d = F.wirtinger_poly(t).evaluate_batch(Z)
-        zeros_pair = (np.zeros_like(d[0]), np.zeros_like(d[1]))
-        return d, zeros_pair
     if F.batch_wirtinger is not None:
         return F.batch_wirtinger(Z, t)
-    step_re = np.zeros(F.arity, dtype=np.complex128)
-    step_re[t] = h
-    step_im = np.zeros(F.arity, dtype=np.complex128)
-    step_im[t] = 1j * h
-    ap1, ap2 = evaluate_stem_batch(F, Z + step_re)
-    am1, am2 = evaluate_stem_batch(F, Z - step_re)
-    bp1, bp2 = evaluate_stem_batch(F, Z + step_im)
-    bm1, bm2 = evaluate_stem_batch(F, Z - step_im)
-    da1, da2 = (ap1 - am1) * (0.5 / h), (ap2 - am2) * (0.5 / h)
-    db1, db2 = (bp1 - bm1) * (0.5 / h), (bp2 - bm2) * (0.5 / h)
-    # i*(w1 + i w2) = -w2 + i w1
+    (da1, da2), (db1, db2) = central_differences(F, Z, t, h)
+    # d/dz = (d/dalpha - i d/dbeta)/2 and i*(w1 + i w2) = -w2 + i w1
     dz = (0.5 * (da1 + db2), 0.5 * (da2 - db1))
     dzbar = (0.5 * (da1 - db2), 0.5 * (da2 + db1))
     return dz, dzbar
@@ -491,46 +458,40 @@ def is_holomorphic(F, samples=None, tol: float = 1e-6, rng=None, h: float = DEFA
 # products and restrictions
 
 
+def _add_pairs(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
 def stem_product(F, G):
     """Pointwise product in A (x) C; polynomial inputs stay polynomial."""
     if isinstance(F, StemPolynomial) and isinstance(G, StemPolynomial):
         return poly_product(F, G)
-    Fs = F.as_stem() if isinstance(F, StemPolynomial) else F
-    Gs = G.as_stem() if isinstance(G, StemPolynomial) else G
-    if Fs.tag != Gs.tag or Fs.arity != Gs.arity:
+    if F.tag != G.tag or F.arity != G.arity:
         raise AlgebraMismatchError("stems with different tag or arity")
-    tag = Fs.tag
+    tag = F.tag
 
-    def _eval(z):
-        return c_multiply(Fs.evaluator(z), Gs.evaluator(z))
+    def batch(Z):
+        return c_multiply_batch(tag, evaluate_stem_batch(F, Z), evaluate_stem_batch(G, Z))
 
-    batch = None
-    if Fs.batch_evaluator is not None and Gs.batch_evaluator is not None:
-        def batch(Z):
-            return c_multiply_batch(tag, Fs.batch_evaluator(Z), Gs.batch_evaluator(Z))
-
-    wirt = None
-    if Fs.wirtinger_evaluator is not None and Gs.wirtinger_evaluator is not None:
-        def wirt(z, t):
+    leibniz = None
+    if F.batch_wirtinger is not None and G.batch_wirtinger is not None:
+        def leibniz(Z, t):
             # Leibniz in the commutative-scalar variable: both conjugate types
-            f = Fs.evaluator(z)
-            g = Gs.evaluator(z)
-            df = Fs.wirtinger_evaluator(z, t)
-            dg = Gs.wirtinger_evaluator(z, t)
-            dz = c_multiply(df[0], g) + c_multiply(f, dg[0])
-            dzbar = c_multiply(df[1], g) + c_multiply(f, dg[1])
-            return dz, dzbar
+            f, g = evaluate_stem_batch(F, Z), evaluate_stem_batch(G, Z)
+            df, dg = F.batch_wirtinger(Z, t), G.batch_wirtinger(Z, t)
+            return tuple(
+                _add_pairs(c_multiply_batch(tag, df[k], g), c_multiply_batch(tag, f, dg[k]))
+                for k in (0, 1)
+            )
 
     return StemFunction(
-        arity=Fs.arity,
+        arity=F.arity,
         tag=tag,
-        evaluator=_eval,
-        smoothness=Smoothness(min(Fs.smoothness, Gs.smoothness)),
-        wirtinger_evaluator=wirt,
+        smoothness=Smoothness(min(F.smoothness, G.smoothness)),
         batch_evaluator=batch,
-        batch_wirtinger=None,
-        domain=Fs.domain or Gs.domain,
-        intrinsic=Fs.intrinsic and Gs.intrinsic,
+        batch_wirtinger=leibniz,
+        domain=F.domain or G.domain,
+        intrinsic=F.intrinsic and G.intrinsic,
     )
 
 
@@ -560,43 +521,23 @@ def restrict_stem(F, axis: int, anchors) -> "StemFunction | StemPolynomial":
             out[nu] = out[nu] + scaled if nu in out else scaled
         return stem_polynomial(F.tag, 1, out)
 
-    Fs = F.as_stem() if isinstance(F, StemPolynomial) else F
-
-    def _inflate(u_vals: np.ndarray) -> np.ndarray:
-        Z = np.tile(a, (u_vals.shape[0], 1))
-        Z[:, axis] = u_vals
+    def _inflate(Z1: np.ndarray) -> np.ndarray:
+        Z = np.tile(a, (Z1.shape[0], 1))
+        Z[:, axis] = np.asarray(Z1, dtype=np.complex128).reshape(-1)
         return Z
 
-    def _eval(z1):
-        zz = a.copy()
-        zz[axis] = complex(np.asarray(z1).reshape(1)[0])
-        return Fs.evaluator(zz)
-
-    batch = None
-    if Fs.batch_evaluator is not None:
-        def batch(Z1):
-            return Fs.batch_evaluator(_inflate(np.asarray(Z1, dtype=np.complex128).reshape(-1)))
-
-    wirt = None
-    if Fs.wirtinger_evaluator is not None:
-        def wirt(z1, _t):
-            zz = a.copy()
-            zz[axis] = complex(np.asarray(z1).reshape(1)[0])
-            return Fs.wirtinger_evaluator(zz, axis)
-
     dom = None
-    if Fs.domain is not None:
-        dom = Domain.polydisc(Fs.domain.radii[axis : axis + 1], Fs.domain.centers[axis : axis + 1])
+    if F.domain is not None:
+        dom = Domain.polydisc(F.domain.radii[axis : axis + 1], F.domain.centers[axis : axis + 1])
 
     return StemFunction(
         arity=1,
-        tag=Fs.tag,
-        evaluator=_eval,
-        smoothness=Fs.smoothness,
-        wirtinger_evaluator=wirt,
-        batch_evaluator=batch,
+        tag=F.tag,
+        smoothness=F.smoothness,
+        batch_evaluator=lambda Z1: evaluate_stem_batch(F, _inflate(Z1)),
+        batch_wirtinger=lambda Z1, _t: wirtinger_batch(F, _inflate(Z1), axis),
         domain=dom,
-        intrinsic=Fs.intrinsic and off_axis_real,
+        intrinsic=F.intrinsic and off_axis_real,
     )
 
 

@@ -27,7 +27,6 @@ from . import integral as quad
 from . import slicefun as sf
 from . import stem as st
 from .algebra import OCTONION, QUATERNION, AlgebraTag, parse_algebra
-from .complexified import ComplexifiedElement
 from .stem import StemPolynomial
 
 __all__ = [
@@ -333,8 +332,7 @@ def _representation_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     rng = np.random.default_rng(cfg.seed + 2)
     per_n = max(1, cfg.samples // 3)
 
-    worst_direct = 0.0
-    worst_agree = 0.0
+    cases = []
     for n in (1, 2, 3):
         polys = [random_polynomial(tag, n, 4, rng, terms=5)]
         polys += [p for p in cfg.functions if p.arity == n and p.tag == tag]
@@ -342,25 +340,27 @@ def _representation_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         for _ in range(per_n):
             f = fs[int(rng.integers(0, len(fs)))]
             I, J, K = separated_units(tag, rng, 3)
-            alpha = rng.uniform(-0.8, 0.8, n)
-            beta = rng.uniform(-0.8, 0.8, n)
-            fJ = f(sf.slice_point(alpha, beta, J))
-            fK = f(sf.slice_point(alpha, beta, K))
-            fmJ = f(sf.slice_point(alpha, beta, -J))
-            direct = f(sf.slice_point(alpha, beta, I))
-            rep = sf.representation(fJ, fK, I, J, K)
-            worst_direct = max(worst_direct, (rep - direct).norm())
-            general = sf.representation(fJ, fmJ, I, J, -J)
-            symmetric = sf.representation_symmetric(fJ, fmJ, I, J)
-            worst_agree = max(worst_agree, (general - symmetric).norm())
-            worst_direct = max(worst_direct, (symmetric - direct).norm())
+            cases.append((f, I, J, K, rng.uniform(-0.8, 0.8, n), rng.uniform(-0.8, 0.8, n)))
+    # values on the J and -J slices, kept for the formula comparison
+    mirrored = []
 
-    records.append(
-        CheckRecord("representation_direct", worst_direct <= cfg.tol("representation_direct"), worst_direct, cfg.tol("representation_direct"))
-    )
-    records.append(
-        CheckRecord("formula_agreement", worst_agree <= cfg.tol("formula_agreement"), worst_agree, cfg.tol("formula_agreement"))
-    )
+    def direct() -> float:
+        worst = 0.0
+        for f, I, J, K, alpha, beta in cases:
+            fJ, fK, fmJ, fI = (f(sf.slice_point(alpha, beta, u)) for u in (J, K, -J, I))
+            symmetric = sf.representation_symmetric(fJ, fmJ, I, J)
+            mirrored.append((fJ, fmJ, I, J, symmetric))
+            worst = max(worst, (sf.representation(fJ, fK, I, J, K) - fI).norm(), (symmetric - fI).norm())
+        return worst
+
+    def agreement() -> float:
+        return max(
+            (sf.representation(fJ, fmJ, I, J, -J) - symmetric).norm()
+            for fJ, fmJ, I, J, symmetric in mirrored
+        )
+
+    _timed(records, "representation_direct", cfg.tol("representation_direct"), direct)
+    _timed(records, "formula_agreement", cfg.tol("formula_agreement"), agreement)
     return records
 
 
@@ -466,7 +466,7 @@ def _spherical_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         even = st.StemFunction(
             arity=n,
             tag=tag,
-            evaluator=lambda z: ComplexifiedElement(st.evaluate_stem(p, z).re, alg.zero(tag)),
+            batch_evaluator=lambda Z: (st.evaluate_stem_batch(p, Z)[0], np.zeros((len(Z), tag.dim))),
             smoothness=st.Smoothness.C1,
         )
         vs_f = sf.SliceFunction(stem=even)
@@ -628,39 +628,24 @@ def _bm_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     return [replace(rec, abs_error=rec.metric) if rec.abs_error is None else rec for rec in records]
 
 
+def _times(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component pair (Re(w) c, Im(w) c) of the stem values w c, for complex w (N,) and c (dim,)."""
+    return np.real(w)[:, None] * c[None, :], np.imag(w)[:, None] * c[None, :]
+
+
 def _conj_z1_stem(tag: AlgebraTag, arity: int, c: alg.AlgebraElement) -> st.StemFunction:
     """F(z) = conj(z_1) c: the standard non-regular C1 test stem with exact dbar."""
-    from .complexified import ComplexifiedElement
-
-    def _eval(z):
-        return ComplexifiedElement(c * float(np.real(z[0])), c * (-float(np.imag(z[0]))))
-
-    def _batch(Z):
-        re = np.real(Z[:, 0])[:, None] * c.coeffs[None, :]
-        im = -np.imag(Z[:, 0])[:, None] * c.coeffs[None, :]
-        return re, im
-
-    def _wirt(z, t):
-        zero_c = ComplexifiedElement(alg.zero(tag), alg.zero(tag))
-        if t == 0:
-            return zero_c, ComplexifiedElement(c, alg.zero(tag))
-        return zero_c, zero_c
 
     def _batch_wirt(Z, t):
-        N = Z.shape[0]
-        zeros = np.zeros((N, tag.dim))
-        if t == 0:
-            b1 = np.tile(c.coeffs, (N, 1))
-            return (zeros, zeros.copy()), (b1, np.zeros((N, tag.dim)))
-        return (zeros, zeros.copy()), (np.zeros((N, tag.dim)), np.zeros((N, tag.dim)))
+        zeros = np.zeros((Z.shape[0], tag.dim))
+        dzbar = np.tile(c.coeffs, (Z.shape[0], 1)) if t == 0 else zeros
+        return (zeros, zeros), (dzbar, zeros)
 
     return st.StemFunction(
         arity=arity,
         tag=tag,
-        evaluator=_eval,
         smoothness=st.Smoothness.C1,
-        wirtinger_evaluator=_wirt,
-        batch_evaluator=_batch,
+        batch_evaluator=lambda Z: _times(np.conj(Z[:, 0]), c.coeffs),
         batch_wirtinger=_batch_wirt,
         domain=st.Domain.polydisc(np.full(arity, 1.2)),
     )
@@ -710,54 +695,29 @@ def _offslice_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
 
 def _rational_stem(tag: AlgebraTag, c: alg.AlgebraElement) -> st.StemFunction:
     """F(z) = (z_1 - 2)^{-1} c: holomorphic on the unit bidisc, pole at real 2."""
-    from .complexified import ComplexifiedElement
 
-    def _eval(z):
-        w = 1.0 / (complex(z[0]) - 2.0)
-        return ComplexifiedElement(c * w.real, c * w.imag)
-
-    def _batch(Z):
-        w = 1.0 / (Z[:, 0] - 2.0)
-        return np.real(w)[:, None] * c.coeffs[None, :], np.imag(w)[:, None] * c.coeffs[None, :]
-
-    def _wirt(z, t):
-        zero_c = ComplexifiedElement(alg.zero(tag), alg.zero(tag))
-        if t == 0:
-            w = -1.0 / (complex(z[0]) - 2.0) ** 2
-            return ComplexifiedElement(c * w.real, c * w.imag), zero_c
-        return zero_c, zero_c
+    def _batch_wirt(Z, t):
+        zeros = np.zeros((Z.shape[0], tag.dim))
+        dz = _times(-1.0 / (Z[:, 0] - 2.0) ** 2, c.coeffs) if t == 0 else (zeros, zeros)
+        return dz, (zeros, zeros)
 
     return st.StemFunction(
         arity=2,
         tag=tag,
-        evaluator=_eval,
         smoothness=st.Smoothness.ANALYTIC,
-        wirtinger_evaluator=_wirt,
-        batch_evaluator=_batch,
+        batch_evaluator=lambda Z: _times(1.0 / (Z[:, 0] - 2.0), c.coeffs),
+        batch_wirtinger=_batch_wirt,
         domain=st.Domain.polydisc(np.ones(2)),
     )
 
 
 def _inverse_z_stem(tag: AlgebraTag) -> st.StemFunction:
     """F(z) = z^{-1} e_0 on an annulus around the puncture at 0."""
-    from .complexified import ComplexifiedElement
-
-    e0 = alg.one(tag)
-
-    def _eval(z):
-        w = 1.0 / complex(z[0])
-        return ComplexifiedElement(e0 * w.real, e0 * w.imag)
-
-    def _batch(Z):
-        w = 1.0 / Z[:, 0]
-        return np.real(w)[:, None] * e0.coeffs[None, :], np.imag(w)[:, None] * e0.coeffs[None, :]
-
     return st.StemFunction(
         arity=1,
         tag=tag,
-        evaluator=_eval,
         smoothness=st.Smoothness.ANALYTIC,
-        batch_evaluator=_batch,
+        batch_evaluator=lambda Z: _times(1.0 / Z[:, 0], alg.one(tag).coeffs),
         domain=st.Domain.annulus(0.3, 1.0),
     )
 

@@ -269,6 +269,17 @@ def test_multiply_batch_matches_scalar():
     b = rng.standard_normal(8)
     batch = multiply_batch(OCTONION, A, b)
     np.testing.assert_allclose(batch[3], multiply(element(OCTONION, A[3]), element(OCTONION, b)).coeffs)
+    # a batch of one, and one row broadcast against N rows on either side
+    a = rng.standard_normal(8)
+    single = multiply(element(OCTONION, a), element(OCTONION, b)).coeffs
+    np.testing.assert_array_equal(multiply_batch(OCTONION, a[None, :], b[None, :]), single[None, :])
+    np.testing.assert_array_equal(multiply_batch(OCTONION, a, b), single)
+    for lhs, rhs in ((a[None, :], A), (A, b[None, :])):
+        batch = multiply_batch(OCTONION, lhs, rhs)
+        assert batch.shape == (40, 8)
+        for row in range(40):
+            expected = multiply(element(OCTONION, np.broadcast_to(lhs, (40, 8))[row]), element(OCTONION, np.broadcast_to(rhs, (40, 8))[row]))
+            np.testing.assert_allclose(batch[row], expected.coeffs, atol=1e-12)
 
 
 def test_mult_matrices():
@@ -337,3 +348,13 @@ def test_coeffs_are_locked():
     a = element(QUATERNION, [1, 2, 3, 4])
     with pytest.raises(ValueError):
         a.coeffs[0] = 99.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_imaginary_unit_rejects_non_finite(bad):
+    c = np.zeros(8)
+    c[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ImaginaryUnit(element(OCTONION, c))
+    with pytest.raises(ValueError, match="finite"):
+        ImaginaryUnit(element(OCTONION, np.full(8, bad)))

@@ -300,3 +300,37 @@ def test_convergence_csv_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "M,R,V,abs_error,wall_ms"
     assert lines[1].startswith("16,32,3,1.000000000000000e-07,")
+
+
+@pytest.mark.parametrize(
+    "centers, radii",
+    [([0.0, 0.0], [1.0, np.inf]), ([0.0, 0.0], [np.nan, 1.0]), ([np.nan, 0.0], [1.0, 1.0]), ([0.0, -np.inf], [1.0, 1.0])],
+)
+def test_polydisc_rejects_non_finite(centers, radii):
+    with pytest.raises(ValueError, match="finite"):
+        itg.PolydiscDomain(np.array(centers), np.array(radii), J)
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "two", "", "1.5"])
+def test_thread_count_rejects_bad_values(raw, monkeypatch):
+    monkeypatch.setenv("HYPERSLICE_THREADS", raw)
+    with pytest.raises(ValueError, match="HYPERSLICE_THREADS"):
+        itg._worker_count()
+
+
+def test_thread_count_default_and_explicit(monkeypatch):
+    monkeypatch.delenv("HYPERSLICE_THREADS", raising=False)
+    assert itg._worker_count() == 1
+    monkeypatch.setenv("HYPERSLICE_THREADS", "3")
+    assert itg._worker_count() == 3
+
+
+def test_node_budget_rejects_n3_volume_before_allocating():
+    from hyperslice.suites import _conj_z1_stem
+
+    dom = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
+    x = sf.point_from_z(np.full(3, 0.2 + 0.1j), J)
+    f = sf.lift(_conj_z1_stem(TAG, 3, E1))
+    # 32 angles x 13 panels x 4 nodes per disc: 1664^3, about 4.6e9 nodes
+    with pytest.raises(ValueError, match=str(1664**3)):
+        itg.bm_volume_integral(f, dom, x, SPEC)

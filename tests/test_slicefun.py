@@ -366,3 +366,12 @@ def test_zero_classification_scan_agreement_bulk():
                            alg.sample_unit_imaginary(TAG, rng))
         res = sf.classify_sphere_zeros(f, x)
         assert _scan_consistent(f, x, res, units)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [([np.nan, 0.1], [0.2, 0.3]), ([0.1, 0.2], [np.inf, 0.3]), ([0.1, -np.inf], [0.0, 0.0]), ([0.1, 0.2], [0.3, np.nan])],
+)
+def test_slice_point_rejects_non_finite(alpha, beta):
+    with pytest.raises(ValueError, match="finite"):
+        sf.slice_point(alpha, beta, _unit([0, 1.0, 0, 0, 0, 0, 0]))

@@ -68,6 +68,10 @@ def test_batch_evaluation_matches_pointwise():
         w = evaluate_stem(p, Z[k])
         np.testing.assert_allclose(F1[k], w.re.coeffs, atol=1e-12)
         np.testing.assert_allclose(F2[k], w.im.coeffs, atol=1e-12)
+        # reference: the term-by-term sum of z^mu a_mu
+        ref = sum(complex(np.prod(Z[k] ** np.asarray(mu))) * c.coeffs for mu, c in p.terms.items())
+        np.testing.assert_allclose(F1[k], ref.real, atol=1e-12)
+        np.testing.assert_allclose(F2[k], ref.imag, atol=1e-12)
 
 
 def test_poly_product_is_coefficient_convolution():
@@ -98,7 +102,7 @@ def test_poly_product_matches_pointwise_c_multiply():
 
 def test_intrinsicity_of_polynomials_and_violation():
     p = stem_polynomial(TAG, 2, {(1, 2): element(TAG, np.arange(8.0)), (0, 0): E1})
-    report = check_intrinsic(p.as_stem())
+    report = check_intrinsic(p)
     assert report.passed and report.max_violation <= 1e-14
 
     # multiplying one component by i breaks F(conj z) = conj(F(z))
@@ -122,7 +126,7 @@ def test_decompose_stem_even_odd():
 def test_wirtinger_exact_for_polynomials():
     p = stem_polynomial(TAG, 2, {(3, 1): E1, (1, 0): E0})
     z = np.array([0.4 - 0.3j, -0.2 + 0.7j])
-    dz, dzbar = wirtinger(p.as_stem(), z, 0)
+    dz, dzbar = wirtinger(p, z, 0)
     z1, z2 = complex(z[0]), complex(z[1])
     expected = 3.0 * z1**2 * z2
     got = complex(dz.re.coeffs[1], dz.im.coeffs[1])
@@ -137,7 +141,7 @@ def test_wirtinger_fd_matches_exact():
     fd = StemFunction(arity=2, tag=TAG, evaluator=lambda z: evaluate_stem(p, z))
     z = np.array([0.3 + 0.1j, -0.5 - 0.4j])
     for t in (0, 1):
-        dz_p, dzbar_p = wirtinger(p.as_stem(), z, t)
+        dz_p, dzbar_p = wirtinger(p, z, t)
         dz_f, dzbar_f = wirtinger(fd, z, t)
         assert (dz_p.re - dz_f.re).norm() <= 1e-8
         assert (dz_p.im - dz_f.im).norm() <= 1e-8
@@ -162,7 +166,7 @@ def test_wirtinger_batch_antiholomorphic():
 
 def test_is_holomorphic_flags():
     p = stem_polynomial(TAG, 2, {(1, 1): E0})
-    assert is_holomorphic(p.as_stem()).passed
+    assert is_holomorphic(p).passed
     F = StemFunction(
         arity=1,
         tag=TAG,
@@ -177,7 +181,7 @@ def test_is_holomorphic_flags():
 def test_stem_product_general():
     p = stem_polynomial(TAG, 1, {(1,): E1})
     F = StemFunction(arity=1, tag=TAG, evaluator=lambda z: evaluate_stem(p, z))
-    G = stem_polynomial(TAG, 1, {(2,): E3}).as_stem()
+    G = stem_polynomial(TAG, 1, {(2,): E3})
     H = stem_product(F, G)
     z = np.array([0.7 - 0.2j])
     lhs = evaluate_stem(H, z)
@@ -241,3 +245,45 @@ def test_polynomial_algebraic_ops():
     assert (w.re - (2.0 * E0 + E1)).norm() <= 1e-15
     d = p - p
     assert len(d.terms) == 0
+
+
+def _batch_of_one_stems():
+    p = stem_polynomial(TAG, 2, {(2, 1): E1, (0, 3): element(TAG, np.linspace(-1.0, 1.0, 8)), (1, 0): E0})
+
+    def batch(Z):
+        w = np.exp(Z[:, 0]) * Z[:, 1]
+        return np.real(w)[:, None] * E3.coeffs[None, :], np.imag(w)[:, None] * E3.coeffs[None, :]
+
+    def scalar(z):
+        w = complex(np.exp(z[0]) * z[1])
+        return ComplexifiedElement(E3 * w.real, E3 * w.imag)
+
+    return {
+        "polynomial": p,
+        "batch_only": StemFunction(arity=2, tag=TAG, batch_evaluator=batch),
+        "scalar_only": StemFunction(arity=2, tag=TAG, evaluator=scalar),
+    }
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "batch_only", "scalar_only"])
+def test_scalar_evaluation_is_batch_of_one(kind):
+    F = _batch_of_one_stems()[kind]
+    z = np.array([0.3 - 0.7j, -1.1 + 0.2j])
+    w = evaluate_stem(F, z)
+    F1, F2 = evaluate_stem_batch(F, z[None])
+    np.testing.assert_array_equal(w.re.coeffs, F1[0])
+    np.testing.assert_array_equal(w.im.coeffs, F2[0])
+
+
+def test_stem_function_needs_an_evaluator():
+    with pytest.raises(ValueError, match="evaluator"):
+        StemFunction(arity=1, tag=TAG)
+
+
+@pytest.mark.parametrize(
+    "centers, radii",
+    [([0.0, np.nan], [1.0, 1.0]), ([np.inf, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf]), ([0.0, 0.0], [np.nan, 1.0])],
+)
+def test_domain_rejects_non_finite(centers, radii):
+    with pytest.raises(ValueError, match="finite"):
+        Domain(np.array(centers), np.array(radii))

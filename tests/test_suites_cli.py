@@ -198,3 +198,28 @@ def test_cli_byte_identical_output_subprocess(fast_config, tmp_path):
         )
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_every_record_is_timed(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(FAST_YAML.replace("suite: spherical", "suite: all").replace("samples: 50", "samples: 6"))
+    report = su.run_suite(su.load_config(path))
+    assert report.records
+    assert all(rec.wall_ms > 0.0 for rec in report.records), [r.name for r in report.records if r.wall_ms <= 0.0]
+
+
+def test_public_names_resolve():
+    import ast
+    import importlib
+
+    import hyperslice
+
+    for name in ("algebra", "complexified", "stem", "slicefun", "integral", "suites"):
+        module = importlib.import_module(f"hyperslice.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, (name, missing)
+    with open(hyperslice.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert imported
+    assert [n for n in imported if not hasattr(hyperslice, n)] == []
