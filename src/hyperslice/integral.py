@@ -28,11 +28,20 @@ functions F_J^k and directly in the algebra, and the two routes must agree to
 1e-12.  Both rules take their nodes from one product-grid helper, capped at
 NODE_BUDGET nodes, and share one chunk-ordered reduction into the two algebra
 values.
+
+Nodes are streamed: a grid is only its per-disc rules plus a function that
+builds rows lo..hi-1 from their flat index, so each chunk of CHUNK rows is
+built, weighted by the kernel, evaluated and reduced (by matrix-vector
+products over the chunk) before the next one starts.  Memory is O(CHUNK),
+whatever the grid size.  CHUNK = 2048 keeps every per-chunk array at 128 KiB
+or less, inside a 2 MiB L2 cache; in the boundary benchmark on a 2-CPU
+machine, chunks of 1024 and 4096 rows took 16% and 45% longer per call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import time
@@ -76,8 +85,9 @@ __all__ = [
 
 INTERIOR_MARGIN = 0.05
 ROUTE_AGREEMENT_TOL = 1e-12
-CHUNK = 65536
-# largest product grid a rule may build: 6x the V=3 volume grid at n=2
+CHUNK = 2048
+# largest product grid a rule may integrate, 6x the V=3 volume grid at n=2;
+# nodes are streamed, so this bounds time, not memory
 NODE_BUDGET = 1 << 24
 
 
@@ -203,9 +213,9 @@ def _worker_count() -> int:
     return workers
 
 
-def _chunks(total: int, size: int = CHUNK):
-    for lo in range(0, total, size):
-        yield lo, min(lo + size, total)
+def _chunks(total: int):
+    for lo in range(0, total, CHUNK):
+        yield lo, min(lo + CHUNK, total)
 
 
 def _map_chunks(fn, total: int):
@@ -244,12 +254,14 @@ def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray], LJ: np.ndarray):
     """Sum over nodes of c (F1 + i F2), directly in the algebra and componentwise.
 
     The direct route lifts F to F1 + J F2 and applies the complex weight c as
-    Re(c) + J Im(c), both by left multiplication with J.
+    Re(c) + J Im(c), both by left multiplication with J.  Both sums over the
+    nodes are matrix-vector products with Re(c) and Im(c).
     """
     F1, F2 = F
+    cr, ci = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
     fvals = F1 + F2 @ LJ.T
-    direct = np.real(c)[:, None] * fvals + np.imag(c)[:, None] * (fvals @ LJ.T)
-    return direct.sum(axis=0), (c[:, None] * (F1 + 1j * F2)).sum(axis=0)
+    direct = cr @ fvals + ci @ (fvals @ LJ.T)
+    return direct, (cr @ F1 - ci @ F2) + 1j * (ci @ F1 + cr @ F2)
 
 
 def _agreed(direct: AlgebraElement, comp: AlgebraElement) -> AlgebraElement:
@@ -288,36 +300,48 @@ def _face_orientation_sign(n: int, k: int) -> float:
     return -1.0 if inversions % 2 else 1.0
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, 1]; cached, so the arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (x + 1.0), 0.5 * w
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def _product_grid(vals: list, weights: list, scale=1.0):
-    """Tensor-product nodes Z (N, n) and weights scale * prod_l weights[l] from per-disc rules.
+    """Tensor-product rule from per-disc rules, as (count, nodes).
 
-    The grid size is checked against NODE_BUDGET before anything of size N
-    is allocated.
+    nodes(lo, hi) builds rows lo..hi-1 of the grid in C order of the per-disc
+    indices: Z (hi-lo, n) and weights scale * prod_l weights[l].  The grid size
+    is checked against NODE_BUDGET before any node is built.
     """
-    count = math.prod(v.shape[0] for v in vals)
+    shape = tuple(v.shape[0] for v in vals)
+    count = math.prod(shape)
     if count > NODE_BUDGET:
         raise ValueError(f"quadrature grid of {count} nodes exceeds the budget of {NODE_BUDGET}")
-    grids = np.meshgrid(*[np.arange(v.shape[0]) for v in vals], indexing="ij")
-    Z = np.empty((count, len(vals)), dtype=np.complex128)
-    W = np.full(count, scale, dtype=np.result_type(scale, *weights))
-    for l, g in enumerate(grids):
-        idx = g.ravel()
-        Z[:, l] = vals[l][idx]
-        W *= weights[l][idx]
-    return Z, W
+    dtype = np.result_type(scale, *weights)
+
+    def nodes(lo: int, hi: int):
+        idx = np.unravel_index(np.arange(lo, hi), shape)
+        Z = np.empty((hi - lo, len(vals)), dtype=np.complex128)
+        W = np.full(hi - lo, scale, dtype=dtype)
+        for l, i in enumerate(idx):
+            Z[:, l] = vals[l][i]
+            W *= weights[l][i]
+        return Z, W
+
+    return count, nodes
 
 
 def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, k: int):
     """Quadrature nodes and complex form-coefficients for boundary face k.
 
-    Returns (Z, coeff) where Z is (N, n) complex and coeff already contains the
-    kernel constant, orientation, Jacobians and product weights; only g_k(xi)
-    and f(xi) remain to be multiplied in.
+    Returns (count, nodes) where nodes(lo, hi) gives (Z, coeff) for those rows:
+    Z is complex (hi-lo, n) and coeff already contains the kernel constant,
+    orientation, Jacobians and product weights; only g_k(xi) and f(xi) remain
+    to be multiplied in.
     """
     n = dom.n
     M, R = spec.angular_nodes, spec.radial_nodes
@@ -346,7 +370,7 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, k: int):
 
 def _kernel_g(Z: np.ndarray, x_z: np.ndarray, j: int, n: int) -> np.ndarray:
     diff = Z - x_z[None, :]
-    dist2 = np.sum(np.abs(diff) ** 2, axis=1)
+    dist2 = np.sum(diff.real**2 + diff.imag**2, axis=1)
     return np.conj(diff[:, j]) / dist2**n
 
 
@@ -354,7 +378,8 @@ def cauchy_kernel_values(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpe
     """n=1 sanity hook: (c_1 g_1(xi), 1/(2 pi i (xi - x))) at the circle nodes."""
     if dom.n != 1:
         raise ValueError("Cauchy comparison is one-variable only")
-    Z, _ = _face_nodes(dom, spec, 0)
+    count, nodes = _face_nodes(dom, spec, 0)
+    Z, _ = nodes(0, count)
     bm = _kernel_g(Z, x.z, 0, 1) / (2j * math.pi)
     cauchy = 1.0 / (2j * math.pi * (Z[:, 0] - x.z[0]))
     return bm, cauchy
@@ -369,12 +394,15 @@ def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec
     LJ = left_mult_matrix(dom.j.value)
 
     def _face(k):
-        Z, coeff = _face_nodes(dom, spec, k)
-        c = coeff * _kernel_g(Z, x.z, k, dom.n)
-        return (lambda lo, hi: _node_sums(c[lo:hi], evaluate_stem_batch(f.stem, Z[lo:hi]), LJ)), Z.shape[0]
+        count, nodes = _face_nodes(dom, spec, k)
 
-    # faces are built as the reduction reaches them, so at most two are held at once
-    return _reduce(f.tag, LJ, (_face(k) for k in range(dom.n)))
+        def _piece(lo, hi):
+            Z, coeff = nodes(lo, hi)
+            return _node_sums(coeff * _kernel_g(Z, x.z, k, dom.n), evaluate_stem_batch(f.stem, Z), LJ)
+
+        return _piece, count
+
+    return _reduce(f.tag, LJ, [_face(k) for k in range(dom.n)])
 
 
 def bm_boundary_dual(
@@ -439,17 +467,18 @@ def _bm_volume_both(
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
     LJ = left_mult_matrix(dom.j.value)
-    Z, W = _volume_nodes(dom, x, spec, seed)
+    count, nodes = _volume_nodes(dom, x, spec, seed)
 
     def _piece(lo, hi):
+        Z, W = nodes(lo, hi)
         direct, comp = 0.0, 0.0
         for jx in range(n):
-            c = W[lo:hi] * _kernel_g(Z[lo:hi], x.z, jx, n)
-            d_part, c_part = _node_sums(c, wirtinger_batch(f.stem, Z[lo:hi], jx)[1], LJ)
+            c = W * _kernel_g(Z, x.z, jx, n)
+            d_part, c_part = _node_sums(c, wirtinger_batch(f.stem, Z, jx)[1], LJ)
             direct, comp = direct + d_part, comp + c_part
         return direct, comp
 
-    return _reduce(f.tag, LJ, [(_piece, Z.shape[0])], math.factorial(n - 1) / math.pi**n)
+    return _reduce(f.tag, LJ, [(_piece, count)], math.factorial(n - 1) / math.pi**n)
 
 
 def bm_volume_dual(

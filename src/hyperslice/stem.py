@@ -202,6 +202,8 @@ class StemPolynomial:
     terms: dict
     exponents: np.ndarray = field(init=False, repr=False)
     coefficients: np.ndarray = field(init=False, repr=False)
+    # dF/dz_t per axis t, built by wirtinger_poly on first use
+    _derivatives: dict = field(init=False, repr=False, default_factory=dict)
 
     evaluator = None
     wirtinger_evaluator = None
@@ -241,9 +243,14 @@ class StemPolynomial:
         return d, (np.zeros_like(d[0]), np.zeros_like(d[1]))
 
     def wirtinger_poly(self, t: int) -> "StemPolynomial":
-        """Exact dF/dz_t as a polynomial; dF/dzbar_t is identically zero."""
+        """Exact dF/dz_t as a polynomial, built once per axis; dF/dzbar_t is identically zero."""
         if not 0 <= t < self.arity:
             raise ValueError(f"axis {t} out of range for arity {self.arity}")
+        if t not in self._derivatives:
+            self._derivatives[t] = self._derivative(t)
+        return self._derivatives[t]
+
+    def _derivative(self, t: int) -> "StemPolynomial":
         out: dict = {}
         for mu, coeff in self.terms.items():
             if mu[t] == 0:
@@ -440,18 +447,16 @@ class HolomorphyReport(NamedTuple):
 
 
 def is_holomorphic(F, samples=None, tol: float = 1e-6, rng=None, h: float = DEFAULT_FD_STEP) -> HolomorphyReport:
-    """Max |dF/dzbar_t| over all axes and samples."""
+    """Max |dF/dzbar_t| over all axes and samples, one batch per axis."""
     if samples is None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
         samples = _stem_samples(F, gen, 16)
+    Z = np.asarray(samples, dtype=np.complex128).reshape(-1, F.arity)
     worst = 0.0
-    count = 0
-    arity = F.arity
-    for z in samples:
-        for t in range(arity):
-            worst = max(worst, wirtinger(F, z, t, h=h).dzbar.norm())
-        count += 1
-    return HolomorphyReport(worst, worst <= tol, count)
+    for t in range(F.arity):
+        dzbar = wirtinger_batch(F, Z, t, h)[1]
+        worst = max(worst, float(np.max(_row_norms(*dzbar), initial=0.0)))
+    return HolomorphyReport(worst, worst <= tol, Z.shape[0])
 
 
 # ---------------------------------------------------------------------------

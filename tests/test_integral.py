@@ -334,3 +334,87 @@ def test_node_budget_rejects_n3_volume_before_allocating():
     # 32 angles x 13 panels x 4 nodes per disc: 1664^3, about 4.6e9 nodes
     with pytest.raises(ValueError, match=str(1664**3)):
         itg.bm_volume_integral(f, dom, x, SPEC)
+
+
+def test_results_do_not_depend_on_chunk_size(monkeypatch):
+    from hyperslice.suites import _conj_z1_stem
+
+    # the rules read CHUNK when called, so patching it changes the spans
+    monkeypatch.setattr(itg, "CHUNK", 1000)
+    assert list(itg._chunks(2500)) == [(0, 1000), (1000, 2000), (2000, 2500)]
+    p3 = stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3})
+    cases = [
+        (itg.bm_boundary_dual, sf.lift(stm.stem_polynomial(TAG, 2, {(1, 2): E0, (2, 0): E3})),
+         _bidisc(), _x2(), itg.QuadratureSpec(32, 16, 1)),
+        (itg.bm_boundary_dual, sf.lift(p3), itg.PolydiscDomain(np.zeros(3), np.ones(3), J),
+         sf.point_from_z(np.array([0.2 + 0.1j, -0.3j, 0.15]), J), itg.QuadratureSpec(8, 4, 1)),
+        (itg.bm_volume_dual, sf.lift(_conj_z1_stem(TAG, 2, E1 + 0.5 * E3)),
+         _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1)),
+    ]
+    for rule, f, dom, x, spec in cases:
+        values = {}
+        for chunk in (2048, 65536, 1000):
+            monkeypatch.setattr(itg, "CHUNK", chunk)
+            direct, comp = rule(f, dom, x, spec)
+            assert (direct - comp).norm() <= itg.ROUTE_AGREEMENT_TOL * max(1.0, direct.norm())
+            values[chunk] = direct
+        ref = values[2048]
+        assert ref.norm() > 0.1
+        for chunk in (65536, 1000):
+            assert (values[chunk] - ref).norm() <= 1e-13 * (1.0 + ref.norm()), (rule.__name__, chunk)
+
+
+def test_streamed_grid_matches_meshgrid():
+    rng = np.random.default_rng(21)
+    sizes = (5, 3, 7)
+    vals = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
+    weights = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
+    scale = 0.3 - 1.7j
+    count, nodes = itg._product_grid(vals, weights, scale)
+    assert count == 105
+    # spans that cut across the disc sizes, including an empty one
+    cuts = [0, 4, 4, 17, 50, 104, 105]
+    parts = [nodes(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    Z = np.concatenate([z for z, _ in parts])
+    W = np.concatenate([w for _, w in parts])
+    # reference: the whole grid in meshgrid order, weights multiplied disc by disc
+    grids = np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")
+    Z_ref = np.stack([v[g.ravel()] for v, g in zip(vals, grids)], axis=1)
+    W_ref = np.full(count, scale)
+    for w, g in zip(weights, grids):
+        W_ref *= w[g.ravel()]
+    np.testing.assert_array_equal(Z, Z_ref)
+    np.testing.assert_array_equal(W, W_ref)
+
+
+def _traced_peak_mb(fn) -> float:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadrature_memory_stays_chunk_sized():
+    from hyperslice.suites import _conj_z1_stem
+
+    # 786,432 boundary nodes at n = 3 and 2,768,896 volume nodes at n = 2;
+    # building either grid whole takes 52 MB and 190 MB
+    dom3 = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
+    x3 = sf.point_from_z(np.array([0.2 + 0.1j, -0.3j, 0.15]), J)
+    f3 = sf.lift(stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3}))
+    peak = _traced_peak_mb(lambda: itg.bm_boundary_integral(f3, dom3, x3, itg.QuadratureSpec(16, 8, 1)))
+    assert peak <= 8.0, f"n=3 boundary peak {peak:.1f} MB"
+    g = sf.lift(_conj_z1_stem(TAG, 2, E1))
+    peak = _traced_peak_mb(lambda: itg.bm_volume_integral(g, _bidisc(), _x2(), SPEC))
+    assert peak <= 8.0, f"V=3 volume peak {peak:.1f} MB"
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    t, w = itg._gauss_legendre_01(6)
+    assert itg._gauss_legendre_01(6)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+    assert abs(w.sum() - 1.0) <= 1e-15 and abs(w @ t**5 - 1.0 / 6.0) <= 1e-15

@@ -178,6 +178,36 @@ def test_is_holomorphic_flags():
     assert not rep.passed and abs(rep.max_residual - 1.0) <= 1e-6
 
 
+def test_is_holomorphic_matches_pointwise_loop():
+    # z1 conj(z2) e1 + conj(z1)^2 e3: dzbar is nonzero on both axes and varies over the samples
+    def _batch(Z):
+        w = Z[:, 0] * np.conj(Z[:, 1])
+        v = np.conj(Z[:, 0]) ** 2
+        F = w[:, None] * E1.coeffs + v[:, None] * E3.coeffs
+        return F.real, F.imag
+
+    F = StemFunction(arity=2, tag=TAG, batch_evaluator=_batch)
+    samples = np.random.default_rng(4).uniform(-0.8, 0.8, (9, 2, 2)) @ np.array([1.0, 1j])
+    rep = is_holomorphic(F, samples=samples)
+    loop = max(wirtinger(F, z, t).dzbar.norm() for z in samples for t in (0, 1))
+    assert rep.samples_checked == 9 and not rep.passed
+    assert abs(rep.max_residual - loop) <= 1e-12 * loop
+
+
+def test_wirtinger_poly_built_once_per_axis():
+    p = stem_polynomial(TAG, 2, {(2, 1): E1, (0, 3): E3})
+    d0, d1 = p.wirtinger_poly(0), p.wirtinger_poly(1)
+    assert p.wirtinger_poly(0) is d0 and p.wirtinger_poly(1) is d1
+    assert list(d0.terms) == [(1, 1)] and (d0.terms[(1, 1)] - 2.0 * E1).norm() == 0.0
+    Z = np.array([[0.3 + 0.1j, -0.2 + 0.5j], [0.6 - 0.4j, 0.1j]])
+    (dz1, dz2), _ = p.batch_wirtinger(Z, 1)
+    ref1, ref2 = d1.batch_evaluator(Z)
+    np.testing.assert_array_equal(dz1, ref1)
+    np.testing.assert_array_equal(dz2, ref2)
+    with pytest.raises(ValueError):
+        p.wirtinger_poly(2)
+
+
 def test_stem_product_general():
     p = stem_polynomial(TAG, 1, {(1,): E1})
     F = StemFunction(arity=1, tag=TAG, evaluator=lambda z: evaluate_stem(p, z))
