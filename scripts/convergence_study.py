@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Angular-node convergence of the boundary integral on the unit bidisc.
+"""Convergence of the boundary integral and of the volume term on the unit bidisc.
 
-Reproduces a fixed degree-3 polynomial at an interior point for doubling M,
-printing one row per run and writing the standard convergence CSV
-(M,R,V,abs_error,wall_ms).
+The boundary table reproduces a fixed degree-3 polynomial at an interior
+point for doubling M.  The volume table reproduces the non-regular stem
+conj(z_1) c as boundary - volume at (M, R) = (32, R) for V = 0..5, with the
+volume rule's node count.  One row per run is printed, and both tables go to
+the standard convergence CSV (M,R,V,abs_error,wall_ms) with two more columns:
+table (boundary or volume) and nodes.
 
 Usage:
     python scripts/convergence_study.py --out convergence.csv
@@ -17,6 +20,7 @@ import time
 import numpy as np
 
 import hyperslice as hs
+from hyperslice.suites import _conj_z1_stem
 
 
 def main(argv=None) -> int:
@@ -36,19 +40,23 @@ def main(argv=None) -> int:
     f = hs.lift(
         hs.stem_polynomial(tag, 2, {(1, 2): hs.one(tag), (1, 0): hs.basis(tag, 3)})
     )
+    g = hs.lift(_conj_z1_stem(tag, 2, hs.element(tag, rng.standard_normal(tag.dim))))
 
+    runs = [("boundary", hs.reproduce_check, f, hs.QuadratureSpec(M, args.radial, args.volume))
+            for M in (8, 16, 32, 64, 128)]
+    runs += [("volume", hs.correction_check, g, hs.QuadratureSpec(32, args.radial, V)) for V in range(6)]
     rows = []
-    print(f"{'M':>4} {'R':>4} {'V':>2} {'abs_error':>14} {'wall_ms':>9}")
-    for M in (8, 16, 32, 64, 128):
-        spec = hs.QuadratureSpec(M, args.radial, args.volume)
+    print(f"{'table':>8} {'M':>4} {'R':>4} {'V':>2} {'abs_error':>14} {'nodes':>9} {'wall_ms':>9}")
+    for table, check, fn, spec in runs:
         t0 = time.perf_counter()
-        rep = hs.reproduce_check(f, dom, x, spec)
+        rep = check(fn, dom, x, spec)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        rows.append({"M": M, "R": args.radial, "V": args.volume,
-                     "abs_error": rep.abs_error, "wall_ms": wall_ms})
-        print(f"{M:>4} {args.radial:>4} {args.volume:>2} {rep.abs_error:>14.3e} {wall_ms:>9.1f}")
+        M, R, V = spec.angular_nodes, spec.radial_nodes, spec.volume_refinement
+        rows.append({"M": M, "R": R, "V": V, "abs_error": rep.abs_error, "wall_ms": wall_ms,
+                     "table": table, "nodes": rep.nodes_used})
+        print(f"{table:>8} {M:>4} {R:>4} {V:>2} {rep.abs_error:>14.3e} {rep.nodes_used:>9} {wall_ms:>9.1f}")
 
-    hs.write_convergence_csv(args.out, rows)
+    hs.write_convergence_csv(args.out, rows, extra=("table", "nodes"))
     print(f"wrote {args.out}")
     return 0
 

@@ -19,9 +19,13 @@ The correction for non-regular f is the volume term
     VT = (n-1)!/pi^n * integral_D sum_j g_j(xi) dbar_j f(xi) dV(xi),
 
 with the sign convention that boundary - VT = f(x) (for n = 1 this is exactly
-the Cauchy-Pompeiu correction).  Its quadrature uses per-disc polar grids
-centered at x with dyadically refined radial panels, so the integrable
-singularity at x never meets a node.
+the Cauchy-Pompeiu correction).  Its quadrature is a Duffy-pyramid rule
+(Duffy, SIAM J. Numer. Anal. 1982) in per-disc polar coordinates centered at
+x: each disc is swept by rays of relative length u_l in [0,1], the cube of
+(u_1..u_n) is split into n pyramids with apex at u = 0, and the pyramid
+Jacobian cancels the |xi - x|^{1-2n} singularity of the kernel, so
+Gauss-Legendre in the pyramid coordinates and the trapezoid rule in the
+angles converge fast, and no node lands on x.
 
 Every integral is computed twice, componentwise over the complex component
 functions F_J^k and directly in the algebra, and the two routes must agree to
@@ -29,13 +33,14 @@ functions F_J^k and directly in the algebra, and the two routes must agree to
 NODE_BUDGET nodes, and share one chunk-ordered reduction into the two algebra
 values.
 
-Nodes are streamed: a grid is only its per-disc rules plus a function that
-builds rows lo..hi-1 from their flat index, so each chunk of CHUNK rows is
-built, weighted by the kernel, evaluated and reduced (by matrix-vector
-products over the chunk) before the next one starts.  Memory is O(CHUNK),
-whatever the grid size.  CHUNK = 2048 keeps every per-chunk array at 128 KiB
-or less, inside a 2 MiB L2 cache; in the boundary benchmark on a 2-CPU
-machine, chunks of 1024 and 4096 rows took 16% and 45% longer per call.
+Nodes are streamed: a grid is only its per-factor rules (one per disc, or the
+volume rule's pyramid table and per-disc angles) plus a function that builds
+rows lo..hi-1 from their flat index, so each chunk of CHUNK rows is built,
+weighted by the kernel, evaluated and reduced (by matrix-vector products over
+the chunk) before the next one starts.  Memory is O(CHUNK), whatever the grid
+size.  CHUNK = 2048 keeps every per-chunk array at 128 KiB or less, inside a
+2 MiB L2 cache; in the boundary benchmark on a 2-CPU machine, chunks of 1024
+and 4096 rows took 16% and 45% longer per call.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ __all__ = [
     "HartogsExtension",
     "hartogs_extend",
     "reproduce_check",
+    "correction_check",
     "write_convergence_csv",
     "cauchy_kernel_values",
 ]
@@ -86,8 +92,9 @@ __all__ = [
 INTERIOR_MARGIN = 0.05
 ROUTE_AGREEMENT_TOL = 1e-12
 CHUNK = 2048
-# largest product grid a rule may integrate, 6x the V=3 volume grid at n=2;
-# nodes are streamed, so this bounds time, not memory
+# largest product grid a rule may integrate, 64x the (64,32) boundary grid and
+# 128x the V=3 volume grid at n=2; nodes are streamed, so this bounds time,
+# not memory
 NODE_BUDGET = 1 << 24
 
 
@@ -310,27 +317,33 @@ def _gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _product_grid(vals: list, weights: list, scale=1.0):
-    """Tensor-product rule from per-disc rules, as (count, nodes).
+def _check_budget(count: int) -> None:
+    if count > NODE_BUDGET:
+        raise ValueError(f"quadrature grid of {count} nodes exceeds the budget of {NODE_BUDGET}")
 
-    nodes(lo, hi) builds rows lo..hi-1 of the grid in C order of the per-disc
-    indices: Z (hi-lo, n) and weights scale * prod_l weights[l].  The grid size
-    is checked against NODE_BUDGET before any node is built.
+
+def _product_grid(vals: list, weights: list, scale=1.0, points=None):
+    """Tensor-product rule from per-factor rules, as (count, nodes).
+
+    nodes(lo, hi) builds rows lo..hi-1 of the grid in C order of the per-factor
+    indices: Z (hi-lo, n) = points(cols) from the per-factor values
+    cols[l] = vals[l][i_l], by default the columns cols side by side, and
+    weights scale * prod_l weights[l].  The grid size is checked against
+    NODE_BUDGET before any node is built.
     """
     shape = tuple(v.shape[0] for v in vals)
     count = math.prod(shape)
-    if count > NODE_BUDGET:
-        raise ValueError(f"quadrature grid of {count} nodes exceeds the budget of {NODE_BUDGET}")
+    _check_budget(count)
     dtype = np.result_type(scale, *weights)
+    if points is None:
+        points = functools.partial(np.stack, axis=1)
 
     def nodes(lo: int, hi: int):
         idx = np.unravel_index(np.arange(lo, hi), shape)
-        Z = np.empty((hi - lo, len(vals)), dtype=np.complex128)
         W = np.full(hi - lo, scale, dtype=dtype)
         for l, i in enumerate(idx):
-            Z[:, l] = vals[l][i]
             W *= weights[l][i]
-        return Z, W
+        return points([v[i] for v, i in zip(vals, idx)]), W
 
     return count, nodes
 
@@ -422,41 +435,68 @@ def bm_boundary_integral(
 # volume term
 
 
-def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int):
-    """Product polar grids centered at x with dyadic radial panels toward the singularity.
+def _pyramid_table(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Duffy pyramids of the unit cube [0,1]^n with Gauss-Legendre order q.
 
-    Per disc l the ray length to the circle is smax(phi) (the domain is
-    star-shaped around any interior point); panels [smax 2^{-m-1}, smax 2^{-m}]
-    concentrate nodes near x.  Angular offsets are jittered from the seed so no
-    node hits x or a symmetry line, deterministically.
+    Pyramid l is {u_l = max_m u_m}; on it u_l = tau and u_m = tau v_m for
+    m != l, with tau and every v_m on [0,1].  Returns U (n q^n, n), the
+    points u in pyramid-major C order of (tau, v...), and their weights
+    w_tau prod w_v tau^{n-1} prod_m u_m: the pyramid Jacobian times the
+    polar factors u_m of the volume element.
     """
-    V = spec.volume_refinement
+    t, w = _gauss_legendre_01(q)
+    idx = np.indices((q,) * n).reshape(n, -1)
+    tau, v = t[idx[0]], t[idx[1:]]
+    wt = np.prod(w[idx], axis=0) * tau ** (n - 1)
+    U = np.empty((n, q**n, n))
+    for l in range(n):
+        U[l][:, l] = tau
+        U[l][:, [m for m in range(n) if m != l]] = (tau * v).T
+    U = U.reshape(n * q**n, n)
+    return U, np.tile(wt, n) * np.prod(U, axis=1)
+
+
+def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int):
+    """Duffy-pyramid rule in per-disc polar coordinates centered at x.
+
+    Disc l is written xi_l = x_l + u_l S_l(phi_l) e^{i phi_l} with u_l in
+    [0,1], where S_l(phi) (smax below) is the ray length from x_l to the
+    circle in direction phi, closed form since the disc is star-shaped around
+    any interior point; so dV = prod_l S_l^2 u_l du_l dphi_l.  The cube of u
+    is split into the n pyramids of _pyramid_table, whose tau^{n-1} Jacobian
+    together with prod_l u_l cancels the O(|xi - x|^{1-2n}) kernel exactly:
+    the integrand is smooth in (tau, v) and periodic-analytic in phi.
+
+    Gauss-Legendre of order q = 2V+2 runs in tau and in each v, and
+    M_v = max(8, M//2) trapezoid angles per disc, so the rule has
+    n q^n M_v^n nodes: the pyramid table is the grid's outer factor, the
+    angles of discs 1..n its inner ones.  Angular offsets are jittered from
+    the seed, deterministically; every u_l is positive, so no node lands on x.
+    """
+    n = dom.n
+    q = 2 * spec.volume_refinement + 2
     M = max(8, spec.angular_nodes // 2)
-    levels = max(6, 4 * V)
-    per_panel = max(2, V + 1)
+    _check_budget(n * q**n * M**n)
     rng = np.random.default_rng(seed)
     x_z = x.z
-    t01, w01 = _gauss_legendre_01(per_panel)
-    # panel m spans [2^{-m-1}, 2^{-m}] of the ray, the last one [0, 2^{-levels}]
-    b_hi = 2.0 ** -np.arange(levels + 1.0)
-    b_lo = np.append(b_hi[1:], 0.0)
+    U, w_pyr = _pyramid_table(n, q)
 
-    vals: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for l in range(dom.n):
+    vals: list[np.ndarray] = [U]
+    weights: list[np.ndarray] = [w_pyr]
+    for l in range(n):
         e = complex(x_z[l] - dom.centers[l])
         offset = rng.uniform(0.05, 0.45)
         phi = 2.0 * math.pi * (np.arange(M) + offset) / M
-        u = np.exp(1j * phi)
-        edotu = np.real(np.conj(e) * u)
-        smax = -edotu + np.sqrt(edotu**2 + dom.radii[l] ** 2 - abs(e) ** 2)
-        # axes (angle, panel, node), flattened in that order
-        hi = (smax[:, None] * b_hi[None, :])[:, :, None]
-        lo = (smax[:, None] * b_lo[None, :])[:, :, None]
-        s = lo + (hi - lo) * t01
-        vals.append((x_z[l] + s * u[:, None, None]).ravel())
-        weights.append(((hi - lo) * w01 * s * (2.0 * math.pi / M)).ravel())
-    return _product_grid(vals, weights)
+        ray = np.exp(1j * phi)
+        edotr = np.real(np.conj(e) * ray)
+        smax = -edotr + np.sqrt(edotr**2 + dom.radii[l] ** 2 - abs(e) ** 2)
+        vals.append(smax * ray)
+        weights.append(smax**2 * (2.0 * math.pi / M))
+
+    def points(cols):
+        return x_z[None, :] + cols[0] * np.stack(cols[1:], axis=1)
+
+    return _product_grid(vals, weights, points=points)
 
 
 def _bm_volume_both(
@@ -583,11 +623,26 @@ def reproduce_check(
     return make_bm_report(direct, lift_evaluate(f, x), nodes, wall)
 
 
-def write_convergence_csv(path, rows) -> None:
-    """Rows of dicts with keys M, R, V, abs_error, wall_ms; fixed header order."""
+def correction_check(
+    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int = 0
+) -> BMReport:
+    """Boundary integral minus the volume term against the direct lift.
+
+    nodes_used counts the volume rule's nodes; wall_time covers both integrals.
+    """
+    t0 = time.perf_counter()
+    boundary = bm_boundary_integral(f, dom, x, spec)
+    direct, comp, nodes = _bm_volume_both(f, dom, x, spec, seed)
+    reproduced = boundary - _agreed(direct, comp)
+    wall = time.perf_counter() - t0
+    return make_bm_report(reproduced, lift_evaluate(f, x), nodes, wall)
+
+
+def write_convergence_csv(path, rows, extra=()) -> None:
+    """Rows of dicts with keys M, R, V, abs_error, wall_ms, then the keys in extra; fixed header order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["M", "R", "V", "abs_error", "wall_ms"])
+        writer.writerow(["M", "R", "V", "abs_error", "wall_ms", *extra])
         for row in rows:
             writer.writerow(
                 [
@@ -596,5 +651,6 @@ def write_convergence_csv(path, rows) -> None:
                     int(row["V"]),
                     "%.15e" % float(row["abs_error"]),
                     "%.3f" % float(row["wall_ms"]),
+                    *(row[key] for key in extra),
                 ]
             )

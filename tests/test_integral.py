@@ -164,6 +164,69 @@ def test_volume_correction_reconstructs_antiholomorphic():
     assert (b - sf.lift_evaluate(f, x)).norm() > 0.05
 
 
+def _conj_z1_z2_stem(c):
+    """F(z) = conj(z_1) z_2 c with no derivative hook, so dbar comes from finite differences."""
+
+    def _batch(Z):
+        w = np.conj(Z[:, 0]) * Z[:, 1]
+        return np.real(w)[:, None] * c.coeffs, np.imag(w)[:, None] * c.coeffs
+
+    return stm.StemFunction(arity=2, tag=TAG, batch_evaluator=_batch, smoothness=stm.Smoothness.C1)
+
+
+def test_volume_error_falls_with_refinement():
+    from hyperslice.suites import _conj_z1_stem
+
+    dom, x = _bidisc(), _x2()
+    c = element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])
+    for stem in (_conj_z1_stem(TAG, 2, c), _conj_z1_z2_stem(c)):
+        f = sf.SliceFunction(stem=stem)
+        b = itg.bm_boundary_integral(f, dom, x, itg.QuadratureSpec(64, 32, 1))
+        errs = []
+        for V in (1, 2, 3):
+            v = itg.bm_volume_integral(f, dom, x, itg.QuadratureSpec(64, 32, V))
+            errs.append((b - v - sf.lift_evaluate(f, x)).norm())
+        assert errs[0] > errs[1] > errs[2], errs
+        assert errs[2] <= 1e-6, errs
+
+
+def test_volume_rule_reaches_1e10_within_1e5_nodes():
+    from hyperslice.suites import _conj_z1_stem
+
+    dom, x = _bidisc(), _x2()
+    f = sf.lift(_conj_z1_stem(TAG, 2, element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])))
+    spec = itg.QuadratureSpec(32, 16, 5)
+    b = itg.bm_boundary_integral(f, dom, x, spec)
+    direct, comp, nodes = itg._bm_volume_both(f, dom, x, spec, 0)
+    assert nodes <= 100_000
+    assert (b - itg._agreed(direct, comp) - sf.lift_evaluate(f, x)).norm() <= 1e-10
+
+
+def test_volume_correction_n3():
+    from hyperslice.suites import _conj_z1_stem
+
+    dom = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
+    x = sf.point_from_z(np.array([0.2 + 0.1j, -0.3j, 0.15]), J)
+    f = sf.lift(_conj_z1_stem(TAG, 3, element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])))
+    spec = itg.QuadratureSpec(16, 8, 2)
+    b = itg.bm_boundary_integral(f, dom, x, spec)
+    v = itg.bm_volume_integral(f, dom, x, spec)
+    expected = sf.lift_evaluate(f, x)
+    assert (b - v - expected).norm() <= 1e-4
+    assert (b - expected).norm() > 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pyramid_table_integrates_the_cube(n):
+    # sum of w h(u) is the integral of h(u) prod_m u_m over [0,1]^n, exact
+    # while h(u) prod_m u_m tau^{n-1} has degree <= 7 in tau
+    U, w = itg._pyramid_table(n, 4)
+    assert U.shape == (n * 4**n, n)
+    assert (U > 0.0).all() and (U < 1.0).all()
+    assert abs(w.sum() - 0.5**n) <= 1e-15
+    assert abs(w @ U[:, 0] - 0.5 ** (n - 1) / 3.0) <= 1e-15
+
+
 def test_point_near_boundary_rejected():
     dom = _bidisc()
     x = sf.point_from_z(np.array([0.97 + 0.0j, 0.0 + 0.0j]), J)
@@ -290,6 +353,33 @@ def test_bitwise_deterministic_under_thread_count(threads, tmp_path):
         assert path.read_text() == out.stdout, "results differ between thread counts"
 
 
+_VOLUME_THREAD_SCRIPT = """
+import numpy as np
+import hyperslice.algebra as alg
+import hyperslice.integral as itg
+import hyperslice.slicefun as sf
+from hyperslice.suites import _conj_z1_stem
+
+tag = alg.OCTONION
+J = alg.unit_from_vector(tag, [0.0, 0.6, 0.0, 0.8, 0, 0, 0])
+dom = itg.PolydiscDomain(np.zeros(2), np.ones(2), J)
+x = sf.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j]), J)
+f = sf.lift(_conj_z1_stem(tag, 2, alg.basis(tag, 1) + 0.5 * alg.basis(tag, 3)))
+val = itg.bm_volume_integral(f, dom, x, itg.QuadratureSpec(32, 16, 2))
+print(",".join("%.17e" % v for v in val.coeffs))
+"""
+
+
+def test_volume_bitwise_deterministic_under_thread_count():
+    # 18,432 nodes: nine chunks, shared out between the workers
+    outs = [
+        subprocess.run([sys.executable, "-c", _VOLUME_THREAD_SCRIPT], env=dict(os.environ, HYPERSLICE_THREADS=t),
+                       capture_output=True, text=True, check=True).stdout
+        for t in ("1", "2")
+    ]
+    assert outs[0] == outs[1], "volume results differ between thread counts"
+
+
 def test_convergence_csv_schema(tmp_path):
     rows = [
         {"M": 16, "R": 32, "V": 3, "abs_error": 1e-7, "wall_ms": 12.5},
@@ -331,8 +421,8 @@ def test_node_budget_rejects_n3_volume_before_allocating():
     dom = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
     x = sf.point_from_z(np.full(3, 0.2 + 0.1j), J)
     f = sf.lift(_conj_z1_stem(TAG, 3, E1))
-    # 32 angles x 13 panels x 4 nodes per disc: 1664^3, about 4.6e9 nodes
-    with pytest.raises(ValueError, match=str(1664**3)):
+    # 3 pyramids x 8^3 Gauss-Legendre points x 32^3 angles: about 5.0e7 nodes
+    with pytest.raises(ValueError, match=str(3 * 8**3 * 32**3)):
         itg.bm_volume_integral(f, dom, x, SPEC)
 
 
@@ -401,8 +491,8 @@ def _traced_peak_mb(fn) -> float:
 def test_quadrature_memory_stays_chunk_sized():
     from hyperslice.suites import _conj_z1_stem
 
-    # 786,432 boundary nodes at n = 3 and 2,768,896 volume nodes at n = 2;
-    # building either grid whole takes 52 MB and 190 MB
+    # 786,432 boundary nodes at n = 3 and 131,072 volume nodes at n = 2;
+    # building either grid whole takes 52 MB and 18 MB
     dom3 = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
     x3 = sf.point_from_z(np.array([0.2 + 0.1j, -0.3j, 0.15]), J)
     f3 = sf.lift(stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3}))

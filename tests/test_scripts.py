@@ -1,0 +1,29 @@
+"""Smoke tests for the scripts under scripts/."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_convergence_study_volume_table(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    assert _load("convergence_study").main(["--out", str(out), "--radial", "8"]) == 0
+    assert "volume" in capsys.readouterr().out
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["M", "R", "V", "abs_error", "wall_ms", "table", "nodes"]
+    volume = [r for r in rows if r["table"] == "volume"]
+    assert [int(r["V"]) for r in volume] == list(range(6))
+    errs = [float(r["abs_error"]) for r in volume]
+    assert all(a > b for a, b in zip(errs, errs[1:])), errs
+    nodes = [int(r["nodes"]) for r in volume]
+    assert all(a < b for a, b in zip(nodes, nodes[1:])), nodes
