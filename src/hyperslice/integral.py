@@ -33,14 +33,15 @@ functions F_J^k and directly in the algebra, and the two routes must agree to
 NODE_BUDGET nodes, and share one chunk-ordered reduction into the two algebra
 values.
 
-Nodes are streamed: a grid is only its per-factor rules (one per disc, or the
+Nodes are streamed: a grid is only its per-factor tables (one per disc, or the
 volume rule's pyramid table and per-disc angles) plus a function that builds
-rows lo..hi-1 from their flat index, so each chunk of CHUNK rows is built,
-weighted by the kernel, evaluated and reduced (by matrix-vector products over
-the chunk) before the next one starts.  Memory is O(CHUNK), whatever the grid
-size.  CHUNK = 2048 keeps every per-chunk array at 128 KiB or less, inside a
-2 MiB L2 cache; in the boundary benchmark on a 2-CPU machine, chunks of 1024
-and 4096 rows took 16% and 45% longer per call.
+rows lo..hi-1 from their flat index, so each chunk of CHUNK rows is gathered
+with its kernel, evaluated and reduced (by matrix-vector products over the
+chunk) before the next one starts.  Memory is O(CHUNK), whatever the grid
+size.  At CHUNK = 2048 the largest per-chunk arrays are the stem values
+(2048 x dim doubles, 128 KiB for octonions) and the stem's monomial table
+(32 KiB per term); in the boundary benchmark on a 2-CPU machine, chunks of
+1024 and 4096 rows took 30-49% and 36-74% longer per call.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ __all__ = [
 INTERIOR_MARGIN = 0.05
 ROUTE_AGREEMENT_TOL = 1e-12
 CHUNK = 2048
-# largest product grid a rule may integrate, 64x the (64,32) boundary grid and
-# 128x the V=3 volume grid at n=2; nodes are streamed, so this bounds time,
-# not memory
+# largest product grid a rule may integrate, checked per grid (one boundary
+# face or one volume rule): 128x a (64,32) face grid and 128x the V=3 volume
+# grid at n=2; nodes are streamed, so this bounds time, not memory
 NODE_BUDGET = 1 << 24
 
 
@@ -267,7 +268,7 @@ def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray], LJ: np.ndarray):
     F1, F2 = F
     cr, ci = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
     fvals = F1 + F2 @ LJ.T
-    direct = cr @ fvals + ci @ (fvals @ LJ.T)
+    direct = cr @ fvals + (ci @ fvals) @ LJ.T
     return direct, (cr @ F1 - ci @ F2) + 1j * (ci @ F1 + cr @ F2)
 
 
@@ -322,39 +323,37 @@ def _check_budget(count: int) -> None:
         raise ValueError(f"quadrature grid of {count} nodes exceeds the budget of {NODE_BUDGET}")
 
 
-def _product_grid(vals: list, weights: list, scale=1.0, points=None):
-    """Tensor-product rule from per-factor rules, as (count, nodes).
+def _product_grid(weights: list):
+    """Tensor-product rule from per-factor weights, as (count, nodes).
 
-    nodes(lo, hi) builds rows lo..hi-1 of the grid in C order of the per-factor
-    indices: Z (hi-lo, n) = points(cols) from the per-factor values
-    cols[l] = vals[l][i_l], by default the columns cols side by side, and
-    weights scale * prod_l weights[l].  The grid size is checked against
-    NODE_BUDGET before any node is built.
+    nodes(lo, hi) gives rows lo..hi-1 of the grid in C order of the per-factor
+    indices: the index arrays (i_0, ..., i_{n-1}), which callers use to gather
+    their own per-factor tables, and the weights prod_l weights[l][i_l].  The
+    grid size is checked against NODE_BUDGET before any node is built.
     """
-    shape = tuple(v.shape[0] for v in vals)
+    shape = tuple(w.shape[0] for w in weights)
     count = math.prod(shape)
     _check_budget(count)
-    dtype = np.result_type(scale, *weights)
-    if points is None:
-        points = functools.partial(np.stack, axis=1)
 
     def nodes(lo: int, hi: int):
         idx = np.unravel_index(np.arange(lo, hi), shape)
-        W = np.full(hi - lo, scale, dtype=dtype)
-        for l, i in enumerate(idx):
-            W *= weights[l][i]
-        return points([v[i] for v, i in zip(vals, idx)]), W
+        W = weights[0][idx[0]]
+        for w, i in zip(weights[1:], idx[1:]):
+            W *= w[i]
+        return idx, W
 
     return count, nodes
 
 
-def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, k: int):
-    """Quadrature nodes and complex form-coefficients for boundary face k.
+def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: int):
+    """Quadrature nodes and complete complex coefficients for boundary face k.
 
-    Returns (count, nodes) where nodes(lo, hi) gives (Z, coeff) for those rows:
-    Z is complex (hi-lo, n) and coeff already contains the kernel constant,
-    orientation, Jacobians and product weights; only g_k(xi) and f(xi) remain
-    to be multiplied in.
+    Returns (count, nodes) where nodes(lo, hi) gives (Z, c) for those rows:
+    Z is complex (hi-lo, n) and c = coeff g_k(xi), coeff being the kernel
+    constant, orientation, Jacobians and product weights.  Disc l has tables
+    xi_l, d_l = |xi_l - x_l|^2 and weights w_l, with conj(xi_k - x_k) and the
+    constant folded into w_k, so c = prod_l w_l[i_l] / (sum_l d_l[i_l])^n is
+    built by gathers and xi - x is never formed.
     """
     n = dom.n
     M, R = spec.angular_nodes, spec.radial_nodes
@@ -369,32 +368,38 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, k: int):
     t01, w01 = _gauss_legendre_01(R)
     for l in range(n):
         if l == k:
-            vals.append(dom.centers[l] + dom.radii[l] * ring)
-            weights.append(np.full(M, w_ang) * (1j * dom.radii[l] * ring))
+            v = dom.centers[l] + dom.radii[l] * ring
+            w = (cn * orient * sgn * w_ang) * (1j * dom.radii[l] * ring) * np.conj(v - x_z[l])
         else:
             rho = dom.radii[l] * t01
             wr = dom.radii[l] * w01
-            vals.append((dom.centers[l] + rho[:, None] * ring[None, :]).ravel())
+            v = (dom.centers[l] + rho[:, None] * ring[None, :]).ravel()
             # dxi-bar_l ^ dxi_l pulls back to 2i rho drho dphi
-            jac = 2j * np.repeat(rho, M)
-            weights.append((wr[:, None] * np.full(M, w_ang)[None, :]).ravel() * jac)
-    return _product_grid(vals, weights, cn * orient * sgn)
+            w = (wr[:, None] * np.full(M, w_ang)[None, :]).ravel() * (2j * np.repeat(rho, M))
+        vals.append(v)
+        weights.append(w)
+    dists = [(v - x).real ** 2 + (v - x).imag ** 2 for v, x in zip(vals, x_z)]
+    count, grid = _product_grid(weights)
 
+    def nodes(lo: int, hi: int):
+        idx, W = grid(lo, hi)
+        D = dists[0][idx[0]]
+        for d, i in zip(dists[1:], idx[1:]):
+            D += d[i]
+        W *= 1.0 / D**n
+        return np.stack([v[i] for v, i in zip(vals, idx)], axis=1), W
 
-def _kernel_g(Z: np.ndarray, x_z: np.ndarray, j: int, n: int) -> np.ndarray:
-    diff = Z - x_z[None, :]
-    dist2 = np.sum(diff.real**2 + diff.imag**2, axis=1)
-    return np.conj(diff[:, j]) / dist2**n
+    return count, nodes
 
 
 def cauchy_kernel_values(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """n=1 sanity hook: (c_1 g_1(xi), 1/(2 pi i (xi - x))) at the circle nodes."""
     if dom.n != 1:
         raise ValueError("Cauchy comparison is one-variable only")
-    count, nodes = _face_nodes(dom, spec, 0)
-    Z, _ = nodes(0, count)
-    bm = _kernel_g(Z, x.z, 0, 1) / (2j * math.pi)
-    cauchy = 1.0 / (2j * math.pi * (Z[:, 0] - x.z[0]))
+    count, nodes = _face_nodes(dom, spec, x.z, 0)
+    diff = nodes(0, count)[0][:, 0] - x.z[0]
+    bm = np.conj(diff) / (diff.real**2 + diff.imag**2) / (2j * math.pi)
+    cauchy = 1.0 / (2j * math.pi * diff)
     return bm, cauchy
 
 
@@ -407,11 +412,11 @@ def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec
     LJ = left_mult_matrix(dom.j.value)
 
     def _face(k):
-        count, nodes = _face_nodes(dom, spec, k)
+        count, nodes = _face_nodes(dom, spec, x.z, k)
 
         def _piece(lo, hi):
-            Z, coeff = nodes(lo, hi)
-            return _node_sums(coeff * _kernel_g(Z, x.z, k, dom.n), evaluate_stem_batch(f.stem, Z), LJ)
+            Z, c = nodes(lo, hi)
+            return _node_sums(c, evaluate_stem_batch(f.stem, Z), LJ)
 
         return _piece, count
 
@@ -472,6 +477,8 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
     n q^n M_v^n nodes: the pyramid table is the grid's outer factor, the
     angles of discs 1..n its inner ones.  Angular offsets are jittered from
     the seed, deterministically; every u_l is positive, so no node lands on x.
+    nodes(lo, hi) gives (Z, C): Z (hi-lo, n) and C (n, hi-lo), row j the
+    weights times g_j(xi), with xi - x and |xi - x|^{-2n} formed once.
     """
     n = dom.n
     q = 2 * spec.volume_refinement + 2
@@ -480,8 +487,9 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
     rng = np.random.default_rng(seed)
     x_z = x.z
     U, w_pyr = _pyramid_table(n, q)
+    UT = np.ascontiguousarray(U.T)
 
-    vals: list[np.ndarray] = [U]
+    rays: list[np.ndarray] = []
     weights: list[np.ndarray] = [w_pyr]
     for l in range(n):
         e = complex(x_z[l] - dom.centers[l])
@@ -490,13 +498,17 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
         ray = np.exp(1j * phi)
         edotr = np.real(np.conj(e) * ray)
         smax = -edotr + np.sqrt(edotr**2 + dom.radii[l] ** 2 - abs(e) ** 2)
-        vals.append(smax * ray)
+        rays.append(smax * ray)
         weights.append(smax**2 * (2.0 * math.pi / M))
+    count, grid = _product_grid(weights)
 
-    def points(cols):
-        return x_z[None, :] + cols[0] * np.stack(cols[1:], axis=1)
+    def nodes(lo: int, hi: int):
+        idx, W = grid(lo, hi)
+        diff = UT[:, idx[0]] * np.array([s[i] for s, i in zip(rays, idx[1:])])
+        W *= 1.0 / np.sum(diff.real**2 + diff.imag**2, axis=0) ** n
+        return x_z[None, :] + diff.T, np.conj(diff) * W
 
-    return _product_grid(vals, weights, points=points)
+    return count, nodes
 
 
 def _bm_volume_both(
@@ -505,20 +517,18 @@ def _bm_volume_both(
     _check_point(dom, x)
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
-    n = dom.n
     LJ = left_mult_matrix(dom.j.value)
     count, nodes = _volume_nodes(dom, x, spec, seed)
 
     def _piece(lo, hi):
-        Z, W = nodes(lo, hi)
+        Z, C = nodes(lo, hi)
         direct, comp = 0.0, 0.0
-        for jx in range(n):
-            c = W * _kernel_g(Z, x.z, jx, n)
+        for jx, c in enumerate(C):
             d_part, c_part = _node_sums(c, wirtinger_batch(f.stem, Z, jx)[1], LJ)
             direct, comp = direct + d_part, comp + c_part
         return direct, comp
 
-    return _reduce(f.tag, LJ, [(_piece, count)], math.factorial(n - 1) / math.pi**n)
+    return _reduce(f.tag, LJ, [(_piece, count)], math.factorial(dom.n - 1) / math.pi**dom.n)
 
 
 def bm_volume_dual(

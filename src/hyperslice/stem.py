@@ -226,16 +226,17 @@ class StemPolynomial:
         return _default_domain(self.arity)
 
     def batch_evaluator(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(F1, F2) arrays of shape (N, dim): the monomial matrix (N, T) times the coefficients."""
+        """(F1, F2) arrays of shape (N, dim): the term-major monomials WT (T, N), transposed, times the coefficients."""
         Z = np.asarray(Z, dtype=np.complex128)
-        W = np.ones((Z.shape[0], len(self.terms)), dtype=np.complex128)
+        WT = np.ones((len(self.terms), Z.shape[0]), dtype=np.complex128)
         for t in range(self.arity):
-            # powers of z_t accumulated once per axis, then gathered per term
-            P = np.ones((Z.shape[0], self.exponents[:, t].max(initial=0) + 1), dtype=np.complex128)
-            for m in range(1, P.shape[1]):
-                P[:, m] = P[:, m - 1] * Z[:, t]
-            W *= P[:, self.exponents[:, t]]
-        return W.real @ self.coefficients, W.imag @ self.coefficients
+            e = self.exponents[:, t]
+            # powers z_t^0..z_t^max filled in place, then gathered by exponent per term
+            P = np.ones((e.max(initial=0) + 1, Z.shape[0]), dtype=np.complex128)
+            for m in range(1, P.shape[0]):
+                np.multiply(P[m - 1], Z[:, t], out=P[m])
+            WT *= P[e]
+        return WT.real.T @ self.coefficients, WT.imag.T @ self.coefficients
 
     def batch_wirtinger(self, Z: np.ndarray, t: int):
         """Exact derivatives: dF/dz_t from wirtinger_poly, dF/dzbar_t identically zero."""

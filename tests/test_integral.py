@@ -1,5 +1,6 @@
 """Boundary and volume quadrature on polydiscs in a slice plane."""
 
+import math
 import os
 import subprocess
 import sys
@@ -342,15 +343,14 @@ print(",".join("%.17e" % v for v in val.coeffs))
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
-def test_bitwise_deterministic_under_thread_count(threads, tmp_path):
-    env = dict(os.environ, HYPERSLICE_THREADS=threads)
-    out = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True)
-    path = tmp_path.parent / "thread_reference.txt"
-    if threads == "1":
-        path.write_text(out.stdout)
-    else:
-        assert path.read_text() == out.stdout, "results differ between thread counts"
+def test_bitwise_deterministic_under_thread_count(threads):
+    # each case runs its own single-thread reference, so it passes when run alone
+    outs = [
+        subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=dict(os.environ, HYPERSLICE_THREADS=t),
+                       capture_output=True, text=True, check=True).stdout
+        for t in ("1", "2", threads)
+    ]
+    assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0], "results differ between thread counts"
 
 
 _VOLUME_THREAD_SCRIPT = """
@@ -459,22 +459,86 @@ def test_streamed_grid_matches_meshgrid():
     sizes = (5, 3, 7)
     vals = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
     weights = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
-    scale = 0.3 - 1.7j
-    count, nodes = itg._product_grid(vals, weights, scale)
+    count, nodes = itg._product_grid(weights)
     assert count == 105
     # spans that cut across the disc sizes, including an empty one
     cuts = [0, 4, 4, 17, 50, 104, 105]
     parts = [nodes(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    Z = np.concatenate([z for z, _ in parts])
+    Z = np.concatenate([np.stack([v[i] for v, i in zip(vals, idx)], axis=1) for idx, _ in parts])
     W = np.concatenate([w for _, w in parts])
     # reference: the whole grid in meshgrid order, weights multiplied disc by disc
     grids = np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")
     Z_ref = np.stack([v[g.ravel()] for v, g in zip(vals, grids)], axis=1)
-    W_ref = np.full(count, scale)
-    for w, g in zip(weights, grids):
-        W_ref *= w[g.ravel()]
+    W_ref = weights[0][grids[0].ravel()]
+    for w, g in zip(weights[1:], grids[1:]):
+        W_ref = W_ref * w[g.ravel()]
     np.testing.assert_array_equal(Z, Z_ref)
     np.testing.assert_array_equal(W, W_ref)
+
+
+def _face_reference(dom, x, spec, k):
+    """Face k's nodes and coeff * g_k(xi) over the whole grid, from per-disc rules and a meshgrid."""
+    n, M, R = dom.n, spec.angular_nodes, spec.radial_nodes
+    ring = np.exp(2j * np.pi * np.arange(M) / M)
+    t, w = np.polynomial.legendre.leggauss(R)
+    rho, w_rho = 0.5 * (t + 1.0), 0.5 * w
+    discs = []
+    for l, (c, r) in enumerate(zip(dom.centers, dom.radii)):
+        if l == k:
+            discs.append((c + r * ring, (2 * np.pi / M) * 1j * r * ring))
+        else:
+            xi = c + r * np.outer(rho, ring).ravel()
+            discs.append((xi, np.repeat(r * w_rho * 2j * r * rho, M) * (2 * np.pi / M)))
+    grids = [g.ravel() for g in np.meshgrid(*[np.arange(len(d[0])) for d in discs], indexing="ij")]
+    Z = np.stack([d[0][g] for d, g in zip(discs, grids)], axis=1)
+    coeff = np.prod([d[1][g] for d, g in zip(discs, grids)], axis=0)
+    coeff *= math.factorial(n - 1) / (2j * np.pi) ** n * (-1.0) ** (n * (n - 1) // 2)
+    coeff *= (-1.0) ** k * itg._face_orientation_sign(n, k)
+    diff = Z - x.z
+    return Z, coeff * np.conj(diff[:, k]) / np.sum(np.abs(diff) ** 2, axis=1) ** n
+
+
+def _volume_reference(dom, x, spec, seed):
+    """The volume rule's nodes and per-axis weights W g_j(xi), from its per-factor rules and a meshgrid."""
+    n, q, M = dom.n, 2 * spec.volume_refinement + 2, max(8, spec.angular_nodes // 2)
+    U, w_pyr = itg._pyramid_table(n, q)
+    rng = np.random.default_rng(seed)
+    rays, w_ang = [], []
+    for c, r, xl in zip(dom.centers, dom.radii, x.z):
+        ray = np.exp(2j * np.pi * (np.arange(M) + rng.uniform(0.05, 0.45)) / M)
+        # S solves |x_l + S ray - c_l| = r_l with S > 0
+        b = np.real(np.conj(xl - c) * ray)
+        S = -b + np.sqrt(b**2 + r**2 - abs(xl - c) ** 2)
+        np.testing.assert_allclose(np.abs(xl + S * ray - c), r, rtol=1e-14)
+        rays.append(S * ray)
+        w_ang.append(S**2 * 2 * np.pi / M)
+    grids = [g.ravel() for g in np.meshgrid(np.arange(len(w_pyr)), *[np.arange(M)] * n, indexing="ij")]
+    diff = U[grids[0]] * np.stack([s[g] for s, g in zip(rays, grids[1:])], axis=1)
+    W = w_pyr[grids[0]] * np.prod([w[g] for w, g in zip(w_ang, grids[1:])], axis=0)
+    return x.z + diff, (W / np.sum(np.abs(diff) ** 2, axis=1) ** n) * np.conj(diff).T
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chunk_kernel_weights_match_meshgrid(n):
+    # ragged: discs of different centers and radii, and R != M
+    dom = itg.PolydiscDomain(np.array([0.2, -0.1, 0.0][:n]), np.array([1.0, 0.7, 1.3][:n]), J)
+    x = sf.point_from_z(np.array([0.35 + 0.2j, -0.25 + 0.3j, 0.1 - 0.5j][:n]), J)
+    spec = itg.QuadratureSpec(8, 5, 1)
+    for k in range(n):
+        count, nodes = itg._face_nodes(dom, spec, x.z, k)
+        Z_ref, c_ref = _face_reference(dom, x, spec, k)
+        assert count == len(c_ref)
+        for lo, hi in [(0, count // 3), (count // 3, count)]:
+            Z, c = nodes(lo, hi)
+            np.testing.assert_allclose(Z, Z_ref[lo:hi], rtol=0, atol=1e-15)
+            assert np.max(np.abs(c - c_ref[lo:hi]) / np.abs(c_ref[lo:hi])) <= 1e-14, k
+    count, nodes = itg._volume_nodes(dom, x, spec, 5)
+    Z_ref, C_ref = _volume_reference(dom, x, spec, 5)
+    assert count == C_ref.shape[1]
+    for lo, hi in [(0, count // 3), (count // 3, count)]:
+        Z, C = nodes(lo, hi)
+        np.testing.assert_allclose(Z, Z_ref[lo:hi], rtol=0, atol=1e-15)
+        assert np.max(np.abs(C - C_ref[:, lo:hi]) / np.abs(C_ref[:, lo:hi])) <= 1e-14
 
 
 def _traced_peak_mb(fn) -> float:

@@ -57,6 +57,11 @@ def test_degree_and_term_cleanup():
         stem_polynomial(TAG, 2, {(-1, 0): E0})
 
 
+def _term_sum(p, z):
+    """Reference: the term-by-term sum of z^mu a_mu at one point."""
+    return sum((complex(np.prod(z ** np.asarray(mu))) * c.coeffs for mu, c in p.terms.items()), np.zeros(TAG.dim))
+
+
 def test_batch_evaluation_matches_pointwise():
     rng = np.random.default_rng(3)
     p = stem_polynomial(
@@ -68,10 +73,27 @@ def test_batch_evaluation_matches_pointwise():
         w = evaluate_stem(p, Z[k])
         np.testing.assert_allclose(F1[k], w.re.coeffs, atol=1e-12)
         np.testing.assert_allclose(F2[k], w.im.coeffs, atol=1e-12)
-        # reference: the term-by-term sum of z^mu a_mu
-        ref = sum(complex(np.prod(Z[k] ** np.asarray(mu))) * c.coeffs for mu, c in p.terms.items())
+        ref = _term_sum(p, Z[k])
         np.testing.assert_allclose(F1[k], ref.real, atol=1e-12)
         np.testing.assert_allclose(F2[k], ref.imag, atol=1e-12)
+    # edge cases: no terms, a constant, an axis whose exponents are all 0, and N = 0 rows
+    edge = [
+        stem_polynomial(TAG, 2, {}),
+        constant_poly(TAG, 2, element(TAG, rng.standard_normal(8))),
+        stem_polynomial(TAG, 3, {(2, 0, 1): E1, (0, 0, 3): element(TAG, rng.standard_normal(8)), (1, 0, 0): E3}),
+    ]
+    for q in edge:
+        Zq = Z[:5, : q.arity]
+        F1, F2 = evaluate_stem_batch(q, Zq)
+        assert F1.shape == F2.shape == (5, TAG.dim)
+        for k in range(5):
+            ref = _term_sum(q, Zq[k])
+            np.testing.assert_allclose(F1[k], ref.real, atol=1e-12)
+            np.testing.assert_allclose(F2[k], ref.imag, atol=1e-12)
+        F1, F2 = evaluate_stem_batch(q, Zq[:0])
+        assert F1.shape == F2.shape == (0, TAG.dim)
+    assert not np.any(evaluate_stem_batch(edge[0], Z[:5, :2])[0])
+    assert np.ptp(evaluate_stem_batch(edge[1], Z[:5, :2])[0], axis=0).max() == 0.0
 
 
 def test_poly_product_is_coefficient_convolution():
