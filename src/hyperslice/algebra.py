@@ -36,14 +36,11 @@ __all__ = [
     "conjugate",
     "norm",
     "norm_squared",
-    "trace",
     "inverse",
     "multiply_batch",
     "left_mult_matrix",
-    "right_mult_matrix",
     "multiplication_table",
     "structure_tensor",
-    "basis_product",
     "ImaginaryUnit",
     "unit_from_vector",
     "canonicalize_unit",
@@ -161,11 +158,6 @@ def multiplication_table(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
 def structure_tensor(tag: AlgebraTag) -> np.ndarray:
     """Dense tensor T with (ab)_k = sum_{i,j} a_i b_j T[i,j,k]."""
     return _TABLES[tag.dim][2]
-
-
-def basis_product(tag: AlgebraTag, i: int, j: int) -> tuple[int, float]:
-    index, sign = multiplication_table(tag)
-    return int(index[i, j]), float(sign[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +283,6 @@ def norm_squared(a: AlgebraElement) -> float:
     return a.norm_squared()
 
 
-def trace(a: AlgebraElement) -> float:
-    """t(a) = a + conj(a) as a real number."""
-    return 2.0 * float(a.coeffs[0])
-
-
 def inverse(a: AlgebraElement) -> AlgebraElement:
     """Two-sided inverse conj(a)/n(a); exact in any alternative composition algebra."""
     n2 = a.norm_squared()
@@ -325,12 +312,6 @@ def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
     """Matrix L with (a*b).coeffs == L @ b.coeffs."""
     tensor = structure_tensor(a.tag)
     return np.tensordot(a.coeffs, tensor, axes=(0, 0)).T
-
-
-def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix R with (b*a).coeffs == R @ b.coeffs."""
-    tensor = structure_tensor(a.tag)
-    return np.tensordot(tensor, a.coeffs, axes=(1, 0)).T
 
 
 # ---------------------------------------------------------------------------

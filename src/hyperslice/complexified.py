@@ -21,22 +21,15 @@ from .algebra import (
     AlgebraTag,
     multiply,
     multiply_batch,
-    zero,
-    one,
 )
 
 __all__ = [
     "ComplexifiedElement",
-    "from_algebra",
-    "czero",
-    "cone",
     "c_multiply",
     "c_multiply_batch",
     "c_involution",
     "complex_conjugate",
     "scalar_action",
-    "times_i",
-    "c_norm",
 ]
 
 
@@ -85,18 +78,6 @@ class ComplexifiedElement:
         return f"<{self.tag.name}_C re={self.re!r} im={self.im!r}>"
 
 
-def from_algebra(a: AlgebraElement) -> ComplexifiedElement:
-    return ComplexifiedElement(a, zero(a.tag))
-
-
-def czero(tag: AlgebraTag) -> ComplexifiedElement:
-    return ComplexifiedElement(zero(tag), zero(tag))
-
-
-def cone(tag: AlgebraTag) -> ComplexifiedElement:
-    return ComplexifiedElement(one(tag), zero(tag))
-
-
 def c_multiply(w: ComplexifiedElement, v: ComplexifiedElement) -> ComplexifiedElement:
     re = multiply(w.re, v.re) - multiply(w.im, v.im)
     im = multiply(w.re, v.im) + multiply(w.im, v.re)
@@ -130,11 +111,3 @@ def scalar_action(c: complex, w: ComplexifiedElement) -> ComplexifiedElement:
     """(p + iq) * w with p + iq a central complex scalar."""
     p, q = float(np.real(c)), float(np.imag(c))
     return ComplexifiedElement(w.re * p - w.im * q, w.re * q + w.im * p)
-
-
-def times_i(w: ComplexifiedElement) -> ComplexifiedElement:
-    return ComplexifiedElement(-w.im, w.re)
-
-
-def c_norm(w: ComplexifiedElement) -> float:
-    return w.norm()

@@ -49,9 +49,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +73,6 @@ __all__ = [
     "PolydiscDomain",
     "QuadratureSpec",
     "BMReport",
-    "bm_report_to_json",
-    "bm_report_from_json",
     "bm_boundary_integral",
     "bm_boundary_dual",
     "bm_volume_integral",
@@ -87,7 +83,6 @@ __all__ = [
     "reproduce_check",
     "correction_check",
     "write_convergence_csv",
-    "cauchy_kernel_values",
 ]
 
 INTERIOR_MARGIN = 0.05
@@ -182,76 +177,25 @@ def make_bm_report(
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes_used, wall_time)
 
 
-def bm_report_to_json(r: BMReport) -> dict:
-    return {
-        "algebra": r.reproduced.tag.name,
-        "reproduced": [float(v) for v in r.reproduced.coeffs],
-        "reference": [float(v) for v in r.reference.coeffs],
-        "abs_error": float(r.abs_error),
-        "nodes_used": int(r.nodes_used),
-        "wall_time": float(r.wall_time),
-    }
-
-
-def bm_report_from_json(data: dict) -> BMReport:
-    from .algebra import parse_algebra
-
-    tag = parse_algebra(data["algebra"])
-    return BMReport(
-        element(tag, data["reproduced"]),
-        element(tag, data["reference"]),
-        float(data["abs_error"]),
-        int(data["nodes_used"]),
-        float(data["wall_time"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # shared plumbing
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HYPERSLICE_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"HYPERSLICE_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
-def _chunks(total: int):
-    for lo in range(0, total, CHUNK):
-        yield lo, min(lo + CHUNK, total)
-
-
-def _map_chunks(fn, total: int):
-    """Apply fn to fixed-size index spans [lo, hi), in order; optionally threaded.
-
-    Chunk boundaries never depend on the worker count, and results are reduced
-    in chunk order, so output is bitwise identical for any HYPERSLICE_THREADS.
-    """
-    spans = list(_chunks(total))
-    workers = _worker_count()
-    if workers <= 1 or len(spans) <= 1:
-        return [fn(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda span: fn(*span), spans))
-
-
 def _reduce(tag: AlgebraTag, LJ: np.ndarray, pieces, scale: float = 1.0):
-    """Sum chunk results in chunk order into (direct, componentwise, node count).
+    """Sum chunk results into (direct, componentwise, node count), on one thread.
 
     pieces yields (fn, total) with fn(lo, hi) -> (direct (dim,), componentwise
-    complex (dim,)); the componentwise sum s becomes Re(s) + J Im(s).
+    complex (dim,)); fn runs on the spans [lo, lo + CHUNK) in order and the
+    parts are added in that order, so a result depends on CHUNK and nothing
+    else.  The componentwise sum s becomes Re(s) + J Im(s).
     """
     direct = np.zeros(tag.dim)
     comp = np.zeros(tag.dim, dtype=np.complex128)
     nodes = 0
     for fn, total in pieces:
         nodes += total
-        for d_part, c_part in _map_chunks(fn, total):
+        for lo in range(0, total, CHUNK):
+            d_part, c_part = fn(lo, min(lo + CHUNK, total))
             direct = direct + d_part
             comp = comp + c_part
     comp_el = element(tag, scale * np.real(comp)) + element(tag, LJ @ (scale * np.imag(comp)))
@@ -390,17 +334,6 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
         return np.stack([v[i] for v, i in zip(vals, idx)], axis=1), W
 
     return count, nodes
-
-
-def cauchy_kernel_values(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """n=1 sanity hook: (c_1 g_1(xi), 1/(2 pi i (xi - x))) at the circle nodes."""
-    if dom.n != 1:
-        raise ValueError("Cauchy comparison is one-variable only")
-    count, nodes = _face_nodes(dom, spec, x.z, 0)
-    diff = nodes(0, count)[0][:, 0] - x.z[0]
-    bm = np.conj(diff) / (diff.real**2 + diff.imag**2) / (2j * math.pi)
-    cauchy = 1.0 / (2j * math.pi * diff)
-    return bm, cauchy
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +561,10 @@ def reproduce_check(
 ) -> BMReport:
     """Boundary integral against the direct lift, packaged with node and timing data."""
     t0 = time.perf_counter()
-    direct, _, nodes = _bm_boundary_both(f, dom, x, spec)
+    direct, comp, nodes = _bm_boundary_both(f, dom, x, spec)
+    reproduced = _agreed(direct, comp)
     wall = time.perf_counter() - t0
-    return make_bm_report(direct, lift_evaluate(f, x), nodes, wall)
+    return make_bm_report(reproduced, lift_evaluate(f, x), nodes, wall)
 
 
 def correction_check(

@@ -8,8 +8,8 @@ share one imaginary unit J.  The lift of an intrinsic stem F = F1 + i F2 is
 well defined because (beta, J) and (-beta, -J) describe the same point and the
 even-odd symmetry of F compensates the flip.  This module holds the point
 decomposition, the lift, representation formulas, spherical value and
-derivative, slice and star products, reality and regularity checks, per-sphere
-zero classification, and one-variable restrictions.
+derivative, slice and star products, regularity checks, per-sphere zero
+classification, and one-variable restrictions.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .algebra import (
     left_mult_matrix,
     multiply,
     multiply_batch,
-    parse_algebra,
     sample_unit_imaginary,
     unit_from_vector,
 )
@@ -43,7 +42,6 @@ from .stem import (
     central_differences,
     check_intrinsic,
     evaluate_stem,
-    evaluate_stem_batch,
     is_holomorphic,
     poly_product,
     restrict_stem,
@@ -60,8 +58,6 @@ __all__ = [
     "slice_point",
     "point_from_z",
     "decompose_point",
-    "slice_point_to_json",
-    "slice_point_from_json",
     "SliceFunction",
     "lift",
     "lift_evaluate",
@@ -75,7 +71,6 @@ __all__ = [
     "imaginary_element",
     "slice_product",
     "star_product",
-    "is_real_slice",
     "RegularityReport",
     "check_slice_regular",
     "ZeroKind",
@@ -211,20 +206,6 @@ def decompose_point(xs: Sequence[AlgebraElement]) -> SlicePoint:
             f"imaginary parts deviate from a common direction by {residual.max():.3e}"
         )
     return slice_point(alpha, beta, unit_from_vector(tag, u))
-
-
-def slice_point_to_json(x: SlicePoint) -> dict:
-    return {
-        "alpha": [float(v) for v in x.alpha],
-        "beta": [float(v) for v in x.beta],
-        "j": [float(v) for v in x.j.coeffs],
-    }
-
-
-def slice_point_from_json(data: dict) -> SlicePoint:
-    jc = np.asarray(data["j"], dtype=np.float64)
-    tag = parse_algebra({4: "quaternion", 8: "octonion"}[jc.shape[0]])
-    return slice_point(data["alpha"], data["beta"], ImaginaryUnit(element(tag, jc)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +365,6 @@ def star_product(p, q) -> StemPolynomial:
     if p is None or q is None:
         raise ValueError("star product requires polynomial stems")
     return poly_product(p, q)
-
-
-def is_real_slice(f: SliceFunction, samples=None, tol: float = 1e-10, rng=None) -> bool:
-    """True when both stem components are real valued on the sample set."""
-    if samples is None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(3)
-        samples = _stem_samples(f.stem, gen, 16)
-    F1, F2 = evaluate_stem_batch(f.stem, np.asarray(samples, dtype=np.complex128).reshape(-1, f.arity))
-    return bool(max(np.max(np.abs(F1[:, 1:]), initial=0.0), np.max(np.abs(F2[:, 1:]), initial=0.0)) <= tol)
 
 
 # ---------------------------------------------------------------------------

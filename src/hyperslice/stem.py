@@ -51,8 +51,6 @@ __all__ = [
     "poly_product",
     "evaluate_stem",
     "evaluate_stem_batch",
-    "decompose_stem",
-    "StemComponents",
     "check_intrinsic",
     "IntrinsicReport",
     "wirtinger",
@@ -356,17 +354,6 @@ def evaluate_stem_batch(F, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         F1[k] = w.re.coeffs
         F2[k] = w.im.coeffs
     return F1, F2
-
-
-class StemComponents(NamedTuple):
-    even: AlgebraElement
-    odd: AlgebraElement
-    components: np.ndarray  # complex (dim,), entry k is F1_k + i F2_k
-
-
-def decompose_stem(F, z) -> StemComponents:
-    w = evaluate_stem(F, z)
-    return StemComponents(w.re, w.im, w.re.coeffs + 1j * w.im.coeffs)
 
 
 class IntrinsicReport(NamedTuple):

@@ -150,6 +150,12 @@ class ExperimentConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
+def _check_fields(mapping: dict, known, what: str) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ValueError(f"unknown {what} {key!r}")
+
+
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a YAML config; overrides (suite/seed/...) win over file values."""
     import os
@@ -161,12 +167,15 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     known = {"suite", "algebra", "n", "seed", "samples", "tolerances", "quadrature", "functions"}
-    for key in data:
-        if key not in known:
-            raise ValueError(f"unknown config field {key!r}")
+    _check_fields(data, known, "config field")
     q = data.get("quadrature", {})
     if not isinstance(q, dict):
         raise ValueError("quadrature must be a mapping")
+    _check_fields(q, {"angular_nodes", "radial_nodes", "volume_refinement"}, "quadrature field")
+    tolerances = data.get("tolerances") or {}
+    if not isinstance(tolerances, dict):
+        raise ValueError("tolerances must be a mapping")
+    _check_fields(tolerances, DEFAULT_TOLERANCES, "tolerance")
     quadrature = quad.QuadratureSpec(
         angular_nodes=int(q.get("angular_nodes", 64)),
         radial_nodes=int(q.get("radial_nodes", 32)),
@@ -183,7 +192,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         n=int(data.get("n", 2)),
         seed=int(data.get("seed", 0)),
         samples=int(data.get("samples", 1000)),
-        tolerances={str(k): float(v) for k, v in (data.get("tolerances") or {}).items()},
+        tolerances={str(k): float(v) for k, v in tolerances.items()},
         quadrature=quadrature,
         functions=functions,
     )

@@ -19,7 +19,6 @@ from hyperslice.algebra import (
     AlgebraMismatchError,
     ImaginaryUnit,
     basis,
-    basis_product,
     canonicalize_unit,
     conjugate,
     element,
@@ -30,11 +29,9 @@ from hyperslice.algebra import (
     multiply_batch,
     one,
     parse_algebra,
-    right_mult_matrix,
     sample_unit_imaginaries,
     sample_unit_imaginary,
     structure_tensor,
-    trace,
     unit_from_vector,
     zero,
 )
@@ -140,17 +137,16 @@ def test_structure_tensor_consistent_with_table():
         index, sign = multiplication_table(tag)
         for i in range(tag.dim):
             for j in range(tag.dim):
-                k, s = basis_product(tag, i, j)
-                assert index[i, j] == k and sign[i, j] == s
+                k, s = index[i, j], sign[i, j]
                 expected = np.zeros(tag.dim)
                 expected[k] = s
                 np.testing.assert_array_equal(T[i, j], expected)
 
 
 def test_low_index_products():
-    assert basis_product(OCTONION, 1, 2) == (3, 1.0)
-    assert basis_product(OCTONION, 2, 1) == (3, -1.0)
-    assert basis_product(QUATERNION, 1, 2) == (3, 1.0)
+    for tag, i, j, expected in ((OCTONION, 1, 2, (3, 1)), (OCTONION, 2, 1, (3, -1)), (QUATERNION, 1, 2, (3, 1))):
+        index, sign = multiplication_table(tag)
+        assert (int(index[i, j]), int(sign[i, j])) == expected
 
 
 def test_nonassociating_witness_triple():
@@ -251,7 +247,6 @@ def test_inverse_of_zero_raises():
 
 def test_trace_and_real():
     a = element(OCTONION, [2.5, 1, 0, 0, -1, 0, 0, 3])
-    assert trace(a) == 5.0
     assert a.real == 2.5
     np.testing.assert_array_equal(a.imaginary(), [1, 0, 0, -1, 0, 0, 3])
 
@@ -287,9 +282,7 @@ def test_mult_matrices():
     a = alg.random_element(OCTONION, rng)
     b = alg.random_element(OCTONION, rng)
     L = left_mult_matrix(a)
-    R = right_mult_matrix(a)
     np.testing.assert_allclose(L @ b.coeffs, multiply(a, b).coeffs, atol=1e-12)
-    np.testing.assert_allclose(R @ b.coeffs, multiply(b, a).coeffs, atol=1e-12)
 
 
 def test_mixed_tags_rejected():

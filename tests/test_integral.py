@@ -1,9 +1,6 @@
 """Boundary and volume quadrature on polydiscs in a slice plane."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -37,13 +34,6 @@ def test_constant_calibration_n1_n2_n3():
         spec = itg.QuadratureSpec(32, 16, 3) if n < 3 else itg.QuadratureSpec(24, 12, 3)
         val = itg.bm_boundary_integral(f, dom, x, spec)
         assert (val - E0).norm() <= 1e-10, f"n={n}"
-
-
-def test_cauchy_kernel_n1_node_values():
-    dom = itg.PolydiscDomain(np.zeros(1), np.ones(1), J)
-    x = sf.point_from_z(np.array([0.3 - 0.2j]), J)
-    ours, reference = itg.cauchy_kernel_values(dom, x, itg.QuadratureSpec(16, 8, 1))
-    np.testing.assert_allclose(ours, reference, atol=1e-13)
 
 
 def test_n1_reduces_to_cauchy_integral():
@@ -314,72 +304,6 @@ def test_quadrature_spec_validation():
         itg.PolydiscDomain(np.zeros(2), np.array([1.0, -1.0]), J)
 
 
-def test_bm_report_round_trip():
-    dom, x = _bidisc(), _x2()
-    f = sf.lift(stm.stem_polynomial(TAG, 2, {(1, 0): E0}))
-    rep = itg.reproduce_check(f, dom, x, itg.QuadratureSpec(16, 8, 1))
-    blob = itg.bm_report_to_json(rep)
-    back = itg.bm_report_from_json(blob)
-    assert back.abs_error == rep.abs_error
-    assert back.nodes_used == rep.nodes_used
-    np.testing.assert_array_equal(back.reproduced.coeffs, rep.reproduced.coeffs)
-
-
-_THREAD_SCRIPT = """
-import numpy as np
-import hyperslice.algebra as alg
-import hyperslice.integral as itg
-import hyperslice.slicefun as sf
-import hyperslice.stem as stm
-
-tag = alg.OCTONION
-J = alg.unit_from_vector(tag, [0.0, 0.6, 0.0, 0.8, 0, 0, 0])
-dom = itg.PolydiscDomain(np.zeros(2), np.ones(2), J)
-x = sf.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j]), J)
-p = stm.stem_polynomial(tag, 2, {(1, 2): alg.one(tag), (1, 0): alg.basis(tag, 3)})
-val = itg.bm_boundary_integral(sf.lift(p), dom, x, itg.QuadratureSpec(64, 32, 3))
-print(",".join("%.17e" % v for v in val.coeffs))
-"""
-
-
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_bitwise_deterministic_under_thread_count(threads):
-    # each case runs its own single-thread reference, so it passes when run alone
-    outs = [
-        subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=dict(os.environ, HYPERSLICE_THREADS=t),
-                       capture_output=True, text=True, check=True).stdout
-        for t in ("1", "2", threads)
-    ]
-    assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0], "results differ between thread counts"
-
-
-_VOLUME_THREAD_SCRIPT = """
-import numpy as np
-import hyperslice.algebra as alg
-import hyperslice.integral as itg
-import hyperslice.slicefun as sf
-from hyperslice.suites import _conj_z1_stem
-
-tag = alg.OCTONION
-J = alg.unit_from_vector(tag, [0.0, 0.6, 0.0, 0.8, 0, 0, 0])
-dom = itg.PolydiscDomain(np.zeros(2), np.ones(2), J)
-x = sf.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j]), J)
-f = sf.lift(_conj_z1_stem(tag, 2, alg.basis(tag, 1) + 0.5 * alg.basis(tag, 3)))
-val = itg.bm_volume_integral(f, dom, x, itg.QuadratureSpec(32, 16, 2))
-print(",".join("%.17e" % v for v in val.coeffs))
-"""
-
-
-def test_volume_bitwise_deterministic_under_thread_count():
-    # 18,432 nodes: nine chunks, shared out between the workers
-    outs = [
-        subprocess.run([sys.executable, "-c", _VOLUME_THREAD_SCRIPT], env=dict(os.environ, HYPERSLICE_THREADS=t),
-                       capture_output=True, text=True, check=True).stdout
-        for t in ("1", "2")
-    ]
-    assert outs[0] == outs[1], "volume results differ between thread counts"
-
-
 def test_convergence_csv_schema(tmp_path):
     rows = [
         {"M": 16, "R": 32, "V": 3, "abs_error": 1e-7, "wall_ms": 12.5},
@@ -401,20 +325,6 @@ def test_polydisc_rejects_non_finite(centers, radii):
         itg.PolydiscDomain(np.array(centers), np.array(radii), J)
 
 
-@pytest.mark.parametrize("raw", ["0", "-2", "two", "", "1.5"])
-def test_thread_count_rejects_bad_values(raw, monkeypatch):
-    monkeypatch.setenv("HYPERSLICE_THREADS", raw)
-    with pytest.raises(ValueError, match="HYPERSLICE_THREADS"):
-        itg._worker_count()
-
-
-def test_thread_count_default_and_explicit(monkeypatch):
-    monkeypatch.delenv("HYPERSLICE_THREADS", raising=False)
-    assert itg._worker_count() == 1
-    monkeypatch.setenv("HYPERSLICE_THREADS", "3")
-    assert itg._worker_count() == 3
-
-
 def test_node_budget_rejects_n3_volume_before_allocating():
     from hyperslice.suites import _conj_z1_stem
 
@@ -430,8 +340,17 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
     from hyperslice.suites import _conj_z1_stem
 
     # the rules read CHUNK when called, so patching it changes the spans
+    spans = []
+    node_sums = itg._node_sums
+
+    def recorded(c, F, LJ):
+        spans.append(c.shape[0])
+        return node_sums(c, F, LJ)
+
+    monkeypatch.setattr(itg, "_node_sums", recorded)
     monkeypatch.setattr(itg, "CHUNK", 1000)
-    assert list(itg._chunks(2500)) == [(0, 1000), (1000, 2000), (2000, 2500)]
+    itg.bm_boundary_dual(sf.lift(stm.constant_poly(TAG, 2, E0)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
+    assert spans == [1000, 1000, 48] * 2  # two faces of 16 x (8 x 16) = 2048 nodes
     p3 = stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3})
     cases = [
         (itg.bm_boundary_dual, sf.lift(stm.stem_polynomial(TAG, 2, {(1, 2): E0, (2, 0): E3})),
@@ -452,6 +371,19 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
         assert ref.norm() > 0.1
         for chunk in (65536, 1000):
             assert (values[chunk] - ref).norm() <= 1e-13 * (1.0 + ref.norm()), (rule.__name__, chunk)
+
+
+def test_reproduce_check_applies_route_gate(monkeypatch):
+    node_sums = itg._node_sums
+
+    def shifted(c, F, LJ):
+        direct, comp = node_sums(c, F, LJ)
+        return direct, comp + 1e-6
+
+    monkeypatch.setattr(itg, "_node_sums", shifted)
+    f = sf.lift(stm.stem_polynomial(TAG, 2, {(1, 0): E0}))
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        itg.reproduce_check(f, _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
 
 
 def test_streamed_grid_matches_meshgrid():

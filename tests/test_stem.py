@@ -14,7 +14,6 @@ from hyperslice.stem import (
     check_intrinsic,
     constant_poly,
     coordinate,
-    decompose_stem,
     evaluate_stem,
     evaluate_stem_batch,
     is_holomorphic,
@@ -136,13 +135,6 @@ def test_intrinsicity_of_polynomials_and_violation():
     )
     report = check_intrinsic(broken)
     assert not report.passed
-
-
-def test_decompose_stem_even_odd():
-    p = stem_polynomial(TAG, 1, {(1,): E0})
-    comps = decompose_stem(p, np.array([0.5 + 2.0j]))
-    assert (comps.even - 0.5 * E0).norm() <= 1e-15
-    assert (comps.odd - 2.0 * E0).norm() <= 1e-15
 
 
 def test_wirtinger_exact_for_polynomials():

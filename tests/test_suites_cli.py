@@ -166,6 +166,23 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("tolerances: {leibnitz: 1.0e-9}\n", "leibnitz"),
+        ("quadrature: {angular_node: 16}\n", "angular_node"),
+        ("tolerances: [1, 2]\n", "tolerances must be a mapping"),
+    ],
+    ids=["tolerance_name", "quadrature_key", "tolerances_list"],
+)
+def test_cli_rejects_misspelled_config(tmp_path, capsys, body, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("suite: algebra\nsamples: 5\n" + body)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 def test_cli_suite_override(fast_config, capsys):
     code = main(["run", "--config", str(fast_config), "--suite", "algebra"])
     out = capsys.readouterr().out
@@ -211,13 +228,18 @@ def test_every_record_is_timed(tmp_path):
 def test_public_names_resolve():
     import ast
     import importlib
+    import pkgutil
 
     import hyperslice
 
-    for name in ("algebra", "complexified", "stem", "slicefun", "integral", "suites"):
-        module = importlib.import_module(f"hyperslice.{name}")
-        missing = [n for n in module.__all__ if not hasattr(module, n)]
-        assert not missing, (name, missing)
+    checked = []
+    for info in pkgutil.iter_modules(hyperslice.__path__):
+        module = importlib.import_module(f"hyperslice.{info.name}")
+        if hasattr(module, "__all__"):
+            missing = [n for n in module.__all__ if not hasattr(module, n)]
+            assert not missing, (info.name, missing)
+            checked.append(info.name)
+    assert {"algebra", "complexified", "stem", "slicefun", "integral", "suites"} <= set(checked)
     with open(hyperslice.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     imported = [a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
