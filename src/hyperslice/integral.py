@@ -49,7 +49,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +167,6 @@ class BMReport:
     reference: AlgebraElement
     abs_error: float
     nodes_used: int
-    wall_time: float
-
-
-def make_bm_report(
-    reproduced: AlgebraElement, reference: AlgebraElement, nodes_used: int, wall_time: float
-) -> BMReport:
-    return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes_used, wall_time)
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +551,10 @@ def hartogs_extend(
 def reproduce_check(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> BMReport:
-    """Boundary integral against the direct lift, packaged with node and timing data."""
-    t0 = time.perf_counter()
+    """Boundary integral against the direct lift, packaged with its node count."""
     direct, comp, nodes = _bm_boundary_both(f, dom, x, spec)
-    reproduced = _agreed(direct, comp)
-    wall = time.perf_counter() - t0
-    return make_bm_report(reproduced, lift_evaluate(f, x), nodes, wall)
+    reproduced, reference = _agreed(direct, comp), lift_evaluate(f, x)
+    return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
 
 
 def correction_check(
@@ -572,14 +562,12 @@ def correction_check(
 ) -> BMReport:
     """Boundary integral minus the volume term against the direct lift.
 
-    nodes_used counts the volume rule's nodes; wall_time covers both integrals.
+    nodes_used counts the volume rule's nodes.
     """
-    t0 = time.perf_counter()
     boundary = bm_boundary_integral(f, dom, x, spec)
     direct, comp, nodes = _bm_volume_both(f, dom, x, spec, seed)
-    reproduced = boundary - _agreed(direct, comp)
-    wall = time.perf_counter() - t0
-    return make_bm_report(reproduced, lift_evaluate(f, x), nodes, wall)
+    reproduced, reference = boundary - _agreed(direct, comp), lift_evaluate(f, x)
+    return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
 
 
 def write_convergence_csv(path, rows, extra=()) -> None:

@@ -7,17 +7,29 @@ slice regularity).  Suites are deterministic under a fixed seed, and `all`
 runs every suite once for the configured algebra and mirrors the non-algebra
 suites in the other algebra.
 
+A suite body maps each record name to a check returning its metric, and
+`_run_checks` runs the checks in that order (they share the suite's rng).  A
+record's tolerance is its `FIXED_TOLERANCES` entry, else the override or
+`DEFAULT_TOLERANCES` entry of its name less any `octonion_`/`quaternion_`
+prefix.  Records in `WITNESSES` pass above their tolerance, all others at or
+below it.
+
+Config defaults live in `ExperimentConfig` and `QuadratureSpec` only; every
+integer field must be a YAML integer, and a malformed value raises ValueError.
+
 Report serialization is byte stable: keys are sorted, floats are rendered with
-%.15e, and wall-clock times are excluded from JSON (report equality ignores
-them too).
+%.15e, and wall-clock times are excluded from JSON.  Report equality compares
+the JSON, so it ignores them too.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -88,6 +100,17 @@ DEFAULT_TOLERANCES = {
     "antiholomorphic_residual": 1e-6,
     "osgood_restrictions": 1e-8,
 }
+# tolerances no config can override
+FIXED_TOLERANCES = {
+    "octonion_nonassociative_witness": 1.0,
+    "quaternion_basis_associativity": 0.0,
+    "pointwise_product_witness": 1e-3,
+    "hartogs_n1_raises": 0.5,
+}
+# records that pass when the metric exceeds the tolerance (witnesses of failure)
+WITNESSES = frozenset(
+    {"octonion_nonassociative_witness", "pointwise_product_witness", "hartogs_n1_detects_failure", "hartogs_n1_raises"}
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +125,6 @@ class CheckRecord:
     v: int | None = None
     abs_error: float | None = None
 
-    def content_key(self) -> tuple:
-        fmt = lambda v: None if v is None else "%.15e" % v
-        return (self.name, self.passed, fmt(self.metric), fmt(self.tolerance), self.m, self.r, self.v, fmt(self.abs_error))
-
 
 @dataclass(frozen=True, eq=False)
 class SuiteReport:
@@ -119,9 +138,7 @@ class SuiteReport:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuiteReport):
             return NotImplemented
-        return self.suite == other.suite and [r.content_key() for r in self.records] == [
-            r.content_key() for r in other.records
-        ]
+        return report_to_json(self) == report_to_json(other)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +164,11 @@ class ExperimentConfig:
                 raise ValueError(f"tolerance override {name!r} must be positive")
 
     def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+        """A record's fixed tolerance, else the override or default for its name less the algebra prefix."""
+        if name in FIXED_TOLERANCES:
+            return FIXED_TOLERANCES[name]
+        key = name.removeprefix("octonion_").removeprefix("quaternion_")
+        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
 
 def _check_fields(mapping: dict, known, what: str) -> None:
@@ -156,45 +177,53 @@ def _check_fields(mapping: dict, known, what: str) -> None:
             raise ValueError(f"unknown {what} {key!r}")
 
 
+def _integer(name: str, value) -> int:
+    """A config integer: floats, booleans, strings and null are errors, never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _tolerance(name: str, value) -> float:
+    # YAML reads 1e-9 (no dot) as a string, so numeric strings are accepted
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"tolerance {name!r} must be a number, got {value!r}")
+
+
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a YAML config; overrides (suite/seed/...) win over file values."""
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ValueError(f"config root must be a mapping, got {type(data).__name__}")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
-    known = {"suite", "algebra", "n", "seed", "samples", "tolerances", "quadrature", "functions"}
-    _check_fields(data, known, "config field")
-    q = data.get("quadrature", {})
+    _check_fields(data, {f.name for f in fields(ExperimentConfig)}, "config field")
+    q = data.pop("quadrature", {})
     if not isinstance(q, dict):
         raise ValueError("quadrature must be a mapping")
-    _check_fields(q, {"angular_nodes", "radial_nodes", "volume_refinement"}, "quadrature field")
-    tolerances = data.get("tolerances") or {}
+    _check_fields(q, {f.name for f in fields(quad.QuadratureSpec)}, "quadrature field")
+    tolerances = data.pop("tolerances", None) or {}
     if not isinstance(tolerances, dict):
         raise ValueError("tolerances must be a mapping")
     _check_fields(tolerances, DEFAULT_TOLERANCES, "tolerance")
-    quadrature = quad.QuadratureSpec(
-        angular_nodes=int(q.get("angular_nodes", 64)),
-        radial_nodes=int(q.get("radial_nodes", 32)),
-        volume_refinement=int(q.get("volume_refinement", 3)),
-    )
-    functions: list[StemPolynomial] = []
+    entries = data.pop("functions", None) or []
+    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+        raise ValueError(f"functions must be a list of file paths, got {entries!r}")
+    # what is left are the scalar fields: suite, algebra and the integers
+    parse = {"suite": str, "algebra": lambda v: parse_algebra(str(v))}
+    scalars = {k: parse[k](v) if k in parse else _integer(k, v) for k, v in data.items()}
     base = os.path.dirname(os.path.abspath(path))
-    for entry in data.get("functions", []) or []:
-        fpath = entry if os.path.isabs(entry) else os.path.join(base, entry)
-        functions.extend(st.load_polynomials(fpath))
     return ExperimentConfig(
-        suite=str(data.get("suite", "all")),
-        algebra=parse_algebra(str(data.get("algebra", "octonion"))),
-        n=int(data.get("n", 2)),
-        seed=int(data.get("seed", 0)),
-        samples=int(data.get("samples", 1000)),
-        tolerances={str(k): float(v) for k, v in tolerances.items()},
-        quadrature=quadrature,
-        functions=functions,
+        **scalars,
+        tolerances={str(k): _tolerance(k, v) for k, v in tolerances.items()},
+        quadrature=quad.QuadratureSpec(**{k: _integer(f"quadrature.{k}", v) for k, v in q.items()}),
+        # join keeps an absolute entry as it is
+        functions=[p for e in entries for p in st.load_polynomials(os.path.join(base, e))],
     )
 
 
@@ -236,13 +265,40 @@ def separated_units(
     return units
 
 
-def _timed(records: list, name: str, tol: float, fn, invert: bool = False, **extras) -> None:
-    """Run fn() -> metric, append a CheckRecord; invert=True passes when metric > tol."""
-    t0 = time.perf_counter()
-    metric = float(fn())
-    wall = (time.perf_counter() - t0) * 1e3
-    ok = metric > tol if invert else metric <= tol
-    records.append(CheckRecord(name, bool(ok), metric, tol, wall, **extras))
+def _real_polynomial(tag: AlgebraTag, arity: int, rng: np.random.Generator, bound: float) -> StemPolynomial:
+    """Three terms of degree < 3 per variable with real coefficients in [-bound, bound]."""
+    terms = {}
+    for _ in range(3):
+        mu = tuple(int(v) for v in rng.integers(0, 3, size=arity))
+        terms[mu] = alg.scalar(tag, float(rng.uniform(-bound, bound)))
+    return st.stem_polynomial(tag, arity, terms)
+
+
+def _run_checks(cfg: ExperimentConfig, checks: dict, **columns) -> list:
+    """Time each check in mapping order and judge its metric against the record's tolerance.
+
+    A check is a callable returning the metric, or a (callable, columns) pair
+    whose M/R/V columns replace the suite's.
+    """
+    records = []
+    for name, check in checks.items():
+        fn, cols = check if isinstance(check, tuple) else (check, columns)
+        t0 = time.perf_counter()
+        metric = float(fn())
+        wall = (time.perf_counter() - t0) * 1e3
+        tol = cfg.tol(name)
+        ok = metric > tol if name in WITNESSES else metric <= tol
+        records.append(CheckRecord(name, bool(ok), metric, tol, wall, **cols))
+    return records
+
+
+def _basis_associator(tag: AlgebraTag) -> float:
+    """Largest associator norm over all basis triples; nonzero certifies non-associativity."""
+    worst = 0.0
+    for i, j, k in itertools.product(range(tag.dim), repeat=3):
+        a, b, c = alg.basis(tag, i), alg.basis(tag, j), alg.basis(tag, k)
+        worst = max(worst, (alg.multiply(alg.multiply(a, b), c) - alg.multiply(a, alg.multiply(b, c))).norm())
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +313,6 @@ def _algebra_suite(cfg: ExperimentConfig) -> list:
             (alg.random_element(tag, rng), alg.random_element(tag, rng))
             for _ in range(cfg.samples)
         ]
-        label = tag.name
 
         def alternativity() -> float:
             worst = 0.0
@@ -305,39 +360,14 @@ def _algebra_suite(cfg: ExperimentConfig) -> list:
                 )
             return worst
 
-        _timed(records, f"{label}_alternativity", cfg.tol("alternativity"), alternativity)
-        _timed(records, f"{label}_artin_words", cfg.tol("artin_words"), artin)
-        _timed(records, f"{label}_norm_composition", cfg.tol("norm_composition"), norm_comp)
-        _timed(records, f"{label}_inverse_law", cfg.tol("inverse_law"), inverse_law)
-
-    def octonion_witness() -> float:
-        # largest associator over all basis triples; nonzero certifies non-associativity
-        worst = 0.0
-        for i in range(8):
-            for jj in range(8):
-                for k in range(8):
-                    a, b, c = alg.basis(OCTONION, i), alg.basis(OCTONION, jj), alg.basis(OCTONION, k)
-                    d = alg.multiply(alg.multiply(a, b), c) - alg.multiply(a, alg.multiply(b, c))
-                    worst = max(worst, d.norm())
-        return worst
-
-    def quaternion_exhaustive() -> float:
-        worst = 0.0
-        for i in range(4):
-            for jj in range(4):
-                for k in range(4):
-                    a, b, c = alg.basis(QUATERNION, i), alg.basis(QUATERNION, jj), alg.basis(QUATERNION, k)
-                    d = alg.multiply(alg.multiply(a, b), c) - alg.multiply(a, alg.multiply(b, c))
-                    worst = max(worst, d.norm())
-        return worst
-
-    _timed(records, "octonion_nonassociative_witness", 1.0, octonion_witness, invert=True)
-    _timed(records, "quaternion_basis_associativity", 0.0, quaternion_exhaustive)
-    return records
+        checks = {"alternativity": alternativity, "artin_words": artin, "norm_composition": norm_comp,
+                  "inverse_law": inverse_law}
+        records += _run_checks(cfg, {f"{tag.name}_{key}": check for key, check in checks.items()})
+    return records + _run_checks(cfg, {"octonion_nonassociative_witness": lambda: _basis_associator(OCTONION),
+                                       "quaternion_basis_associativity": lambda: _basis_associator(QUATERNION)})
 
 
 def _representation_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
-    records: list[CheckRecord] = []
     rng = np.random.default_rng(cfg.seed + 2)
     per_n = max(1, cfg.samples // 3)
 
@@ -368,13 +398,10 @@ def _representation_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
             for fJ, fmJ, I, J, symmetric in mirrored
         )
 
-    _timed(records, "representation_direct", cfg.tol("representation_direct"), direct)
-    _timed(records, "formula_agreement", cfg.tol("formula_agreement"), agreement)
-    return records
+    return _run_checks(cfg, {"representation_direct": direct, "formula_agreement": agreement})
 
 
 def _products_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
-    records: list[CheckRecord] = []
     rng = np.random.default_rng(cfg.seed + 3)
     n = cfg.n
 
@@ -384,7 +411,10 @@ def _products_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
 
     def star_vs_slice() -> float:
         star = sf.lift(sf.star_product(p, q))
-        prod = sf.slice_product(f, g)
+        # p and q as bare stems: the slice product then multiplies their values in
+        # A (x) C instead of convolving coefficients the way star_product does
+        bare = [sf.SliceFunction(st.StemFunction(arity=n, tag=tag, batch_evaluator=h.batch_evaluator)) for h in (p, q)]
+        prod = sf.slice_product(*bare)
         worst = 0.0
         for _ in range(100):
             x = random_nonreal_point(tag, n, rng)
@@ -404,12 +434,7 @@ def _products_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         return worst
 
     def real_factor() -> float:
-        terms = {}
-        for _ in range(3):
-            mu = tuple(int(v) for v in rng.integers(0, 3, size=n))
-            terms[mu] = alg.scalar(tag, float(rng.uniform(-2, 2)))
-        rp = st.stem_polynomial(tag, n, terms)
-        rf = sf.lift(rp)
+        rf = sf.lift(_real_polynomial(tag, n, rng, 2.0))
         prod = sf.slice_product(rf, g)
         worst = 0.0
         for _ in range(50):
@@ -427,15 +452,11 @@ def _products_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         )
         return (prod(x) - alg.multiply(fw(x), gw(x))).norm()
 
-    _timed(records, "star_vs_slice", cfg.tol("star_vs_slice"), star_vs_slice)
-    _timed(records, "leibniz", cfg.tol("leibniz"), leibniz)
-    _timed(records, "real_factor_pointwise", cfg.tol("real_factor_pointwise"), real_factor)
-    _timed(records, "pointwise_product_witness", 1e-3, witness, invert=True)
-    return records
+    return _run_checks(cfg, {"star_vs_slice": star_vs_slice, "leibniz": leibniz, "real_factor_pointwise": real_factor,
+                             "pointwise_product_witness": witness})
 
 
 def _spherical_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
-    records: list[CheckRecord] = []
     rng = np.random.default_rng(cfg.seed + 4)
     n = cfg.n
     p = random_polynomial(tag, n, 4, rng, terms=5)
@@ -452,22 +473,14 @@ def _spherical_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         deriv = alg.multiply(unit.value * (-0.5 / nbeta), fy - fyb)
         return value, deriv
 
-    def value_constant() -> float:
+    def constant_on_sphere(part: int, operator) -> float:
+        # part 0 is the spherical value, part 1 the spherical derivative
         worst = 0.0
         for _ in range(50):
             x = random_nonreal_point(tag, n, rng)
-            v1, _ = _definitional(x, alg.sample_unit_imaginary(tag, rng))
-            v2, _ = _definitional(x, alg.sample_unit_imaginary(tag, rng))
-            worst = max(worst, (v1 - v2).norm(), (v1 - sf.spherical_value(f, x)).norm())
-        return worst
-
-    def derivative_constant() -> float:
-        worst = 0.0
-        for _ in range(50):
-            x = random_nonreal_point(tag, n, rng)
-            _, d1 = _definitional(x, alg.sample_unit_imaginary(tag, rng))
-            _, d2 = _definitional(x, alg.sample_unit_imaginary(tag, rng))
-            worst = max(worst, (d1 - d2).norm(), (d1 - sf.spherical_derivative(f, x)).norm())
+            a = _definitional(x, alg.sample_unit_imaginary(tag, rng))[part]
+            b = _definitional(x, alg.sample_unit_imaginary(tag, rng))[part]
+            worst = max(worst, (a - b).norm(), (a - operator(f, x)).norm())
         return worst
 
     def ds_of_vs() -> float:
@@ -494,11 +507,9 @@ def _spherical_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
             worst = max(worst, (recon - f(x)).norm())
         return worst
 
-    _timed(records, "value_constant_on_sphere", cfg.tol("value_constant_on_sphere"), value_constant)
-    _timed(records, "derivative_constant_on_sphere", cfg.tol("derivative_constant_on_sphere"), derivative_constant)
-    _timed(records, "d_s_of_v_s_zero", cfg.tol("d_s_of_v_s_zero"), ds_of_vs)
-    _timed(records, "reconstruction_identity", cfg.tol("reconstruction_identity"), reconstruction)
-    return records
+    return _run_checks(cfg, {"value_constant_on_sphere": lambda: constant_on_sphere(0, sf.spherical_value),
+                             "derivative_constant_on_sphere": lambda: constant_on_sphere(1, sf.spherical_derivative),
+                             "d_s_of_v_s_zero": ds_of_vs, "reconstruction_identity": reconstruction})
 
 
 def _scan_consistent(f: sf.SliceFunction, x: sf.SlicePoint, result, units: np.ndarray) -> bool:
@@ -523,7 +534,6 @@ def _scan_consistent(f: sf.SliceFunction, x: sf.SlicePoint, result, units: np.nd
 
 
 def _zeros_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
-    records: list[CheckRecord] = []
     rng = np.random.default_rng(cfg.seed + 5)
     e0 = alg.one(tag)
     e1 = alg.basis(tag, 1)
@@ -565,9 +575,7 @@ def _zeros_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
                 disagreements += 1
         return float(disagreements)
 
-    _timed(records, "zero_fixed_cases", cfg.tol("zero_fixed_cases"), fixed_cases)
-    _timed(records, "zero_scan_agreement", cfg.tol("zero_scan_agreement"), scan_agreement)
-    return records
+    return _run_checks(cfg, {"zero_fixed_cases": fixed_cases, "zero_scan_agreement": scan_agreement})
 
 
 def _bm_domain(cfg: ExperimentConfig, tag: AlgebraTag) -> tuple:
@@ -579,10 +587,9 @@ def _bm_domain(cfg: ExperimentConfig, tag: AlgebraTag) -> tuple:
 
 
 def _bm_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
-    records: list[CheckRecord] = []
     rng, dom, x = _bm_domain(cfg, tag)
-    M, R, V = cfg.quadrature.angular_nodes, cfg.quadrature.radial_nodes, cfg.quadrature.volume_refinement
-    spec = quad.QuadratureSpec(M, R, V)
+    spec = cfg.quadrature
+    M, R, V = spec.angular_nodes, spec.radial_nodes, spec.volume_refinement
 
     f_fixed = sf.lift(
         st.stem_polynomial(tag, 2, {(1, 2): alg.one(tag), (1, 0): alg.basis(tag, 3)})
@@ -628,13 +635,10 @@ def _bm_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         c = alg.random_element(tag, np.random.default_rng(cfg.seed + 60))
         return quad.correction_check(sf.lift(_conj_z1_stem(tag, 2, c)), dom, x, spec).abs_error
 
-    _timed(records, "calibration_constant", cfg.tol("calibration_constant"), calibration, m=M, r=R, v=V)
-    _timed(records, "poly_reproduction", cfg.tol("poly_reproduction"), reproduction, m=M, r=R, v=V)
-    _timed(records, "monotone_angular", cfg.tol("monotone_angular"), monotone, m=M, r=R, v=V)
-    _timed(records, "route_agreement", cfg.tol("route_agreement"), route_agreement, m=M, r=R, v=V)
-    _timed(records, "volume_vanishes_regular", cfg.tol("volume_vanishes_regular"), volume_regular, m=M, r=R, v=1)
-    _timed(records, "volume_correction", cfg.tol("volume_correction"), volume_correction, m=M, r=R, v=V)
-    return [replace(rec, abs_error=rec.metric) if rec.abs_error is None else rec for rec in records]
+    checks = {"calibration_constant": calibration, "poly_reproduction": reproduction, "monotone_angular": monotone,
+              "route_agreement": route_agreement, "volume_vanishes_regular": (volume_regular, dict(m=M, r=R, v=1)),
+              "volume_correction": volume_correction}
+    return [replace(rec, abs_error=rec.metric) for rec in _run_checks(cfg, checks, m=M, r=R, v=V)]
 
 
 def _times(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -661,7 +665,6 @@ def _conj_z1_stem(tag: AlgebraTag, arity: int, c: alg.AlgebraElement) -> st.Stem
 
 
 def _offslice_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
-    records: list[CheckRecord] = []
     rng, dom, x = _bm_domain(cfg, tag)
     spec = cfg.quadrature
     f = sf.lift(random_polynomial(tag, 2, 3, rng, terms=4))
@@ -681,12 +684,7 @@ def _offslice_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         return (val - quad.bm_boundary_integral(f, dom, q_point, spec)).norm()
 
     def real_in_plane() -> float:
-        terms = {}
-        gen = np.random.default_rng(cfg.seed + 70)
-        for _ in range(3):
-            mu = tuple(int(v) for v in gen.integers(0, 3, size=2))
-            terms[mu] = alg.scalar(tag, float(gen.uniform(-1.5, 1.5)))
-        rf = sf.lift(st.stem_polynomial(tag, 2, terms))
+        rf = sf.lift(_real_polynomial(tag, 2, np.random.default_rng(cfg.seed + 70), 1.5))
         I = alg.sample_unit_imaginary(tag, rng)
         q_point = sf.slice_point(x.alpha, x.beta, I)
         val = quad.off_slice_evaluate(rf, dom, q_point, spec)
@@ -696,10 +694,8 @@ def _offslice_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         )
         return proj.norm()
 
-    _timed(records, "offslice_match", cfg.tol("offslice_match"), match, m=spec.angular_nodes, r=spec.radial_nodes)
-    _timed(records, "offslice_collapse", cfg.tol("offslice_collapse"), collapse, m=spec.angular_nodes, r=spec.radial_nodes)
-    _timed(records, "offslice_real_in_plane", cfg.tol("offslice_real_in_plane"), real_in_plane, m=spec.angular_nodes, r=spec.radial_nodes)
-    return records
+    checks = {"offslice_match": match, "offslice_collapse": collapse, "offslice_real_in_plane": real_in_plane}
+    return _run_checks(cfg, checks, m=spec.angular_nodes, r=spec.radial_nodes)
 
 
 def _rational_stem(tag: AlgebraTag, c: alg.AlgebraElement) -> st.StemFunction:
@@ -732,7 +728,6 @@ def _inverse_z_stem(tag: AlgebraTag) -> st.StemFunction:
 
 
 def _hartogs_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
-    records: list[CheckRecord] = []
     rng = np.random.default_rng(cfg.seed + 8)
     J = alg.sample_unit_imaginary(tag, rng)
     dom = quad.PolydiscDomain(np.zeros(2), np.ones(2), J)
@@ -741,25 +736,17 @@ def _hartogs_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     f = sf.lift(_rational_stem(tag, c))
     ext = quad.hartogs_extend(f, dom, 0.5, spec)
 
-    def inside_hole() -> float:
+    def extension_error(sample_alpha, beta_bound: float) -> float:
         worst = 0.0
         for _ in range(4):
-            alpha = rng.uniform(-0.3, 0.3, 2)
-            beta = rng.uniform(-0.3, 0.3, 2)
-            I = alg.sample_unit_imaginary(tag, rng)
-            q_point = sf.slice_point(alpha, beta, I)
+            alpha = sample_alpha()
+            beta = rng.uniform(-beta_bound, beta_bound, 2)
+            q_point = sf.slice_point(alpha, beta, alg.sample_unit_imaginary(tag, rng))
             worst = max(worst, (ext(q_point) - sf.lift_evaluate(f, q_point)).norm())
         return worst
 
-    def annulus_region() -> float:
-        worst = 0.0
-        for _ in range(4):
-            alpha = np.array([rng.uniform(0.55, 0.75) * (1 if rng.uniform() < 0.5 else -1), rng.uniform(-0.4, 0.4)])
-            beta = rng.uniform(-0.4, 0.4, 2)
-            I = alg.sample_unit_imaginary(tag, rng)
-            q_point = sf.slice_point(alpha, beta, I)
-            worst = max(worst, (ext(q_point) - sf.lift_evaluate(f, q_point)).norm())
-        return worst
+    def annulus_alpha() -> np.ndarray:
+        return np.array([rng.uniform(0.55, 0.75) * (1 if rng.uniform() < 0.5 else -1), rng.uniform(-0.4, 0.4)])
 
     def n1_detects_failure() -> float:
         f1 = sf.lift(_inverse_z_stem(tag))
@@ -777,15 +764,15 @@ def _hartogs_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
             return 1.0
         return 0.0
 
-    _timed(records, "hartogs_inside_hole", cfg.tol("hartogs_inside_hole"), inside_hole, m=spec.angular_nodes, r=spec.radial_nodes)
-    _timed(records, "hartogs_annulus", cfg.tol("hartogs_annulus"), annulus_region, m=spec.angular_nodes, r=spec.radial_nodes)
-    _timed(records, "hartogs_n1_detects_failure", cfg.tol("hartogs_n1_detects_failure"), n1_detects_failure, invert=True, m=spec.angular_nodes, r=spec.radial_nodes)
-    _timed(records, "hartogs_n1_raises", 0.5, n1_raises, invert=True)
-    return records
+    checks = {"hartogs_inside_hole": lambda: extension_error(lambda: rng.uniform(-0.3, 0.3, 2), 0.3),
+              "hartogs_annulus": lambda: extension_error(annulus_alpha, 0.4),
+              "hartogs_n1_detects_failure": n1_detects_failure,
+              # raises before any quadrature, so it has no M/R columns
+              "hartogs_n1_raises": (n1_raises, {})}
+    return _run_checks(cfg, checks, m=spec.angular_nodes, r=spec.radial_nodes)
 
 
 def _regularity_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
-    records: list[CheckRecord] = []
     rng = np.random.default_rng(cfg.seed + 9)
     n = max(2, cfg.n)
 
@@ -793,7 +780,7 @@ def _regularity_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         worst = 0.0
         for _ in range(3):
             f = sf.lift(random_polynomial(tag, n, 4, rng, terms=4))
-            rep = sf.check_slice_regular(f, tol=cfg.tol("polynomials_regular"), rng=rng)
+            rep = sf.check_slice_regular(f, rng=rng)
             worst = max(worst, rep.max_residual, rep.stem_residual)
         return worst
 
@@ -817,10 +804,8 @@ def _regularity_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         # hypothesis side (restrictions) and conclusion side (joint) both bounded
         return max(worst_restriction, joint.max_residual, joint.stem_residual)
 
-    _timed(records, "polynomials_regular", cfg.tol("polynomials_regular"), polys_regular)
-    _timed(records, "antiholomorphic_residual", cfg.tol("antiholomorphic_residual"), antiholomorphic)
-    _timed(records, "osgood_restrictions", cfg.tol("osgood_restrictions"), osgood)
-    return records
+    return _run_checks(cfg, {"polynomials_regular": polys_regular, "antiholomorphic_residual": antiholomorphic,
+                             "osgood_restrictions": osgood})
 
 
 # ---------------------------------------------------------------------------
@@ -845,16 +830,11 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
         return SuiteReport("algebra", _algebra_suite(cfg))
     if cfg.suite in _MIRRORABLE:
         return SuiteReport(cfg.suite, _MIRRORABLE[cfg.suite](cfg, cfg.algebra))
-    records: list[CheckRecord] = []
-    for rec in _algebra_suite(cfg):
-        records.append(replace(rec, name=f"algebra/{rec.name}"))
-    for name, fn in _MIRRORABLE.items():
-        for rec in fn(cfg, cfg.algebra):
-            records.append(replace(rec, name=f"{name}/{rec.name}"))
+    records = [replace(rec, name=f"algebra/{rec.name}") for rec in _algebra_suite(cfg)]
     mirror = QUATERNION if cfg.algebra != QUATERNION else OCTONION
-    for name, fn in _MIRRORABLE.items():
-        for rec in fn(cfg, mirror):
-            records.append(replace(rec, name=f"{name}[{mirror.name}]/{rec.name}"))
+    for tag, label in ((cfg.algebra, ""), (mirror, f"[{mirror.name}]")):
+        for name, fn in _MIRRORABLE.items():
+            records += [replace(rec, name=f"{name}{label}/{rec.name}") for rec in fn(cfg, tag)]
     return SuiteReport("all", records)
 
 
@@ -907,18 +887,9 @@ def report_to_csv(r: SuiteReport) -> str:
     out = io.StringIO()
     out.write("name,pass,metric,tolerance,M,R,V,abs_error,wall_ms\n")
     for rec in r.records:
-        fields = [
-            rec.name,
-            "1" if rec.passed else "0",
-            "%.15e" % rec.metric,
-            "%.15e" % rec.tolerance,
-            "" if rec.m is None else str(rec.m),
-            "" if rec.r is None else str(rec.r),
-            "" if rec.v is None else str(rec.v),
-            "" if rec.abs_error is None else "%.15e" % rec.abs_error,
-            "%.3f" % rec.wall_ms,
-        ]
-        out.write(",".join(fields) + "\n")
+        row = _record_dict(rec)
+        row["pass"] = int(row["pass"])
+        out.write(",".join(["" if v is None else str(v) for v in row.values()] + ["%.3f" % rec.wall_ms]) + "\n")
     return out.getvalue()
 
 

@@ -178,7 +178,8 @@ def test_star_product_matches_slice_product_on_slices():
     rng = np.random.default_rng(33)
     p = stm.stem_polynomial(TAG, 1, {(1,): E1, (0,): E0})
     q = stm.stem_polynomial(TAG, 1, {(2,): E2, (1,): E3})
-    f, g = sf.lift(p), sf.lift(q)
+    # bare stems, so slice_product multiplies stem values instead of convolving coefficients
+    f, g = (sf.SliceFunction(stm.StemFunction(arity=1, tag=TAG, batch_evaluator=h.batch_evaluator)) for h in (p, q))
     star = sf.lift(sf.star_product(p, q))
     prod = sf.slice_product(f, g)
     for _ in range(50):
@@ -298,11 +299,16 @@ def test_zero_classification_against_minimizer():
     units0 = alg.sample_unit_imaginaries(TAG, 256, rng)
 
     def sphere_min(f, x):
+        # the stem value at x is the same for every unit, so evaluate it once; the
+        # objective then does the arithmetic of sf.sphere_values on one row
+        w = stm.evaluate_stem(f.stem, x.z)
+        w_im, w_re = w.im.coeffs[None, :], w.re.coeffs[None, :]
+
         def objective(v):
             nrm = np.linalg.norm(v)
             row = np.zeros(8)
             row[1:] = v / nrm
-            return np.linalg.norm(sf.sphere_values(f, x, row[None, :])[0])
+            return np.linalg.norm((alg.multiply_batch(TAG, row[None, :], w_im) + w_re)[0])
 
         best = np.inf
         vals = np.linalg.norm(sf.sphere_values(f, x, units0), axis=1)

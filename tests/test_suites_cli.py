@@ -172,15 +172,44 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("tolerances: {leibnitz: 1.0e-9}\n", "leibnitz"),
         ("quadrature: {angular_node: 16}\n", "angular_node"),
         ("tolerances: [1, 2]\n", "tolerances must be a mapping"),
+        ("samples: 10.9\n", "samples must be an integer"),
+        ("n: 2.7\n", "n must be an integer"),
+        ("quadrature: {angular_nodes: 16.7}\n", "angular_nodes must be an integer"),
+        ("samples: true\n", "samples must be an integer"),
+        ("seed: null\n", "seed must be an integer"),
+        ("n: [2]\n", "n must be an integer"),
+        ("tolerances: {leibniz: null}\n", "leibniz"),
+        ("functions: [1]\n", "functions must be a list"),
     ],
-    ids=["tolerance_name", "quadrature_key", "tolerances_list"],
+    ids=[
+        "tolerance_name", "quadrature_key", "tolerances_list", "samples_float", "n_float", "quadrature_float",
+        "samples_bool", "seed_null", "n_list", "tolerance_null", "functions_int",
+    ],
 )
 def test_cli_rejects_misspelled_config(tmp_path, capsys, body, message):
     path = tmp_path / "cfg.yaml"
-    path.write_text("suite: algebra\nsamples: 5\n" + body)
+    base = "suite: algebra\n" + ("" if body.startswith("samples:") else "samples: 5\n")
+    path.write_text(base + body)
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("algebra", ["octonion", "quaternion"])
+def test_star_vs_slice_detects_swapped_convolution(tmp_path, monkeypatch, algebra):
+    # star_product convolving b_nu a_mu instead of a_mu b_nu is wrong in a
+    # noncommutative algebra; the slice side multiplies stem values, so the
+    # record must see the difference
+    import hyperslice.slicefun as sf
+    import hyperslice.stem as stm
+
+    correct = stm.poly_product
+    monkeypatch.setattr(stm, "poly_product", lambda p, q: correct(q, p))
+    monkeypatch.setattr(sf, "poly_product", lambda p, q: correct(q, p))
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"suite: products\nalgebra: {algebra}\n")
+    rec = next(r for r in su.run_suite(su.load_config(path)).records if r.name == "star_vs_slice")
+    assert not rec.passed and rec.metric > 1e-3, rec.metric
 
 
 def test_cli_suite_override(fast_config, capsys):
