@@ -8,8 +8,9 @@ share one imaginary unit J.  The lift of an intrinsic stem F = F1 + i F2 is
 well defined because (beta, J) and (-beta, -J) describe the same point and the
 even-odd symmetry of F compensates the flip.  This module holds the point
 decomposition, the lift, representation formulas, spherical value and
-derivative, slice and star products, regularity checks, per-sphere zero
-classification, and one-variable restrictions.
+derivative, the slice product (for polynomial stems the star product, which
+stem.poly_product computes as a coefficient convolution), regularity checks,
+per-sphere zero classification, and one-variable restrictions.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .stem import (
     check_intrinsic,
     evaluate_stem,
     is_holomorphic,
-    poly_product,
     restrict_stem,
     stem_product,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "spherical_derivative",
     "imaginary_element",
     "slice_product",
-    "star_product",
     "RegularityReport",
     "check_slice_regular",
     "ZeroKind",
@@ -219,11 +218,6 @@ class SliceFunction:
     stem: "StemFunction | StemPolynomial"
 
     @property
-    def poly(self) -> StemPolynomial | None:
-        """The stem when it is a polynomial, else None."""
-        return self.stem if isinstance(self.stem, StemPolynomial) else None
-
-    @property
     def tag(self) -> AlgebraTag:
         return self.stem.tag
 
@@ -352,19 +346,11 @@ def imaginary_element(x: SlicePoint) -> AlgebraElement:
 
 
 def slice_product(f: SliceFunction, g: SliceFunction) -> SliceFunction:
-    """The lift of the stem product; pointwise f(x)g(x) only for real-stem factors."""
+    """The lift of the stem product; pointwise f(x)g(x) only for real-stem factors.
+
+    For polynomial stems this is the star product: the lift of poly_product.
+    """
     return SliceFunction(stem_product(f.stem, g.stem))
-
-
-def star_product(p, q) -> StemPolynomial:
-    """Coefficient convolution of polynomial stems (factor order preserved)."""
-    if isinstance(p, SliceFunction):
-        p = p.poly
-    if isinstance(q, SliceFunction):
-        q = q.poly
-    if p is None or q is None:
-        raise ValueError("star product requires polynomial stems")
-    return poly_product(p, q)
 
 
 # ---------------------------------------------------------------------------

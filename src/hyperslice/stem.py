@@ -9,9 +9,10 @@ Every stem speaks one protocol, read through attributes: `batch_evaluator`
 derivative hooks `batch_wirtinger` / `wirtinger_evaluator`, plus `smoothness`,
 `domain` and `intrinsic`.  Two containers implement it:
 
-  * StemPolynomial: finitely many monomials z^mu with algebra coefficients on
-    the right.  These are automatically intrinsic, have exact Wirtinger
-    derivatives, and evaluate as one matrix product.
+  * StemPolynomial: monomials z^mu with algebra coefficients on the right,
+    held as an exponent array and a coefficient array.  They are intrinsic,
+    have exact Wirtinger derivatives and evaluate as one matrix product;
+    products and restrictions treat them like any other stem.
   * StemFunction: user-supplied hooks, a smoothness grade, and a sampling domain.
 
 The batch hook wins when both evaluators are given, and a scalar evaluation
@@ -33,7 +34,7 @@ from .algebra import (
     AlgebraMismatchError,
     AlgebraTag,
     element,
-    multiply,
+    multiply_batch,
     parse_algebra,
 )
 from .complexified import ComplexifiedElement, c_multiply_batch
@@ -190,16 +191,16 @@ class StemPolynomial:
     """sum_mu z^mu a_mu with multi-indices mu and algebra coefficients a_mu on the right.
 
     Such stems are intrinsic for free: z^mu conjugates to conj(z^mu) and the
-    coefficients are untouched by complex conjugation on A (x) C.  The terms
-    are also held as an exponent matrix (T, n) and a coefficient matrix
-    (T, dim), built once.
+    coefficients are untouched by complex conjugation on A (x) C.  Row k of
+    the exponent matrix (T, n) and of the coefficient matrix (T, dim) is one
+    term.  Built through stem_polynomial or the arithmetic below, the
+    exponent rows are distinct and ascending and no coefficient row is zero.
     """
 
     tag: AlgebraTag
     arity: int
-    terms: dict
-    exponents: np.ndarray = field(init=False, repr=False)
-    coefficients: np.ndarray = field(init=False, repr=False)
+    exponents: np.ndarray
+    coefficients: np.ndarray
     # dF/dz_t per axis t, built by wirtinger_poly on first use
     _derivatives: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -208,16 +209,9 @@ class StemPolynomial:
     smoothness = Smoothness.ANALYTIC
     intrinsic = True
 
-    def __post_init__(self) -> None:
-        T = len(self.terms)
-        mus = np.array(list(self.terms), dtype=np.intp).reshape(T, self.arity)
-        coeffs = np.array([c.coeffs for c in self.terms.values()]).reshape(T, self.tag.dim)
-        object.__setattr__(self, "exponents", mus)
-        object.__setattr__(self, "coefficients", coeffs)
-
     @property
     def degree(self) -> int:
-        return max((sum(mu) for mu in self.terms), default=0)
+        return int(self.exponents.sum(axis=1).max(initial=0))
 
     @property
     def domain(self) -> Domain:
@@ -226,7 +220,7 @@ class StemPolynomial:
     def batch_evaluator(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F1, F2) arrays of shape (N, dim): the term-major monomials WT (T, N), transposed, times the coefficients."""
         Z = np.asarray(Z, dtype=np.complex128)
-        WT = np.ones((len(self.terms), Z.shape[0]), dtype=np.complex128)
+        WT = np.ones((len(self.exponents), Z.shape[0]), dtype=np.complex128)
         for t in range(self.arity):
             e = self.exponents[:, t]
             # powers z_t^0..z_t^max filled in place, then gathered by exponent per term
@@ -246,52 +240,52 @@ class StemPolynomial:
         if not 0 <= t < self.arity:
             raise ValueError(f"axis {t} out of range for arity {self.arity}")
         if t not in self._derivatives:
-            self._derivatives[t] = self._derivative(t)
+            k = self.exponents[:, t] > 0
+            E = self.exponents[k]
+            lowered = E - np.eye(self.arity, dtype=np.intp)[t]
+            self._derivatives[t] = _merged(self.tag, self.arity, lowered, self.coefficients[k] * E[:, t : t + 1])
         return self._derivatives[t]
 
-    def _derivative(self, t: int) -> "StemPolynomial":
-        out: dict = {}
-        for mu, coeff in self.terms.items():
-            if mu[t] == 0:
-                continue
-            nu = list(mu)
-            nu[t] -= 1
-            nu = tuple(nu)
-            prev = out.get(nu)
-            scaled = coeff * float(mu[t])
-            out[nu] = scaled if prev is None else prev + scaled
-        return stem_polynomial(self.tag, self.arity, out)
-
     def __add__(self, other: "StemPolynomial") -> "StemPolynomial":
-        if self.tag != other.tag or self.arity != other.arity:
-            raise AlgebraMismatchError("polynomial stems with different tag or arity")
-        out = dict(self.terms)
-        for mu, coeff in other.terms.items():
-            out[mu] = out[mu] + coeff if mu in out else coeff
-        return stem_polynomial(self.tag, self.arity, out)
+        _same_space(self, other)
+        E = np.vstack([self.exponents, other.exponents])
+        return _merged(self.tag, self.arity, E, np.vstack([self.coefficients, other.coefficients]))
 
     def __neg__(self) -> "StemPolynomial":
-        return stem_polynomial(self.tag, self.arity, {mu: -c for mu, c in self.terms.items()})
+        return _merged(self.tag, self.arity, self.exponents, -self.coefficients)
 
     def __sub__(self, other: "StemPolynomial") -> "StemPolynomial":
         return self + (-other)
 
 
+def _same_space(p: StemPolynomial, q: StemPolynomial) -> None:
+    if p.tag != q.tag or p.arity != q.arity:
+        raise AlgebraMismatchError("polynomial stems with different tag or arity")
+
+
+def _merged(tag: AlgebraTag, arity: int, exponents: np.ndarray, coefficients: np.ndarray) -> StemPolynomial:
+    """The polynomial of these term rows: rows sharing an exponent are summed in row order, zero sums dropped."""
+    rows = exponents.tolist()
+    order = sorted(range(len(rows)), key=rows.__getitem__)  # stable, so equal rows keep their order
+    starts = [j for j in range(len(order)) if j == 0 or rows[order[j]] != rows[order[j - 1]]]
+    cs = coefficients[order]
+    if len(starts) < len(order):
+        cs = np.add.reduceat(cs, starts, axis=0)
+    keep = cs.any(axis=1)
+    return StemPolynomial(tag, arity, exponents[[order[j] for j in starts]][keep], cs[keep])
+
+
 def stem_polynomial(tag: AlgebraTag, arity: int, terms: dict) -> StemPolynomial:
-    """Validate and normalize a term map; zero coefficients are dropped."""
-    norm_terms: dict = {}
-    for mu, coeff in terms.items():
-        mu = tuple(int(m) for m in mu)
-        if len(mu) != arity or any(m < 0 for m in mu):
+    """The polynomial of a term map {mu: coefficient}, each coefficient an AlgebraElement or a vector."""
+    mus = [tuple(int(m) for m in mu) for mu in terms]
+    for mu in mus:
+        if len(mu) != arity or min(mu, default=0) < 0:
             raise ValueError(f"bad multi-index {mu} for arity {arity}")
-        if not isinstance(coeff, AlgebraElement):
-            coeff = element(tag, coeff)
-        if coeff.tag != tag:
-            raise AlgebraMismatchError("coefficient from a different algebra")
-        if coeff.norm() > 0.0:
-            norm_terms[mu] = coeff
-    ordered = dict(sorted(norm_terms.items()))
-    return StemPolynomial(tag=tag, arity=arity, terms=ordered)
+    coeffs = [c if isinstance(c, AlgebraElement) else element(tag, c) for c in terms.values()]
+    if any(c.tag != tag for c in coeffs):
+        raise AlgebraMismatchError("coefficient from a different algebra")
+    E = np.array(mus, dtype=np.intp).reshape(-1, arity)
+    return _merged(tag, arity, E, np.array([c.coeffs for c in coeffs]).reshape(-1, tag.dim))
 
 
 def monomial(tag: AlgebraTag, arity: int, mu, coeff) -> StemPolynomial:
@@ -313,17 +307,13 @@ def constant_poly(tag: AlgebraTag, arity: int, coeff) -> StemPolynomial:
 def poly_product(p: StemPolynomial, q: StemPolynomial) -> StemPolynomial:
     """Coefficient convolution: the gamma coefficient is sum over mu+nu=gamma of a_mu b_nu.
 
+    This is the pointwise product in A (x) C, since z^mu is central there.
     Factor order a_mu * b_nu is preserved; the base algebra is noncommutative.
     """
-    if p.tag != q.tag or p.arity != q.arity:
-        raise AlgebraMismatchError("polynomial stems with different tag or arity")
-    out: dict = {}
-    for mu, a in p.terms.items():
-        for nu, b in q.terms.items():
-            gamma = tuple(m + n for m, n in zip(mu, nu))
-            ab = multiply(a, b)
-            out[gamma] = out[gamma] + ab if gamma in out else ab
-    return stem_polynomial(p.tag, p.arity, out)
+    _same_space(p, q)
+    mus = p.exponents[:, None, :] + q.exponents[None, :, :]
+    coeffs = multiply_batch(p.tag, p.coefficients[:, None, :], q.coefficients[None, :, :])
+    return _merged(p.tag, p.arity, mus.reshape(-1, p.arity), coeffs.reshape(-1, p.tag.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +445,8 @@ def _add_pairs(a, b):
     return a[0] + b[0], a[1] + b[1]
 
 
-def stem_product(F, G):
-    """Pointwise product in A (x) C; polynomial inputs stay polynomial."""
-    if isinstance(F, StemPolynomial) and isinstance(G, StemPolynomial):
-        return poly_product(F, G)
+def stem_product(F, G) -> StemFunction:
+    """Pointwise product in A (x) C, with Leibniz derivatives when both factors have exact ones."""
     if F.tag != G.tag or F.arity != G.arity:
         raise AlgebraMismatchError("stems with different tag or arity")
     tag = F.tag
@@ -488,31 +476,18 @@ def stem_product(F, G):
     )
 
 
-def restrict_stem(F, axis: int, anchors) -> "StemFunction | StemPolynomial":
+def restrict_stem(F, axis: int, anchors) -> StemFunction:
     """Freeze every variable except `axis` at the anchor values.
 
     Off-axis anchors with nonzero imaginary part destroy intrinsicity (the
     anchored set is no longer conjugation symmetric); the restriction is still
-    returned but flagged intrinsic=False.  Polynomial stems with real anchors
-    restrict to one-variable polynomial stems.
+    returned but flagged intrinsic=False.
     """
     arity = F.arity
     if not 0 <= axis < arity:
         raise ValueError(f"axis {axis} out of range for arity {arity}")
     a = np.asarray(anchors, dtype=np.complex128).reshape(arity)
     off_axis_real = all(abs(a[k].imag) <= 1e-12 for k in range(arity) if k != axis)
-
-    if isinstance(F, StemPolynomial) and off_axis_real:
-        out: dict = {}
-        for mu, coeff in F.terms.items():
-            w = 1.0
-            for k, m in enumerate(mu):
-                if k != axis and m:
-                    w *= float(a[k].real) ** m
-            nu = (mu[axis],)
-            scaled = coeff * w
-            out[nu] = out[nu] + scaled if nu in out else scaled
-        return stem_polynomial(F.tag, 1, out)
 
     def _inflate(Z1: np.ndarray) -> np.ndarray:
         Z = np.tile(a, (Z1.shape[0], 1))
@@ -542,23 +517,29 @@ def stem_polynomial_to_json(p: StemPolynomial) -> dict:
     return {
         "arity": p.arity,
         "algebra": p.tag.name,
-        "terms": [
-            {"mu": list(mu), "coeff": [float(v) for v in coeff.coeffs]}
-            for mu, coeff in sorted(p.terms.items())
-        ],
+        "terms": [{"mu": mu, "coeff": coeff} for mu, coeff in zip(p.exponents.tolist(), p.coefficients.tolist())],
     }
 
 
-def stem_polynomial_from_json(data: dict) -> StemPolynomial:
-    tag = parse_algebra(data["algebra"])
-    terms = {tuple(t["mu"]): element(tag, t["coeff"]) for t in data["terms"]}
-    return stem_polynomial(tag, int(data["arity"]), terms)
+def _numbers(value, kinds: tuple) -> bool:
+    """Whether value is a JSON list of finite numbers whose types are among kinds."""
+    return isinstance(value, list) and all(type(v) in kinds and np.isfinite(v) for v in value)
+
+
+def stem_polynomial_from_json(data) -> StemPolynomial:
+    """Parse one polynomial object; a malformed one raises ValueError."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    arity = data.get("arity") if isinstance(data, dict) else None
+    if not (isinstance(terms, list) and isinstance(data.get("algebra"), str) and type(arity) is int and arity >= 1):
+        raise ValueError(f"a polynomial needs an algebra name, a positive integer arity and a terms list, got {data!r}")
+    for t in terms:
+        if not (isinstance(t, dict) and _numbers(t.get("mu"), (int,)) and _numbers(t.get("coeff"), (int, float))):
+            raise ValueError(f"a polynomial term needs an integer list mu and a finite number list coeff, got {t!r}")
+    return stem_polynomial(parse_algebra(data["algebra"]), arity, {tuple(t["mu"]): t["coeff"] for t in terms})
 
 
 def load_polynomials(path) -> list[StemPolynomial]:
     """Read one StemPolynomial or a list of them from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict):
-        data = [data]
-    return [stem_polynomial_from_json(d) for d in data]
+    return [stem_polynomial_from_json(d) for d in (data if isinstance(data, list) else [data])]

@@ -410,11 +410,9 @@ def _products_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     f, g = sf.lift(p), sf.lift(q)
 
     def star_vs_slice() -> float:
-        star = sf.lift(sf.star_product(p, q))
-        # p and q as bare stems: the slice product then multiplies their values in
-        # A (x) C instead of convolving coefficients the way star_product does
-        bare = [sf.SliceFunction(st.StemFunction(arity=n, tag=tag, batch_evaluator=h.batch_evaluator)) for h in (p, q)]
-        prod = sf.slice_product(*bare)
+        # the coefficient convolution against the slice product, which multiplies stem values in A (x) C
+        star = sf.lift(st.poly_product(p, q))
+        prod = sf.slice_product(f, g)
         worst = 0.0
         for _ in range(100):
             x = random_nonreal_point(tag, n, rng)
@@ -459,8 +457,7 @@ def _products_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
 def _spherical_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     rng = np.random.default_rng(cfg.seed + 4)
     n = cfg.n
-    p = random_polynomial(tag, n, 4, rng, terms=5)
-    f = sf.lift(p)
+    f = sf.lift(random_polynomial(tag, n, 4, rng, terms=5))
 
     def _definitional(x: sf.SlicePoint, unit: alg.ImaginaryUnit):
         # even/odd combination of f at alpha + beta I and alpha - beta I, with
@@ -484,18 +481,12 @@ def _spherical_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         return worst
 
     def ds_of_vs() -> float:
-        # the spherical value lifts to a slice function with vanishing odd part
-        even = st.StemFunction(
-            arity=n,
-            tag=tag,
-            batch_evaluator=lambda Z: (st.evaluate_stem_batch(p, Z)[0], np.zeros((len(Z), tag.dim))),
-            smoothness=st.Smoothness.C1,
-        )
-        vs_f = sf.SliceFunction(stem=even)
+        # definitional spherical derivative -J/(2|beta|) (v(x) - v(conj x)) of v = spherical_value(f, .)
         worst = 0.0
         for _ in range(25):
             x = random_nonreal_point(tag, n, rng)
-            worst = max(worst, sf.spherical_derivative(vs_f, x).norm())
+            odd = sf.spherical_value(f, x) - sf.spherical_value(f, x.conjugated())
+            worst = max(worst, alg.multiply(x.j.value * (-0.5 / float(np.linalg.norm(x.beta))), odd).norm())
         return worst
 
     def reconstruction() -> float:

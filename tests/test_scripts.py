@@ -27,3 +27,8 @@ def test_convergence_study_volume_table(tmp_path, capsys):
     assert all(a > b for a, b in zip(errs, errs[1:])), errs
     nodes = [int(r["nodes"]) for r in volume]
     assert all(a < b for a, b in zip(nodes, nodes[1:])), nodes
+
+
+def test_zero_structure_demo_confirms_verdicts(capsys):
+    assert _load("zero_structure_demo").main(["--random", "2", "--units", "300"]) == 0
+    assert "all verdicts confirmed by scan" in capsys.readouterr().out

@@ -178,10 +178,9 @@ def test_star_product_matches_slice_product_on_slices():
     rng = np.random.default_rng(33)
     p = stm.stem_polynomial(TAG, 1, {(1,): E1, (0,): E0})
     q = stm.stem_polynomial(TAG, 1, {(2,): E2, (1,): E3})
-    # bare stems, so slice_product multiplies stem values instead of convolving coefficients
-    f, g = (sf.SliceFunction(stm.StemFunction(arity=1, tag=TAG, batch_evaluator=h.batch_evaluator)) for h in (p, q))
-    star = sf.lift(sf.star_product(p, q))
-    prod = sf.slice_product(f, g)
+    # slice_product multiplies stem values; poly_product convolves coefficients
+    star = sf.lift(stm.poly_product(p, q))
+    prod = sf.slice_product(sf.lift(p), sf.lift(q))
     for _ in range(50):
         x = sf.slice_point(rng.uniform(-1, 1, 1), rng.uniform(0.1, 1, 1), alg.sample_unit_imaginary(TAG, rng))
         assert (star(x) - prod(x)).norm() <= 1e-13
@@ -250,7 +249,7 @@ def test_restrict_slice_polynomial():
     p = stm.stem_polynomial(TAG, 2, {(1, 2): E1, (0, 1): E0})
     f = sf.lift(p)
     r = sf.restrict_slice(f, 0, [0.0, 0.5])
-    assert r.poly is not None and r.arity == 1
+    assert r.arity == 1 and r.stem.intrinsic
     J = _unit([0, 1.0, 0, 0, 0, 0, 0])
     x1 = sf.slice_point([0.3], [0.4], J)
     full = f(sf.slice_point([0.3, 0.5], [0.4, 0.0], J))

@@ -127,7 +127,7 @@ def test_random_polynomial_and_units_determinism():
     rng2 = np.random.default_rng(5)
     p1 = su.random_polynomial(OCTONION, 2, 3, rng1)
     p2 = su.random_polynomial(OCTONION, 2, 3, rng2)
-    assert dict(p1.terms).keys() == dict(p2.terms).keys()
+    np.testing.assert_array_equal(p1.exponents, p2.exponents)
     units = su.separated_units(QUATERNION, rng1, 3, min_sep=0.3)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -197,18 +197,52 @@ def test_cli_rejects_misspelled_config(tmp_path, capsys, body, message):
 
 @pytest.mark.parametrize("algebra", ["octonion", "quaternion"])
 def test_star_vs_slice_detects_swapped_convolution(tmp_path, monkeypatch, algebra):
-    # star_product convolving b_nu a_mu instead of a_mu b_nu is wrong in a
+    # poly_product convolving b_nu a_mu instead of a_mu b_nu is wrong in a
     # noncommutative algebra; the slice side multiplies stem values, so the
     # record must see the difference
-    import hyperslice.slicefun as sf
     import hyperslice.stem as stm
 
     correct = stm.poly_product
     monkeypatch.setattr(stm, "poly_product", lambda p, q: correct(q, p))
-    monkeypatch.setattr(sf, "poly_product", lambda p, q: correct(q, p))
     path = tmp_path / "cfg.yaml"
     path.write_text(f"suite: products\nalgebra: {algebra}\n")
     rec = next(r for r in su.run_suite(su.load_config(path)).records if r.name == "star_vs_slice")
+    assert not rec.passed and rec.metric > 1e-3, rec.metric
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[1]",
+        "5",
+        '{"arity": 1, "algebra": "quaternion", "terms": [{"mu": [1]}]}',
+        '{"arity": 1, "algebra": "quaternion"}',
+        '{"arity": 1, "algebra": 5, "terms": []}',
+        '{"arity": 1, "algebra": "quaternion", "terms": 5}',
+        '{"arity": 1, "algebra": "quaternion", "terms": [{"mu": 1, "coeff": [1, 0, 0, 0]}]}',
+        '{"arity": 1.5, "algebra": "quaternion", "terms": [{"mu": [1], "coeff": [1, 0, 0, 0]}]}',
+        '{"arity": 1, "algebra": "quaternion", "terms": [{"mu": [1.7], "coeff": [1, 0, 0, 0]}]}',
+        '{"arity": 1, "algebra": "quaternion", "terms": [{"mu": [1], "coeff": [NaN, 0, 0, 0]}]}',
+    ],
+    ids=["list_of_int", "number", "term_without_coeff", "no_terms", "algebra_int", "terms_int", "mu_int",
+         "arity_float", "mu_float", "coeff_nan"],
+)
+def test_cli_rejects_malformed_functions_file(tmp_path, capsys, body):
+    (tmp_path / "fns.json").write_text(body)
+    path = tmp_path / "cfg.yaml"
+    path.write_text("suite: algebra\nsamples: 5\nfunctions: [fns.json]\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_d_s_of_v_s_zero_reads_spherical_value(tmp_path, monkeypatch):
+    # a spherical value that is really f itself has a nonzero spherical derivative
+    import hyperslice.slicefun as sf
+
+    monkeypatch.setattr(sf, "spherical_value", sf.lift_evaluate)
+    path = tmp_path / "cfg.yaml"
+    path.write_text("suite: spherical\nsamples: 5\n")
+    rec = next(r for r in su.run_suite(su.load_config(path)).records if r.name == "d_s_of_v_s_zero")
     assert not rec.passed and rec.metric > 1e-3, rec.metric
 
 
