@@ -9,10 +9,13 @@ symmetric) sitting in the plane C_J^n picked out by a unit J.  The kernel is
 a C_J-valued form that left-multiplies boundary values of f.  On the k-th
 boundary face only the j = k term survives (dxi-bar_k is parallel to dxi_k on
 the circle), which reduces each face to an explicit Jacobian times a product
-grid: trapezoidal nodes in every angle, Gauss-Legendre radially.  The written
-ordering of the differentials relates to the standard orientation of
-C^n = R^{2n} by a factor (-1)^{n(n-1)/2}, which is folded into the constant and
-pinned by the f = 1 calibration test.
+grid: trapezoidal nodes in every angle, Gauss-Legendre radially.  Three signs
+meet on face k (0-based) and cancel: (-1)^{n(n-1)/2} from the written order of
+the differentials to the standard orientation of C^n = R^{2n}, (-1)^k from the
+j = k term, and the parity n-1+k+(n-1)(n-2)/2 of moving dxi_k to the front and
+pairing the other conj/holo differentials.  The total parity n(n-1)+2k is
+even, so the face coefficient carries no sign; the f = 1 calibration test pins
+this.
 
 The correction for non-regular f is the volume term
 
@@ -229,21 +232,6 @@ def _check_point(dom: PolydiscDomain, x: SlicePoint) -> None:
         )
 
 
-def _face_orientation_sign(n: int, k: int) -> float:
-    """Permutation sign from the written differential order to the face block order.
-
-    Written: conj differentials for l != k ascending, then all holomorphic ones.
-    Block:   the circle differential dxi_k first, then (conj_l, holo_l) pairs.
-    """
-    original = [("c", l) for l in range(n) if l != k] + [("h", l) for l in range(n)]
-    target = [("h", k)] + [p for l in range(n) if l != k for p in (("c", l), ("h", l))]
-    perm = [original.index(row) for row in target]
-    inversions = sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-    )
-    return -1.0 if inversions % 2 else 1.0
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [0, 1]; cached, so the arrays are read-only."""
@@ -286,7 +274,7 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
 
     Returns (count, nodes) where nodes(lo, hi) gives (Z, c) for those rows:
     Z is complex (hi-lo, n) and c = coeff g_k(xi), coeff being the kernel
-    constant, orientation, Jacobians and product weights.  Disc l has tables
+    constant, Jacobians and product weights.  Disc l has tables
     xi_l, d_l = |xi_l - x_l|^2 and weights w_l, with conj(xi_k - x_k) and the
     constant folded into w_k, so c = prod_l w_l[i_l] / (sum_l d_l[i_l])^n is
     built by gathers and xi - x is never formed.
@@ -294,8 +282,6 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
     n = dom.n
     M, R = spec.angular_nodes, spec.radial_nodes
     cn = math.factorial(n - 1) / (2j * math.pi) ** n
-    orient = (-1.0) ** (n * (n - 1) // 2)
-    sgn = (-1.0) ** k * _face_orientation_sign(n, k)
 
     vals: list[np.ndarray] = []
     weights: list[np.ndarray] = []
@@ -305,7 +291,7 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
     for l in range(n):
         if l == k:
             v = dom.centers[l] + dom.radii[l] * ring
-            w = (cn * orient * sgn * w_ang) * (1j * dom.radii[l] * ring) * np.conj(v - x_z[l])
+            w = (cn * w_ang) * (1j * dom.radii[l] * ring) * np.conj(v - x_z[l])
         else:
             rho = dom.radii[l] * t01
             wr = dom.radii[l] * w01

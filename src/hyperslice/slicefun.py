@@ -383,7 +383,7 @@ def check_slice_regular(
         samples = _stem_samples(f.stem, gen, 8)
     samples = np.asarray(samples, dtype=np.complex128).reshape(-1, f.arity)
 
-    worst = 0.0
+    residuals = []
     L = [left_mult_matrix(J.value) for J in units]
     for t in range(f.arity):
         (da1, da2), (db1, db2) = central_differences(f.stem, samples, t, h)
@@ -391,7 +391,9 @@ def check_slice_regular(
             # rows of a (S, dim) array times LJ.T apply LJ to each sample
             dbeta = db1 + db2 @ LJ.T
             res = da1 + da2 @ LJ.T + dbeta @ LJ.T
-            worst = max(worst, float(np.max(np.linalg.norm(res, axis=1), initial=0.0)))
+            residuals.append(np.linalg.norm(res, axis=1))
+    # np.max propagates NaN, so a NaN residual fails the report
+    worst = float(np.max(residuals, initial=0.0))
     stem_rep = is_holomorphic(f.stem, samples=samples, tol=tol, h=h)
     return RegularityReport(worst, stem_rep.max_residual, worst <= tol and stem_rep.passed)
 

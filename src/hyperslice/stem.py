@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -277,7 +278,11 @@ def _merged(tag: AlgebraTag, arity: int, exponents: np.ndarray, coefficients: np
 
 def stem_polynomial(tag: AlgebraTag, arity: int, terms: dict) -> StemPolynomial:
     """The polynomial of a term map {mu: coefficient}, each coefficient an AlgebraElement or a vector."""
-    mus = [tuple(int(m) for m in mu) for mu in terms]
+    try:
+        # operator.index refuses 1.7 or "2", which int() would truncate or parse
+        mus = [tuple(operator.index(m) for m in mu) for mu in terms]
+    except TypeError as exc:
+        raise ValueError(f"multi-index entries must be integers: {exc}") from None
     for mu in mus:
         if len(mu) != arity or min(mu, default=0) < 0:
             raise ValueError(f"bad multi-index {mu} for arity {arity}")
@@ -430,10 +435,9 @@ def is_holomorphic(F, samples=None, tol: float = 1e-6, rng=None, h: float = DEFA
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
         samples = _stem_samples(F, gen, 16)
     Z = np.asarray(samples, dtype=np.complex128).reshape(-1, F.arity)
-    worst = 0.0
-    for t in range(F.arity):
-        dzbar = wirtinger_batch(F, Z, t, h)[1]
-        worst = max(worst, float(np.max(_row_norms(*dzbar), initial=0.0)))
+    residuals = [_row_norms(*wirtinger_batch(F, Z, t, h)[1]) for t in range(F.arity)]
+    # np.max propagates NaN, so a NaN residual fails the report
+    worst = float(np.max(residuals, initial=0.0))
     return HolomorphyReport(worst, worst <= tol, Z.shape[0])
 
 

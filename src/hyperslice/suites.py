@@ -7,12 +7,13 @@ slice regularity).  Suites are deterministic under a fixed seed, and `all`
 runs every suite once for the configured algebra and mirrors the non-algebra
 suites in the other algebra.
 
-A suite body maps each record name to a check returning its metric, and
-`_run_checks` runs the checks in that order (they share the suite's rng).  A
-record's tolerance is its `FIXED_TOLERANCES` entry, else the override or
-`DEFAULT_TOLERANCES` entry of its name less any `octonion_`/`quaternion_`
-prefix.  Records in `WITNESSES` pass above their tolerance, all others at or
-below it.
+A suite body maps each record name to a check yielding the errors it
+measured, and `_run_checks` runs the checks in that order (they share the
+suite's rng).  A record's metric is its check's largest error, NaN if any error
+is NaN, so a NaN fails the record, witnesses included.  A record's tolerance is
+its `FIXED_TOLERANCES` entry, else the override or `DEFAULT_TOLERANCES` entry
+of its name less any `octonion_`/`quaternion_` prefix.  Records in `WITNESSES`
+pass above their tolerance, all others at or below it.
 
 Config defaults live in `ExperimentConfig` and `QuadratureSpec` only; every
 integer field must be a YAML integer, and a malformed value raises ValueError.
@@ -29,6 +30,7 @@ import itertools
 import json
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -277,14 +279,17 @@ def _real_polynomial(tag: AlgebraTag, arity: int, rng: np.random.Generator, boun
 def _run_checks(cfg: ExperimentConfig, checks: dict, **columns) -> list:
     """Time each check in mapping order and judge its metric against the record's tolerance.
 
-    A check is a callable returning the metric, or a (callable, columns) pair
-    whose M/R/V columns replace the suite's.
+    A check is a callable yielding the errors it measured, or a (callable,
+    columns) pair whose M/R/V columns replace the suite's.  The metric is the
+    largest error; np.max propagates NaN, which fails any record because
+    `nan > tol` and `nan <= tol` are both false, and a check yielding nothing
+    raises.  Each check is drained before the next starts.
     """
     records = []
     for name, check in checks.items():
         fn, cols = check if isinstance(check, tuple) else (check, columns)
         t0 = time.perf_counter()
-        metric = float(fn())
+        metric = float(np.max(np.fromiter(fn(), dtype=float)))
         wall = (time.perf_counter() - t0) * 1e3
         tol = cfg.tol(name)
         ok = metric > tol if name in WITNESSES else metric <= tol
@@ -292,13 +297,11 @@ def _run_checks(cfg: ExperimentConfig, checks: dict, **columns) -> list:
     return records
 
 
-def _basis_associator(tag: AlgebraTag) -> float:
-    """Largest associator norm over all basis triples; nonzero certifies non-associativity."""
-    worst = 0.0
+def _basis_associators(tag: AlgebraTag) -> Iterator[float]:
+    """Associator norms of all basis triples; a nonzero one certifies non-associativity."""
     for i, j, k in itertools.product(range(tag.dim), repeat=3):
         a, b, c = alg.basis(tag, i), alg.basis(tag, j), alg.basis(tag, k)
-        worst = max(worst, (alg.multiply(alg.multiply(a, b), c) - alg.multiply(a, alg.multiply(b, c))).norm())
-    return worst
+        yield (alg.multiply(alg.multiply(a, b), c) - alg.multiply(a, alg.multiply(b, c))).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +317,15 @@ def _algebra_suite(cfg: ExperimentConfig) -> list:
             for _ in range(cfg.samples)
         ]
 
-        def alternativity() -> float:
-            worst = 0.0
+        def alternativity():
             for a, b in pairs:
                 ab = alg.multiply(a, b)
-                left = (alg.multiply(a, ab) - alg.multiply(alg.multiply(a, a), b)).norm()
-                right = (alg.multiply(ab, b) - alg.multiply(a, alg.multiply(b, b))).norm()
-                worst = max(worst, left, right)
-            return worst
+                yield (alg.multiply(a, ab) - alg.multiply(alg.multiply(a, a), b)).norm()
+                yield (alg.multiply(ab, b) - alg.multiply(a, alg.multiply(b, b))).norm()
 
-        def artin() -> float:
+        def artin():
             # any two generators span an associative subalgebra: compare
             # reassociations of the word a b a b
-            worst = 0.0
             for a, b in pairs:
                 ab = alg.multiply(a, b)
                 ba = alg.multiply(b, a)
@@ -335,36 +334,27 @@ def _algebra_suite(cfg: ExperimentConfig) -> list:
                 w3 = alg.multiply(a, alg.multiply(b, ab))
                 w4 = alg.multiply(ab, ab)
                 w5 = alg.multiply(a, alg.multiply(ba, b))
-                base = w4
                 for w in (w1, w2, w3, w5):
-                    worst = max(worst, (w - base).norm())
-            return worst
+                    yield (w - w4).norm()
 
-        def norm_comp() -> float:
-            worst = 0.0
+        def norm_comp():
             for a, b in pairs:
                 lhs = alg.multiply(a, b).norm_squared()
                 rhs = a.norm_squared() * b.norm_squared()
-                worst = max(worst, abs(lhs - rhs) / max(1.0, rhs))
-            return worst
+                yield abs(lhs - rhs) / max(1.0, rhs)
 
-        def inverse_law() -> float:
-            worst = 0.0
+        def inverse_law():
             onev = alg.one(tag)
             for a, _ in pairs:
                 ia = alg.inverse(a)
-                worst = max(
-                    worst,
-                    (alg.multiply(a, ia) - onev).norm(),
-                    (alg.multiply(ia, a) - onev).norm(),
-                )
-            return worst
+                yield (alg.multiply(a, ia) - onev).norm()
+                yield (alg.multiply(ia, a) - onev).norm()
 
         checks = {"alternativity": alternativity, "artin_words": artin, "norm_composition": norm_comp,
                   "inverse_law": inverse_law}
         records += _run_checks(cfg, {f"{tag.name}_{key}": check for key, check in checks.items()})
-    return records + _run_checks(cfg, {"octonion_nonassociative_witness": lambda: _basis_associator(OCTONION),
-                                       "quaternion_basis_associativity": lambda: _basis_associator(QUATERNION)})
+    return records + _run_checks(cfg, {"octonion_nonassociative_witness": lambda: _basis_associators(OCTONION),
+                                       "quaternion_basis_associativity": lambda: _basis_associators(QUATERNION)})
 
 
 def _representation_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
@@ -383,20 +373,17 @@ def _representation_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     # values on the J and -J slices, kept for the formula comparison
     mirrored = []
 
-    def direct() -> float:
-        worst = 0.0
+    def direct():
         for f, I, J, K, alpha, beta in cases:
             fJ, fK, fmJ, fI = (f(sf.slice_point(alpha, beta, u)) for u in (J, K, -J, I))
             symmetric = sf.representation_symmetric(fJ, fmJ, I, J)
             mirrored.append((fJ, fmJ, I, J, symmetric))
-            worst = max(worst, (sf.representation(fJ, fK, I, J, K) - fI).norm(), (symmetric - fI).norm())
-        return worst
+            yield (sf.representation(fJ, fK, I, J, K) - fI).norm()
+            yield (symmetric - fI).norm()
 
-    def agreement() -> float:
-        return max(
-            (sf.representation(fJ, fmJ, I, J, -J) - symmetric).norm()
-            for fJ, fmJ, I, J, symmetric in mirrored
-        )
+    def agreement():
+        for fJ, fmJ, I, J, symmetric in mirrored:
+            yield (sf.representation(fJ, fmJ, I, J, -J) - symmetric).norm()
 
     return _run_checks(cfg, {"representation_direct": direct, "formula_agreement": agreement})
 
@@ -409,38 +396,32 @@ def _products_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     q = random_polynomial(tag, n, 3, rng, terms=4)
     f, g = sf.lift(p), sf.lift(q)
 
-    def star_vs_slice() -> float:
+    def star_vs_slice():
         # the coefficient convolution against the slice product, which multiplies stem values in A (x) C
         star = sf.lift(st.poly_product(p, q))
         prod = sf.slice_product(f, g)
-        worst = 0.0
         for _ in range(100):
             x = random_nonreal_point(tag, n, rng)
-            worst = max(worst, (star(x) - prod(x)).norm())
-        return worst
+            yield (star(x) - prod(x)).norm()
 
-    def leibniz() -> float:
+    def leibniz():
         prod = sf.slice_product(f, g)
-        worst = 0.0
         for _ in range(50):
             x = random_nonreal_point(tag, n, rng)
             vf, df = sf.spherical(f, x)
             vg, dg = sf.spherical(g, x)
             lhs = sf.spherical_derivative(prod, x)
             rhs = alg.multiply(df, vg) + alg.multiply(vf, dg)
-            worst = max(worst, (lhs - rhs).norm())
-        return worst
+            yield (lhs - rhs).norm()
 
-    def real_factor() -> float:
+    def real_factor():
         rf = sf.lift(_real_polynomial(tag, n, rng, 2.0))
         prod = sf.slice_product(rf, g)
-        worst = 0.0
         for _ in range(50):
             x = random_nonreal_point(tag, n, rng)
-            worst = max(worst, (prod(x) - alg.multiply(rf(x), g(x))).norm())
-        return worst
+            yield (prod(x) - alg.multiply(rf(x), g(x))).norm()
 
-    def witness() -> float:
+    def witness():
         # constant e_1 times z_1 e_2 does not multiply pointwise off the e_3 slice
         fw = sf.lift(st.constant_poly(tag, n, alg.basis(tag, 1)))
         gw = sf.lift(st.monomial(tag, n, (1,) + (0,) * (n - 1), alg.basis(tag, 2)))
@@ -448,7 +429,7 @@ def _products_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         x = sf.slice_point(
             np.full(n, 0.3), np.full(n, 0.7), alg.unit_from_vector(tag, np.eye(tag.dim - 1)[2])
         )
-        return (prod(x) - alg.multiply(fw(x), gw(x))).norm()
+        yield (prod(x) - alg.multiply(fw(x), gw(x))).norm()
 
     return _run_checks(cfg, {"star_vs_slice": star_vs_slice, "leibniz": leibniz, "real_factor_pointwise": real_factor,
                              "pointwise_product_witness": witness})
@@ -470,33 +451,28 @@ def _spherical_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         deriv = alg.multiply(unit.value * (-0.5 / nbeta), fy - fyb)
         return value, deriv
 
-    def constant_on_sphere(part: int, operator) -> float:
+    def constant_on_sphere(part: int, operator):
         # part 0 is the spherical value, part 1 the spherical derivative
-        worst = 0.0
         for _ in range(50):
             x = random_nonreal_point(tag, n, rng)
             a = _definitional(x, alg.sample_unit_imaginary(tag, rng))[part]
             b = _definitional(x, alg.sample_unit_imaginary(tag, rng))[part]
-            worst = max(worst, (a - b).norm(), (a - operator(f, x)).norm())
-        return worst
+            yield (a - b).norm()
+            yield (a - operator(f, x)).norm()
 
-    def ds_of_vs() -> float:
+    def ds_of_vs():
         # definitional spherical derivative -J/(2|beta|) (v(x) - v(conj x)) of v = spherical_value(f, .)
-        worst = 0.0
         for _ in range(25):
             x = random_nonreal_point(tag, n, rng)
             odd = sf.spherical_value(f, x) - sf.spherical_value(f, x.conjugated())
-            worst = max(worst, alg.multiply(x.j.value * (-0.5 / float(np.linalg.norm(x.beta))), odd).norm())
-        return worst
+            yield alg.multiply(x.j.value * (-0.5 / float(np.linalg.norm(x.beta))), odd).norm()
 
-    def reconstruction() -> float:
-        worst = 0.0
+    def reconstruction():
         for _ in range(50):
             x = random_nonreal_point(tag, n, rng)
             value, deriv = sf.spherical(f, x)
             recon = value + alg.multiply(sf.imaginary_element(x), deriv)
-            worst = max(worst, (recon - f(x)).norm())
-        return worst
+            yield (recon - f(x)).norm()
 
     return _run_checks(cfg, {"value_constant_on_sphere": lambda: constant_on_sphere(0, sf.spherical_value),
                              "derivative_constant_on_sphere": lambda: constant_on_sphere(1, sf.spherical_derivative),
@@ -529,7 +505,7 @@ def _zeros_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     e0 = alg.one(tag)
     e1 = alg.basis(tag, 1)
 
-    def fixed_cases() -> float:
+    def fixed_cases():
         mismatches = 0
         J = alg.sample_unit_imaginary(tag, rng)
         # z^2 + 1 vanishes on the whole unit sphere at alpha=0, beta=1
@@ -551,9 +527,9 @@ def _zeros_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         f4 = sf.lift(st.coordinate(tag, 1, 0))
         r4 = sf.classify_sphere_zeros(f4, sf.slice_point([0.0], [0.0], J))
         mismatches += r4.kind != sf.ZeroKind.REAL_ZERO
-        return float(mismatches)
+        yield float(mismatches)
 
-    def scan_agreement() -> float:
+    def scan_agreement():
         units = alg.sample_unit_imaginaries(tag, 10_000, np.random.default_rng(cfg.seed + 50))
         disagreements = 0
         for _ in range(50):
@@ -564,7 +540,7 @@ def _zeros_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
             res = sf.classify_sphere_zeros(f, x)
             if not _scan_consistent(f, x, res, units):
                 disagreements += 1
-        return float(disagreements)
+        yield float(disagreements)
 
     return _run_checks(cfg, {"zero_fixed_cases": fixed_cases, "zero_scan_agreement": scan_agreement})
 
@@ -588,43 +564,39 @@ def _bm_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     f_rand = sf.lift(random_polynomial(tag, 2, 3, rng, terms=4))
     polys = [f_fixed, f_rand] + [sf.lift(p) for p in cfg.functions if p.arity == 2 and p.tag == tag]
 
-    def calibration() -> float:
+    def calibration():
         f1 = sf.lift(st.constant_poly(tag, 2, alg.one(tag)))
         val = quad.bm_boundary_integral(f1, dom, x, spec)
-        return (val - alg.one(tag)).norm()
+        yield (val - alg.one(tag)).norm()
 
-    def reproduction() -> float:
-        worst = 0.0
+    def reproduction():
         for f in polys:
-            rep = quad.reproduce_check(f, dom, x, spec)
-            worst = max(worst, rep.abs_error)
-        return worst
+            yield quad.reproduce_check(f, dom, x, spec).abs_error
 
-    def monotone() -> float:
+    def monotone():
         errs = []
         for m in (16, 32, 64):
             rep = quad.reproduce_check(f_fixed, dom, x, quad.QuadratureSpec(m, R, V))
             errs.append(rep.abs_error)
         # metric < 1 certifies strict decrease at every doubling
-        return max(errs[1] / errs[0], errs[2] / errs[1])
+        yield errs[1] / errs[0]
+        yield errs[2] / errs[1]
 
-    def route_agreement() -> float:
-        worst = 0.0
+    def route_agreement():
         for f in polys:
             direct, comp = quad.bm_boundary_dual(f, dom, x, spec)
-            worst = max(worst, (direct - comp).norm())
-        return worst
+            yield (direct - comp).norm()
 
-    def volume_regular() -> float:
+    def volume_regular():
         # the polynomial without its exact hooks: dbar comes from finite
         # differences, so the rule integrates a nonzero (rounding-level) field
         f = sf.SliceFunction(st.StemFunction(arity=2, tag=tag, batch_evaluator=f_fixed.stem.batch_evaluator))
         vt = quad.bm_volume_integral(f, dom, x, quad.QuadratureSpec(M, R, 1))
-        return vt.norm()
+        yield vt.norm()
 
-    def volume_correction() -> float:
+    def volume_correction():
         c = alg.random_element(tag, np.random.default_rng(cfg.seed + 60))
-        return quad.correction_check(sf.lift(_conj_z1_stem(tag, 2, c)), dom, x, spec).abs_error
+        yield quad.correction_check(sf.lift(_conj_z1_stem(tag, 2, c)), dom, x, spec).abs_error
 
     checks = {"calibration_constant": calibration, "poly_reproduction": reproduction, "monotone_angular": monotone,
               "route_agreement": route_agreement, "volume_vanishes_regular": (volume_regular, dict(m=M, r=R, v=1)),
@@ -660,21 +632,19 @@ def _offslice_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     spec = cfg.quadrature
     f = sf.lift(random_polynomial(tag, 2, 3, rng, terms=4))
 
-    def match() -> float:
-        worst = 0.0
+    def match():
         for _ in range(4):
             I = alg.sample_unit_imaginary(tag, rng)
             q_point = sf.slice_point(x.alpha, x.beta, I)
             val = quad.off_slice_evaluate(f, dom, q_point, spec)
-            worst = max(worst, (val - sf.lift_evaluate(f, q_point)).norm())
-        return worst
+            yield (val - sf.lift_evaluate(f, q_point)).norm()
 
-    def collapse() -> float:
+    def collapse():
         q_point = sf.slice_point(x.alpha, x.beta, dom.j)
         val = quad.off_slice_evaluate(f, dom, q_point, spec)
-        return (val - quad.bm_boundary_integral(f, dom, q_point, spec)).norm()
+        yield (val - quad.bm_boundary_integral(f, dom, q_point, spec)).norm()
 
-    def real_in_plane() -> float:
+    def real_in_plane():
         rf = sf.lift(_real_polynomial(tag, 2, np.random.default_rng(cfg.seed + 70), 1.5))
         I = alg.sample_unit_imaginary(tag, rng)
         q_point = sf.slice_point(x.alpha, x.beta, I)
@@ -683,7 +653,7 @@ def _offslice_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
         proj = val - alg.scalar(tag, val.real) - alg.multiply(
             alg.scalar(tag, float(np.dot(val.coeffs, q_point.j.coeffs))), q_point.j.value
         )
-        return proj.norm()
+        yield proj.norm()
 
     checks = {"offslice_match": match, "offslice_collapse": collapse, "offslice_real_in_plane": real_in_plane}
     return _run_checks(cfg, checks, m=spec.angular_nodes, r=spec.radial_nodes)
@@ -727,33 +697,32 @@ def _hartogs_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     f = sf.lift(_rational_stem(tag, c))
     ext = quad.hartogs_extend(f, dom, 0.5, spec)
 
-    def extension_error(sample_alpha, beta_bound: float) -> float:
-        worst = 0.0
+    def extension_error(sample_alpha, beta_bound: float):
         for _ in range(4):
             alpha = sample_alpha()
             beta = rng.uniform(-beta_bound, beta_bound, 2)
             q_point = sf.slice_point(alpha, beta, alg.sample_unit_imaginary(tag, rng))
-            worst = max(worst, (ext(q_point) - sf.lift_evaluate(f, q_point)).norm())
-        return worst
+            yield (ext(q_point) - sf.lift_evaluate(f, q_point)).norm()
 
     def annulus_alpha() -> np.ndarray:
         return np.array([rng.uniform(0.55, 0.75) * (1 if rng.uniform() < 0.5 else -1), rng.uniform(-0.4, 0.4)])
 
-    def n1_detects_failure() -> float:
+    def n1_detects_failure():
         f1 = sf.lift(_inverse_z_stem(tag))
         contour = quad.PolydiscDomain(np.zeros(1), np.array([0.95]), J)
         x = sf.slice_point([0.0], [0.7], J)
         g = quad.bm_boundary_integral(f1, contour, x, spec)
-        return (g - sf.lift_evaluate(f1, x)).norm()
+        yield (g - sf.lift_evaluate(f1, x)).norm()
 
-    def n1_raises() -> float:
+    def n1_raises():
         try:
             quad.hartogs_extend(
                 sf.lift(_inverse_z_stem(tag)), quad.PolydiscDomain(np.zeros(1), np.ones(1), J), 0.5, spec
             )
         except quad.HartogsRequiresSeveralVariablesError:
-            return 1.0
-        return 0.0
+            yield 1.0
+        else:
+            yield 0.0
 
     checks = {"hartogs_inside_hole": lambda: extension_error(lambda: rng.uniform(-0.3, 0.3, 2), 0.3),
               "hartogs_annulus": lambda: extension_error(annulus_alpha, 0.4),
@@ -767,33 +736,33 @@ def _regularity_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     rng = np.random.default_rng(cfg.seed + 9)
     n = max(2, cfg.n)
 
-    def polys_regular() -> float:
-        worst = 0.0
+    def polys_regular():
         for _ in range(3):
             f = sf.lift(random_polynomial(tag, n, 4, rng, terms=4))
             rep = sf.check_slice_regular(f, rng=rng)
-            worst = max(worst, rep.max_residual, rep.stem_residual)
-        return worst
+            yield rep.max_residual
+            yield rep.stem_residual
 
-    def antiholomorphic() -> float:
+    def antiholomorphic():
         a = alg.random_element(tag, rng)
         f = sf.SliceFunction(stem=_conj_z1_stem(tag, n, a))
         rep = sf.check_slice_regular(f, rng=rng)
         # the per-slice residual of conj(z_1) a is exactly 2|a|
-        return abs(rep.max_residual - 2.0 * a.norm())
+        yield abs(rep.max_residual - 2.0 * a.norm())
 
-    def osgood() -> float:
+    def osgood():
+        # hypothesis side (restrictions) and conclusion side (joint) both bounded
         f = sf.lift(random_polynomial(tag, n, 3, rng, terms=4))
-        worst_restriction = 0.0
         for axis in range(n):
             for _ in range(3):
                 anchors = rng.uniform(-0.9, 0.9, n).astype(complex)
                 r = sf.restrict_slice(f, axis, anchors)
                 rep = sf.check_slice_regular(r, rng=rng)
-                worst_restriction = max(worst_restriction, rep.max_residual, rep.stem_residual)
+                yield rep.max_residual
+                yield rep.stem_residual
         joint = sf.check_slice_regular(f, rng=rng)
-        # hypothesis side (restrictions) and conclusion side (joint) both bounded
-        return max(worst_restriction, joint.max_residual, joint.stem_residual)
+        yield joint.max_residual
+        yield joint.stem_residual
 
     return _run_checks(cfg, {"polynomials_regular": polys_regular, "antiholomorphic_residual": antiholomorphic,
                              "osgood_restrictions": osgood})

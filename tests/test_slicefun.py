@@ -245,6 +245,21 @@ def test_antiholomorphic_residual_is_two_norms():
     assert abs(rep.max_residual - 2.0 * a.norm()) <= 1e-6
 
 
+def test_nan_residual_fails_holomorphy_and_regularity():
+    # z_1 e_1 with a NaN value in row 0 of every batch; max(0.0, nan) is 0.0, so a
+    # Python max fold would report this stem as holomorphic and slice regular
+    def _batch(Z):
+        F = Z[:, :1] * E1.coeffs
+        F[0] = np.nan
+        return F.real, F.imag
+
+    F = stm.StemFunction(arity=2, tag=TAG, batch_evaluator=_batch)
+    hol = stm.is_holomorphic(F)
+    assert np.isnan(hol.max_residual) and not hol.passed
+    reg = sf.check_slice_regular(sf.SliceFunction(stem=F))
+    assert np.isnan(reg.max_residual) and np.isnan(reg.stem_residual) and not reg.passed
+
+
 def test_restrict_slice_polynomial():
     p = stm.stem_polynomial(TAG, 2, {(1, 2): E1, (0, 1): E0})
     f = sf.lift(p)

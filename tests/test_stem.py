@@ -54,6 +54,11 @@ def test_degree_and_term_cleanup():
         stem_polynomial(TAG, 2, {(1,): E0})  # wrong multi-index length
     with pytest.raises(ValueError):
         stem_polynomial(TAG, 2, {(-1, 0): E0})
+    # 1.7 and "2" are refused, not read as exponents 1 and 2; numpy integers are accepted
+    for mu in [(1.7, 0), ("2", 0)]:
+        with pytest.raises(ValueError, match="integers"):
+            stem_polynomial(TAG, 2, {mu: E0})
+    assert stem_polynomial(TAG, 2, {(np.int64(2), np.int32(1)): E0}).exponents.tolist() == [[2, 1]]
 
 
 def _term_sum(p, z):

@@ -246,6 +246,41 @@ def test_d_s_of_v_s_zero_reads_spherical_value(tmp_path, monkeypatch):
     assert not rec.passed and rec.metric > 1e-3, rec.metric
 
 
+def test_nan_error_fails_its_record(monkeypatch):
+    # the first sample of reconstruction_identity gets a NaN Im(x); max(0.0, nan)
+    # is 0.0, so a Python max fold would pass the record on the other samples
+    import hyperslice.slicefun as sf
+
+    correct = sf.imaginary_element
+    calls = []
+
+    def first_nan(x):
+        calls.append(x)
+        im = correct(x)
+        return im * np.nan if len(calls) == 1 else im
+
+    monkeypatch.setattr(sf, "imaginary_element", first_nan)
+    records = su.run_suite(su.ExperimentConfig(suite="spherical", samples=10)).records
+    rec = next(r for r in records if r.name == "reconstruction_identity")
+    assert not rec.passed and np.isnan(rec.metric), rec.metric
+
+
+def test_nan_error_fails_witness_record(monkeypatch):
+    # a NaN e_7 makes every associator with it NaN; the other triples alone would pass the witness
+    import hyperslice.algebra as alg
+
+    correct = alg.basis
+    monkeypatch.setattr(alg, "basis", lambda tag, k: correct(tag, k) * (np.nan if k == tag.dim - 1 else 1.0))
+    records = {r.name: r for r in su.run_suite(su.ExperimentConfig(suite="algebra", samples=5)).records}
+    rec = records["octonion_nonassociative_witness"]
+    assert not rec.passed and np.isnan(rec.metric), rec.metric
+
+
+def test_check_yielding_no_error_raises():
+    with pytest.raises(ValueError):
+        su._run_checks(su.ExperimentConfig(), {"leibniz": lambda: iter(())})
+
+
 def test_cli_suite_override(fast_config, capsys):
     code = main(["run", "--config", str(fast_config), "--suite", "algebra"])
     out = capsys.readouterr().out
