@@ -32,19 +32,20 @@ angles converge fast, and no node lands on x.
 
 Every integral is computed twice, componentwise over the complex component
 functions F_J^k and directly in the algebra, and the two routes must agree to
-1e-12.  Both rules take their nodes from one product-grid helper, capped at
-NODE_BUDGET nodes, and share one chunk-ordered reduction into the two algebra
-values.
+1e-12.  Both rules take their nodes from one product-grid helper and share
+one chunk-ordered reduction into the two algebra values.  Before any node
+is built, a call is held to NODE_BUDGET nodes, all boundary faces together.
 
-Nodes are streamed: a grid is only its per-factor tables (one per disc, or the
-volume rule's pyramid table and per-disc angles) plus a function that builds
-rows lo..hi-1 from their flat index, so each chunk of CHUNK rows is gathered
-with its kernel, evaluated and reduced (by matrix-vector products over the
-chunk) before the next one starts.  Memory is O(CHUNK), whatever the grid
-size.  At CHUNK = 2048 the largest per-chunk arrays are the stem values
-(2048 x dim doubles, 128 KiB for octonions) and the stem's monomial table
-(32 KiB per term); in the boundary benchmark on a 2-CPU machine, chunks of
-1024 and 4096 rows took 30-49% and 36-74% longer per call.
+Nodes are streamed along the grid's tensor structure.  A grid is only its
+per-factor tables (one per disc, or the volume rule's pyramid table and
+per-disc angles).  Its trailing factors form an inner block of at most CHUNK
+rows, tabulated once per call, and a chunk is a whole number of inner blocks
+(or a slice of a last factor that alone exceeds CHUNK), built by
+broadcasting a few outer rows against that table.  Each chunk is evaluated
+and reduced by a few matrix products before the next one starts, so memory
+is O(CHUNK) whatever the grid size.  At CHUNK = 2048 the largest per-chunk
+arrays are the stem values (2048 x dim doubles, 128 KiB for octonions) and
+the stem's monomial table (32 KiB per term).
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ __all__ = [
 INTERIOR_MARGIN = 0.05
 ROUTE_AGREEMENT_TOL = 1e-12
 CHUNK = 2048
-# largest product grid a rule may integrate, checked per grid (one boundary
-# face or one volume rule): 128x a (64,32) face grid and 128x the V=3 volume
-# grid at n=2; nodes are streamed, so this bounds time, not memory
+# most nodes one call may integrate (all boundary faces together): 64x a
+# (64,32) boundary call and 128x the V=3 volume rule at n=2; nodes are
+# streamed, so this bounds time, not memory
 NODE_BUDGET = 1 << 24
 
 
@@ -176,39 +177,35 @@ class BMReport:
 # shared plumbing
 
 
-def _reduce(tag: AlgebraTag, LJ: np.ndarray, pieces, scale: float = 1.0):
-    """Sum chunk results into (direct, componentwise, node count), on one thread.
+def _reduce(tag: AlgebraTag, LJ: np.ndarray, parts, scale: float = 1.0):
+    """Sum the (direct, componentwise) parts in the order given; the componentwise s becomes Re(s) + J Im(s).
 
-    pieces yields (fn, total) with fn(lo, hi) -> (direct (dim,), componentwise
-    complex (dim,)); fn runs on the spans [lo, lo + CHUNK) in order and the
-    parts are added in that order, so a result depends on CHUNK and nothing
-    else.  The componentwise sum s becomes Re(s) + J Im(s).
+    So a result depends on the chunk layout (and so on CHUNK) and nothing else.
     """
     direct = np.zeros(tag.dim)
     comp = np.zeros(tag.dim, dtype=np.complex128)
-    nodes = 0
-    for fn, total in pieces:
-        nodes += total
-        for lo in range(0, total, CHUNK):
-            d_part, c_part = fn(lo, min(lo + CHUNK, total))
-            direct = direct + d_part
-            comp = comp + c_part
+    for d_part, c_part in parts:
+        direct = direct + d_part
+        comp = comp + c_part
     comp_el = element(tag, scale * np.real(comp)) + element(tag, LJ @ (scale * np.imag(comp)))
-    return element(tag, scale * direct), comp_el, nodes
+    return element(tag, scale * direct), comp_el
 
 
-def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray], LJ: np.ndarray):
+def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray], LJT: np.ndarray):
     """Sum over nodes of c (F1 + i F2), directly in the algebra and componentwise.
 
-    The direct route lifts F to F1 + J F2 and applies the complex weight c as
-    Re(c) + J Im(c), both by left multiplication with J.  Both sums over the
-    nodes are matrix-vector products with Re(c) and Im(c).
+    The direct route lifts F to F1 + J F2 at every node and applies c as
+    Re(c) + J Im(c), both by left multiplication with J (LJT is its matrix,
+    transposed); every node sum is one product with [Re c; Im c] (2, N).
     """
     F1, F2 = F
-    cr, ci = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
-    fvals = F1 + F2 @ LJ.T
-    direct = cr @ fvals + (ci @ fvals) @ LJ.T
-    return direct, (cr @ F1 - ci @ F2) + 1j * (ci @ F1 + cr @ F2)
+    # [Re c; Im c] as a strided view of c, which BLAS reads without a copy
+    C = np.ascontiguousarray(c).view(np.float64).reshape(-1, 2).T
+    fvals = F2 @ LJT
+    fvals += F1
+    S = C @ fvals
+    A, B = C @ F1, C @ F2
+    return S[0] + S[1] @ LJT, (A[0] - B[1]) + 1j * (A[1] + B[0])
 
 
 def _agreed(direct: AlgebraElement, comp: AlgebraElement) -> AlgebraElement:
@@ -242,42 +239,67 @@ def _gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _check_budget(count: int) -> None:
+def _check_budget(count: int) -> int:
     if count > NODE_BUDGET:
         raise ValueError(f"quadrature grid of {count} nodes exceeds the budget of {NODE_BUDGET}")
+    return count
 
 
-def _product_grid(weights: list):
-    """Tensor-product rule from per-factor weights, as (count, nodes).
+def _fold(op, tables: list, idx) -> np.ndarray | None:
+    """Rows idx[f] of the factors' tables, combined by op (side by side for op None); None for no factors."""
+    rows = [np.take(t, i, axis=0) for t, i in zip(tables, idx)]
+    return (functools.reduce(op, rows) if op else np.concatenate(rows, axis=1)) if rows else None
 
-    nodes(lo, hi) gives rows lo..hi-1 of the grid in C order of the per-factor
-    indices: the index arrays (i_0, ..., i_{n-1}), which callers use to gather
-    their own per-factor tables, and the weights prod_l weights[l][i_l].  The
-    grid size is checked against NODE_BUDGET before any node is built.
+
+def _spread(op, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Values (width, k b) of k outer rows (width, k) against b inner rows (width, b), in C order."""
+    k, b = outer.shape[1], inner.shape[1]
+    if op is not None:
+        return op(outer[:, :, None], inner[:, None, :]).reshape(len(inner), k * b)
+    vals = np.empty((len(outer) + len(inner), k, b), np.result_type(outer, inner))
+    vals[: len(outer)] = outer[:, :, None]
+    vals[len(outer) :] = inner[:, None, :]
+    return vals.reshape(len(vals), k * b)
+
+
+def _product_grid(shape: tuple, groups: list):
+    """Tensor-product rule streamed in chunks of at most CHUNK rows, in C order of the factor indices.
+
+    A group (op, tables) has one table (shape[f], width) per factor f; a
+    node's value is op (np.add or np.multiply) folded over the rows its
+    indices pick, or for op None those rows side by side.  The inner block,
+    the longest run of trailing factors whose product fits in CHUNK (or the
+    last factor alone), is tabulated once; a chunk is a few outer rows
+    broadcast against it.  Yields per chunk one array (width, rows) per
+    group, which no other chunk shares.
     """
-    shape = tuple(w.shape[0] for w in weights)
-    count = math.prod(shape)
-    _check_budget(count)
-
-    def nodes(lo: int, hi: int):
-        idx = np.unravel_index(np.arange(lo, hi), shape)
-        W = weights[0][idx[0]]
-        for w, i in zip(weights[1:], idx[1:]):
-            W *= w[i]
-        return idx, W
-
-    return count, nodes
+    s, block = len(shape) - 1, shape[-1]
+    while s > 0 and block * shape[s - 1] <= CHUNK:
+        s -= 1
+        block *= shape[s]
+    # inner values (width, block), spread factor by factor
+    inner = [functools.reduce(lambda v, t: _spread(op, v, t.T), tables[s + 1 :], tables[s].T.copy())
+             for op, tables in groups]
+    outer_count, per = math.prod(shape[:s]), max(1, CHUNK // block)
+    # outer rows are gathered for whole chunks at a time, at most CHUNK of them
+    span = per * max(1, CHUNK // per)
+    for o in range(0, outer_count, span):
+        rows = np.arange(o, min(o + span, outer_count))
+        outer = [_fold(op, tables[:s], np.unravel_index(rows, shape[:s]) if s else ()) for op, tables in groups]
+        for r in range(0, len(rows), per):
+            for a in range(0, block, CHUNK):
+                yield [inn[:, a : a + CHUNK] if out is None else _spread(op, out[r : r + per].T, inn[:, a : a + CHUNK])
+                       for (op, _), out, inn in zip(groups, outer, inner)]
 
 
 def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: int):
     """Quadrature nodes and complete complex coefficients for boundary face k.
 
-    Returns (count, nodes) where nodes(lo, hi) gives (Z, c) for those rows:
-    Z is complex (hi-lo, n) and c = coeff g_k(xi), coeff being the kernel
-    constant, Jacobians and product weights.  Disc l has tables
-    xi_l, d_l = |xi_l - x_l|^2 and weights w_l, with conj(xi_k - x_k) and the
-    constant folded into w_k, so c = prod_l w_l[i_l] / (sum_l d_l[i_l])^n is
-    built by gathers and xi - x is never formed.
+    Yields (Z, c) per chunk: Z complex (n, rows) and c = coeff g_k(xi), coeff
+    being the kernel constant, Jacobians and product weights.  Disc l has
+    tables xi_l, d_l = |xi_l - x_l|^2 and w_l, with conj(xi_k - x_k) and the
+    constant folded into w_k, so c = prod_l w_l / (sum_l d_l)^n and xi - x is
+    never formed.
     """
     n = dom.n
     M, R = spec.angular_nodes, spec.radial_nodes
@@ -300,18 +322,11 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
             w = (wr[:, None] * np.full(M, w_ang)[None, :]).ravel() * (2j * np.repeat(rho, M))
         vals.append(v)
         weights.append(w)
-    dists = [(v - x).real ** 2 + (v - x).imag ** 2 for v, x in zip(vals, x_z)]
-    count, grid = _product_grid(weights)
-
-    def nodes(lo: int, hi: int):
-        idx, W = grid(lo, hi)
-        D = dists[0][idx[0]]
-        for d, i in zip(dists[1:], idx[1:]):
-            D += d[i]
+    dists = [((v - x).real ** 2 + (v - x).imag ** 2)[:, None] for v, x in zip(vals, x_z)]
+    groups = [(None, [v[:, None] for v in vals]), (np.multiply, [w[:, None] for w in weights]), (np.add, dists)]
+    for Z, W, D in _product_grid(tuple(len(v) for v in vals), groups):
         W *= 1.0 / D**n
-        return np.stack([v[i] for v, i in zip(vals, idx)], axis=1), W
-
-    return count, nodes
+        yield Z, W[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +335,13 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
 
 def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     _check_point(dom, x)
+    n, M = dom.n, spec.angular_nodes
+    count = _check_budget(n * M * (spec.radial_nodes * M) ** (n - 1))
     LJ = left_mult_matrix(dom.j.value)
-
-    def _face(k):
-        count, nodes = _face_nodes(dom, spec, x.z, k)
-
-        def _piece(lo, hi):
-            Z, c = nodes(lo, hi)
-            return _node_sums(c, evaluate_stem_batch(f.stem, Z), LJ)
-
-        return _piece, count
-
-    return _reduce(f.tag, LJ, [_face(k) for k in range(dom.n)])
+    LJT = np.ascontiguousarray(LJ.T)
+    chunks = (chunk for k in range(n) for chunk in _face_nodes(dom, spec, x.z, k))
+    parts = (_node_sums(c, evaluate_stem_batch(f.stem, Z.T), LJT) for Z, c in chunks)
+    return (*_reduce(f.tag, LJ, parts), count)
 
 
 def bm_boundary_dual(
@@ -385,23 +395,22 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
 
     Gauss-Legendre of order q = 2V+2 runs in tau and in each v, and
     M_v = max(8, M//2) trapezoid angles per disc, so the rule has
-    n q^n M_v^n nodes: the pyramid table is the grid's outer factor, the
-    angles of discs 1..n its inner ones.  Angular offsets are jittered from
+    n q^n M_v^n nodes: the pyramid table is the grid's first factor, the
+    angles of discs 1..n the others.  Angular offsets are jittered from
     the seed, deterministically; every u_l is positive, so no node lands on x.
-    nodes(lo, hi) gives (Z, C): Z (hi-lo, n) and C (n, hi-lo), row j the
-    weights times g_j(xi), with xi - x and |xi - x|^{-2n} formed once.
+    Yields (Z, C) per chunk, both (n, rows): row j of C is the weights times
+    g_j(xi).
     """
     n = dom.n
     q = 2 * spec.volume_refinement + 2
     M = max(8, spec.angular_nodes // 2)
-    _check_budget(n * q**n * M**n)
     rng = np.random.default_rng(seed)
     x_z = x.z
     U, w_pyr = _pyramid_table(n, q)
-    UT = np.ascontiguousarray(U.T)
 
-    rays: list[np.ndarray] = []
-    weights: list[np.ndarray] = [w_pyr]
+    # xi - x = U[i_0] * (S_1 e^{i phi_1}, ..., S_n e^{i phi_n})
+    rays: list[np.ndarray] = [np.empty((len(U), 0))]
+    weights: list[np.ndarray] = [w_pyr[:, None]]
     for l in range(n):
         e = complex(x_z[l] - dom.centers[l])
         offset = rng.uniform(0.05, 0.45)
@@ -409,17 +418,13 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
         ray = np.exp(1j * phi)
         edotr = np.real(np.conj(e) * ray)
         smax = -edotr + np.sqrt(edotr**2 + dom.radii[l] ** 2 - abs(e) ** 2)
-        rays.append(smax * ray)
-        weights.append(smax**2 * (2.0 * math.pi / M))
-    count, grid = _product_grid(weights)
-
-    def nodes(lo: int, hi: int):
-        idx, W = grid(lo, hi)
-        diff = UT[:, idx[0]] * np.array([s[i] for s, i in zip(rays, idx[1:])])
+        rays.append((smax * ray)[:, None])
+        weights.append((smax**2 * (2.0 * math.pi / M))[:, None])
+    groups = [(None, [U] + [np.empty((M, 0))] * n), (None, rays), (np.multiply, weights)]
+    for Ui, S, W in _product_grid((len(w_pyr),) + (M,) * n, groups):
+        diff = Ui * S
         W *= 1.0 / np.sum(diff.real**2 + diff.imag**2, axis=0) ** n
-        return x_z[None, :] + diff.T, np.conj(diff) * W
-
-    return count, nodes
+        yield x_z[:, None] + diff, np.conj(diff) * W
 
 
 def _bm_volume_both(
@@ -428,18 +433,13 @@ def _bm_volume_both(
     _check_point(dom, x)
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
+    n = dom.n
+    count = _check_budget(n * (2 * spec.volume_refinement + 2) ** n * max(8, spec.angular_nodes // 2) ** n)
     LJ = left_mult_matrix(dom.j.value)
-    count, nodes = _volume_nodes(dom, x, spec, seed)
-
-    def _piece(lo, hi):
-        Z, C = nodes(lo, hi)
-        direct, comp = 0.0, 0.0
-        for jx, c in enumerate(C):
-            d_part, c_part = _node_sums(c, wirtinger_batch(f.stem, Z, jx)[1], LJ)
-            direct, comp = direct + d_part, comp + c_part
-        return direct, comp
-
-    return _reduce(f.tag, LJ, [(_piece, count)], math.factorial(dom.n - 1) / math.pi**dom.n)
+    LJT = np.ascontiguousarray(LJ.T)
+    chunks = _volume_nodes(dom, x, spec, seed)
+    parts = (_node_sums(c, wirtinger_batch(f.stem, Z.T, jx)[1], LJT) for Z, C in chunks for jx, c in enumerate(C))
+    return (*_reduce(f.tag, LJ, parts, math.factorial(n - 1) / math.pi**n), count)
 
 
 def bm_volume_dual(

@@ -39,6 +39,7 @@ from .algebra import (
 from .stem import (
     StemFunction,
     StemPolynomial,
+    _nonempty,
     _stem_samples,
     central_differences,
     check_intrinsic,
@@ -381,7 +382,7 @@ def check_slice_regular(
         units = [sample_unit_imaginary(f.tag, gen) for _ in range(2)]
     if samples is None:
         samples = _stem_samples(f.stem, gen, 8)
-    samples = np.asarray(samples, dtype=np.complex128).reshape(-1, f.arity)
+    samples = _nonempty(samples, f.arity)
 
     residuals = []
     L = [left_mult_matrix(J.value) for J in units]
@@ -393,7 +394,7 @@ def check_slice_regular(
             res = da1 + da2 @ LJ.T + dbeta @ LJ.T
             residuals.append(np.linalg.norm(res, axis=1))
     # np.max propagates NaN, so a NaN residual fails the report
-    worst = float(np.max(residuals, initial=0.0))
+    worst = float(np.max(residuals))
     stem_rep = is_holomorphic(f.stem, samples=samples, tol=tol, h=h)
     return RegularityReport(worst, stem_rep.max_residual, worst <= tol and stem_rep.passed)
 

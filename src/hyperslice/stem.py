@@ -221,14 +221,15 @@ class StemPolynomial:
     def batch_evaluator(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F1, F2) arrays of shape (N, dim): the term-major monomials WT (T, N), transposed, times the coefficients."""
         Z = np.asarray(Z, dtype=np.complex128)
-        WT = np.ones((len(self.exponents), Z.shape[0]), dtype=np.complex128)
         for t in range(self.arity):
             e = self.exponents[:, t]
-            # powers z_t^0..z_t^max filled in place, then gathered by exponent per term
-            P = np.ones((e.max(initial=0) + 1, Z.shape[0]), dtype=np.complex128)
+            # powers z_t^0..z_t^max filled in place, then gathered by exponent
+            # per term; the first gather seeds WT
+            P = np.empty((e.max(initial=0) + 1, Z.shape[0]), dtype=np.complex128)
+            P[0] = 1.0
             for m in range(1, P.shape[0]):
                 np.multiply(P[m - 1], Z[:, t], out=P[m])
-            WT *= P[e]
+            WT = np.take(P, e, axis=0) if t == 0 else np.multiply(WT, np.take(P, e, axis=0), out=WT)
         return WT.real.T @ self.coefficients, WT.imag.T @ self.coefficients
 
     def batch_wirtinger(self, Z: np.ndarray, t: int):
@@ -361,6 +362,14 @@ def _stem_samples(F, rng: np.random.Generator, count: int) -> np.ndarray:
     return (F.domain or _default_domain(F.arity)).sample_symmetric(rng, count)
 
 
+def _nonempty(samples, arity: int) -> np.ndarray:
+    """Sample points as a complex (S, arity) array; no samples is no evidence, so it raises."""
+    Z = np.asarray(samples, dtype=np.complex128).reshape(-1, arity)
+    if Z.shape[0] == 0:
+        raise ValueError("a check needs at least one sample point")
+    return Z
+
+
 def _row_norms(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """|F1 + i F2| per row, the norm of A (x) C."""
     return np.hypot(np.linalg.norm(F1, axis=1), np.linalg.norm(F2, axis=1))
@@ -371,10 +380,10 @@ def check_intrinsic(F, samples=None, tol: float = 1e-10, rng=None) -> IntrinsicR
     if samples is None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
         samples = _stem_samples(F, gen, 32)
-    Z = np.asarray(samples, dtype=np.complex128).reshape(-1, F.arity)
+    Z = _nonempty(samples, F.arity)
     lhs1, lhs2 = evaluate_stem_batch(F, np.conj(Z))
     rhs1, rhs2 = evaluate_stem_batch(F, Z)
-    worst = float(np.max(_row_norms(lhs1 - rhs1, lhs2 + rhs2), initial=0.0))
+    worst = float(np.max(_row_norms(lhs1 - rhs1, lhs2 + rhs2)))
     return IntrinsicReport(worst, worst <= tol, Z.shape[0])
 
 
@@ -434,10 +443,10 @@ def is_holomorphic(F, samples=None, tol: float = 1e-6, rng=None, h: float = DEFA
     if samples is None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
         samples = _stem_samples(F, gen, 16)
-    Z = np.asarray(samples, dtype=np.complex128).reshape(-1, F.arity)
+    Z = _nonempty(samples, F.arity)
     residuals = [_row_norms(*wirtinger_batch(F, Z, t, h)[1]) for t in range(F.arity)]
     # np.max propagates NaN, so a NaN residual fails the report
-    worst = float(np.max(residuals, initial=0.0))
+    worst = float(np.max(residuals))
     return HolomorphyReport(worst, worst <= tol, Z.shape[0])
 
 

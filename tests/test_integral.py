@@ -336,6 +336,20 @@ def test_node_budget_rejects_n3_volume_before_allocating():
         itg.bm_volume_integral(f, dom, x, SPEC)
 
 
+def test_node_budget_counts_every_boundary_face(monkeypatch):
+    # each face of an n = 3, (32,16) call has 32 x 512^2 = 8,388,608 nodes,
+    # under the budget alone; the call's three faces together are over it
+    def unreachable(F, Z):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(itg, "evaluate_stem_batch", unreachable)
+    dom = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
+    x = sf.point_from_z(np.full(3, 0.2 + 0.1j), J)
+    f = sf.lift(stm.constant_poly(TAG, 3, E0))
+    with pytest.raises(ValueError, match=str(3 * 32 * 512**2)):
+        itg.bm_boundary_integral(f, dom, x, itg.QuadratureSpec(32, 16, 1))
+
+
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
     from hyperslice.suites import _conj_z1_stem
 
@@ -350,7 +364,9 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(itg, "_node_sums", recorded)
     monkeypatch.setattr(itg, "CHUNK", 1000)
     itg.bm_boundary_dual(sf.lift(stm.constant_poly(TAG, 2, E0)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
-    assert spans == [1000, 1000, 48] * 2  # two faces of 16 x (8 x 16) = 2048 nodes
+    # two faces of 16 x (8 x 16) = 2048 nodes: chunks are whole inner blocks,
+    # 7 of 128 rows on face 0 and 62 of 16 rows on face 1
+    assert spans == [896, 896, 256, 992, 992, 64]
     p3 = stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3})
     cases = [
         (itg.bm_boundary_dual, sf.lift(stm.stem_polynomial(TAG, 2, {(1, 2): E0, (2, 0): E3})),
@@ -386,26 +402,27 @@ def test_reproduce_check_applies_route_gate(monkeypatch):
         itg.reproduce_check(f, _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
 
 
-def test_streamed_grid_matches_meshgrid():
+def test_streamed_grid_matches_meshgrid(monkeypatch):
     rng = np.random.default_rng(21)
     sizes = (5, 3, 7)
     vals = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
     weights = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
-    count, nodes = itg._product_grid(weights)
-    assert count == 105
-    # spans that cut across the disc sizes, including an empty one
-    cuts = [0, 4, 4, 17, 50, 104, 105]
-    parts = [nodes(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    Z = np.concatenate([np.stack([v[i] for v, i in zip(vals, idx)], axis=1) for idx, _ in parts])
-    W = np.concatenate([w for _, w in parts])
+    groups = [(None, [v[:, None] for v in vals]), (np.multiply, [w[:, None] for w in weights])]
     # reference: the whole grid in meshgrid order, weights multiplied disc by disc
     grids = np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")
     Z_ref = np.stack([v[g.ravel()] for v, g in zip(vals, grids)], axis=1)
     W_ref = weights[0][grids[0].ravel()]
     for w, g in zip(weights[1:], grids[1:]):
         W_ref = W_ref * w[g.ravel()]
-    np.testing.assert_array_equal(Z, Z_ref)
-    np.testing.assert_array_equal(W, W_ref)
+    # 2048: the whole grid is one inner block; 64: an inner block of 3 x 7
+    # rows, three to a chunk; 20: inner block 7, two to a chunk; 5: the last
+    # factor alone exceeds CHUNK and is sliced
+    for chunk in (2048, 64, 20, 5):
+        monkeypatch.setattr(itg, "CHUNK", chunk)
+        parts = list(itg._product_grid(sizes, groups))
+        assert all(Z.shape[1] == W.shape[1] <= chunk for Z, W in parts), chunk
+        np.testing.assert_array_equal(np.concatenate([Z for Z, _ in parts], axis=1).T, Z_ref)
+        np.testing.assert_allclose(np.concatenate([W[0] for _, W in parts]), W_ref, rtol=1e-15, atol=0)
 
 
 def _face_permutation_sign(n, k):
@@ -471,27 +488,61 @@ def _volume_reference(dom, x, spec, seed):
     return x.z + diff, (W / np.sum(np.abs(diff) ** 2, axis=1) ** n) * np.conj(diff).T
 
 
+def _streamed(chunks):
+    """A rule's chunks joined: Z (count, n), the coefficients (..., count) and each chunk's row count."""
+    parts = list(chunks)
+    Z = np.concatenate([Z for Z, _ in parts], axis=1).T
+    return Z, np.concatenate([c for _, c in parts], axis=-1), [c.shape[-1] for _, c in parts]
+
+
+def _check_rules_against_meshgrid(dom, x, spec):
+    """Both rules visit every node of their grids once, in C order, in chunks of at most CHUNK rows."""
+    for k in range(dom.n):
+        Z, c, sizes = _streamed(itg._face_nodes(dom, spec, x.z, k))
+        Z_ref, c_ref = _face_reference(dom, x, spec, k)
+        assert Z.shape == Z_ref.shape and max(sizes) <= itg.CHUNK
+        np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
+        assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) <= 1e-14, k
+    Z, C, sizes = _streamed(itg._volume_nodes(dom, x, spec, 5))
+    Z_ref, C_ref = _volume_reference(dom, x, spec, 5)
+    assert Z.shape == Z_ref.shape and max(sizes) <= itg.CHUNK
+    np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
+    assert np.max(np.abs(C - C_ref) / np.abs(C_ref)) <= 1e-14
+
+
+def _ragged(n):
+    """Discs of different centers and radii, and a point off every center."""
+    dom = itg.PolydiscDomain(np.array([0.2, -0.1, 0.0][:n]), np.array([1.0, 0.7, 1.3][:n]), J)
+    return dom, sf.point_from_z(np.array([0.35 + 0.2j, -0.25 + 0.3j, 0.1 - 0.5j][:n]), J)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_chunk_kernel_weights_match_meshgrid(n):
     # ragged: discs of different centers and radii, and R != M
-    dom = itg.PolydiscDomain(np.array([0.2, -0.1, 0.0][:n]), np.array([1.0, 0.7, 1.3][:n]), J)
-    x = sf.point_from_z(np.array([0.35 + 0.2j, -0.25 + 0.3j, 0.1 - 0.5j][:n]), J)
-    spec = itg.QuadratureSpec(8, 5, 1)
-    for k in range(n):
-        count, nodes = itg._face_nodes(dom, spec, x.z, k)
-        Z_ref, c_ref = _face_reference(dom, x, spec, k)
-        assert count == len(c_ref)
-        for lo, hi in [(0, count // 3), (count // 3, count)]:
-            Z, c = nodes(lo, hi)
-            np.testing.assert_allclose(Z, Z_ref[lo:hi], rtol=0, atol=1e-15)
-            assert np.max(np.abs(c - c_ref[lo:hi]) / np.abs(c_ref[lo:hi])) <= 1e-14, k
-    count, nodes = itg._volume_nodes(dom, x, spec, 5)
-    Z_ref, C_ref = _volume_reference(dom, x, spec, 5)
-    assert count == C_ref.shape[1]
-    for lo, hi in [(0, count // 3), (count // 3, count)]:
-        Z, C = nodes(lo, hi)
-        np.testing.assert_allclose(Z, Z_ref[lo:hi], rtol=0, atol=1e-15)
-        assert np.max(np.abs(C - C_ref[:, lo:hi]) / np.abs(C_ref[:, lo:hi])) <= 1e-14
+    _check_rules_against_meshgrid(*_ragged(n), itg.QuadratureSpec(8, 5, 1))
+
+
+@pytest.mark.parametrize(
+    "n, spec, chunk",
+    [
+        # inner blocks that divide CHUNK: 8 and 64 rows (face 1, volume);
+        # face 0's 40-row block does not
+        (2, (8, 5, 1), 64),
+        # M = 24, R = 12: face 0's block is one 288-row disc, seven to a
+        # chunk; face 1's is 24 rows and the volume rule's 144
+        (2, (24, 12, 1), 2048),
+        # a single factor larger than CHUNK: the 40-row disc of face 0, and
+        # every last factor at n = 3, is sliced
+        (2, (8, 5, 1), 32),
+        (3, (8, 5, 1), 7),
+        # n = 1: the whole grid is one inner block, or its circle is sliced
+        (1, (8, 5, 1), 2048),
+        (1, (8, 5, 1), 3),
+    ],
+)
+def test_chunk_layouts_visit_every_node_once(monkeypatch, n, spec, chunk):
+    monkeypatch.setattr(itg, "CHUNK", chunk)
+    _check_rules_against_meshgrid(*_ragged(n), itg.QuadratureSpec(*spec))
 
 
 def _traced_peak_mb(fn) -> float:

@@ -245,6 +245,19 @@ def test_antiholomorphic_residual_is_two_norms():
     assert abs(rep.max_residual - 2.0 * a.norm()) <= 1e-6
 
 
+def test_check_slice_regular_rejects_empty_samples():
+    # conj(z) e_1 fails at residual 1.0 on the default samples; no samples is no evidence
+    F = stm.StemFunction(
+        arity=1,
+        tag=TAG,
+        evaluator=lambda z: ComplexifiedElement(E1 * float(np.real(z[0])), E1 * (-float(np.imag(z[0])))),
+    )
+    rep = sf.check_slice_regular(sf.SliceFunction(stem=F))
+    assert not rep.passed and abs(rep.stem_residual - 1.0) <= 1e-6
+    with pytest.raises(ValueError, match="at least one sample"):
+        sf.check_slice_regular(sf.SliceFunction(stem=F), samples=np.zeros((0, 1)))
+
+
 def test_nan_residual_fails_holomorphy_and_regularity():
     # z_1 e_1 with a NaN value in row 0 of every batch; max(0.0, nan) is 0.0, so a
     # Python max fold would report this stem as holomorphic and slice regular

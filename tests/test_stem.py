@@ -196,6 +196,29 @@ def test_is_holomorphic_flags():
     assert not rep.passed and abs(rep.max_residual - 1.0) <= 1e-6
 
 
+def _conj_z_e1():
+    """conj(z) e_1: intrinsic, and its dzbar is e_1 everywhere."""
+    return StemFunction(
+        arity=1,
+        tag=TAG,
+        evaluator=lambda z: ComplexifiedElement(E1 * float(np.real(z[0])), E1 * (-float(np.imag(z[0])))),
+    )
+
+
+def test_is_holomorphic_rejects_empty_samples():
+    F = _conj_z_e1()
+    assert abs(is_holomorphic(F).max_residual - 1.0) <= 1e-6
+    with pytest.raises(ValueError, match="at least one sample"):
+        is_holomorphic(F, samples=np.zeros((0, 1)))
+
+
+def test_check_intrinsic_rejects_empty_samples():
+    F = _conj_z_e1()
+    assert check_intrinsic(F).samples_checked == 32
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_intrinsic(F, samples=np.zeros((0, 1)))
+
+
 def test_is_holomorphic_matches_pointwise_loop():
     # z1 conj(z2) e1 + conj(z1)^2 e3: dzbar is nonzero on both axes and varies over the samples
     def _batch(Z):
