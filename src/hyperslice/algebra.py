@@ -39,6 +39,7 @@ __all__ = [
     "inverse",
     "multiply_batch",
     "left_mult_matrix",
+    "right_mult_matrix",
     "multiplication_table",
     "structure_tensor",
     "ImaginaryUnit",
@@ -172,10 +173,9 @@ class AlgebraElement:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.float64)
+        c = np.array(self.coeffs, dtype=np.float64)
         if c.shape != (self.tag.dim,):
             raise ValueError(f"expected {self.tag.dim} coefficients, got shape {c.shape}")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -309,9 +309,15 @@ def multiply_batch(tag: AlgebraTag, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix L with (a*b).coeffs == L @ b.coeffs."""
-    tensor = structure_tensor(a.tag)
-    return np.tensordot(a.coeffs, tensor, axes=(0, 0)).T
+    """Matrix L with (a*b).coeffs == L @ b.coeffs; each entry is one signed coefficient of a."""
+    d = a.tag.dim
+    return (a.coeffs @ _FLAT_TENSORS[d]).reshape(d, d).T
+
+
+def right_mult_matrix(b: AlgebraElement) -> np.ndarray:
+    """Matrix R with (a*b).coeffs == R @ a.coeffs; each entry is one signed coefficient of b."""
+    # b @ T contracts the middle index: row i is the product e_i b
+    return (b.coeffs @ structure_tensor(b.tag)).T
 
 
 # ---------------------------------------------------------------------------

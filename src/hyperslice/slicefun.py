@@ -16,7 +16,7 @@ per-sphere zero classification, and one-variable restrictions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .algebra import (
     inverse,
     left_mult_matrix,
     multiply,
-    multiply_batch,
+    right_mult_matrix,
     sample_unit_imaginary,
     unit_from_vector,
 )
@@ -120,6 +120,8 @@ class SlicePoint:
     beta: np.ndarray
     j: ImaginaryUnit
     is_real: bool
+    # z = alpha + i beta, built once and read-only like alpha and beta
+    z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.alpha, dtype=np.float64)
@@ -130,10 +132,10 @@ class SlicePoint:
             raise ValueError("alpha and beta must be finite")
         a = a.copy()
         b = b.copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        z = a + 1j * b
+        for name, arr in (("alpha", a), ("beta", b), ("z", z)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def arity(self) -> int:
@@ -142,10 +144,6 @@ class SlicePoint:
     @property
     def tag(self) -> AlgebraTag:
         return self.j.tag
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.alpha + 1j * self.beta
 
     def components(self) -> list[AlgebraElement]:
         jc = self.j.coeffs
@@ -259,14 +257,14 @@ def lift_evaluate(f: SliceFunction, x: SlicePoint) -> AlgebraElement:
 
 
 def sphere_values(f: SliceFunction, x: SlicePoint, units: np.ndarray) -> np.ndarray:
-    """Evaluate f over the sphere through x at many units, one stem evaluation total.
+    """Evaluate f over the sphere through x at many units: one stem evaluation and one matrix product.
 
     units: (N, dim) coefficient rows of imaginary units I; returns (N, dim)
-    coefficients of f(alpha + beta I).
+    coefficients of f(alpha + beta I) = F1 + I F2, whose rows are the units
+    times the transposed right-multiplication matrix of F2, plus F1.
     """
     w = evaluate_stem(f.stem, x.z)
-    vals = multiply_batch(f.tag, units, w.im.coeffs[None, :])
-    return vals + w.re.coeffs[None, :]
+    return np.asarray(units, dtype=np.float64) @ right_mult_matrix(w.im).T + w.re.coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import enum
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -214,22 +215,28 @@ class StemPolynomial:
     def degree(self) -> int:
         return int(self.exponents.sum(axis=1).max(initial=0))
 
-    @property
+    # the polynomial is immutable, so what derives from it alone is built once
+    @cached_property
     def domain(self) -> Domain:
         return _default_domain(self.arity)
+
+    @cached_property
+    def _axis_exponents(self) -> list[tuple[int, np.ndarray]]:
+        """Per axis: the top exponent and the contiguous exponent column."""
+        return [(int(e.max(initial=0)), np.ascontiguousarray(e)) for e in self.exponents.T]
 
     def batch_evaluator(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F1, F2) arrays of shape (N, dim): the term-major monomials WT (T, N), transposed, times the coefficients."""
         Z = np.asarray(Z, dtype=np.complex128)
-        for t in range(self.arity):
-            e = self.exponents[:, t]
-            # powers z_t^0..z_t^max filled in place, then gathered by exponent
+        for t, (top, e) in enumerate(self._axis_exponents):
+            # powers z_t^0..z_t^top filled in place, then gathered by exponent
             # per term; the first gather seeds WT
-            P = np.empty((e.max(initial=0) + 1, Z.shape[0]), dtype=np.complex128)
+            zt = Z[:, t]
+            P = np.empty((top + 1, Z.shape[0]), dtype=np.complex128)
             P[0] = 1.0
-            for m in range(1, P.shape[0]):
-                np.multiply(P[m - 1], Z[:, t], out=P[m])
-            WT = np.take(P, e, axis=0) if t == 0 else np.multiply(WT, np.take(P, e, axis=0), out=WT)
+            for m in range(1, top + 1):
+                np.multiply(P[m - 1], zt, out=P[m])
+            WT = P[e] if t == 0 else np.multiply(WT, P[e], out=WT)
         return WT.real.T @ self.coefficients, WT.imag.T @ self.coefficients
 
     def batch_wirtinger(self, Z: np.ndarray, t: int):
@@ -328,7 +335,7 @@ def poly_product(p: StemPolynomial, q: StemPolynomial) -> StemPolynomial:
 
 def _row0(tag: AlgebraTag, pair) -> ComplexifiedElement:
     """Row 0 of a component pair (F1, F2) as one element of A (x) C."""
-    return ComplexifiedElement(element(tag, pair[0][0]), element(tag, pair[1][0]))
+    return ComplexifiedElement(AlgebraElement(tag, pair[0][0]), AlgebraElement(tag, pair[1][0]))
 
 
 def evaluate_stem(F, z) -> ComplexifiedElement:

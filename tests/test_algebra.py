@@ -29,6 +29,7 @@ from hyperslice.algebra import (
     multiply_batch,
     one,
     parse_algebra,
+    right_mult_matrix,
     sample_unit_imaginaries,
     sample_unit_imaginary,
     structure_tensor,
@@ -279,10 +280,16 @@ def test_multiply_batch_matches_scalar():
 
 def test_mult_matrices():
     rng = np.random.default_rng(9)
-    a = alg.random_element(OCTONION, rng)
-    b = alg.random_element(OCTONION, rng)
-    L = left_mult_matrix(a)
-    np.testing.assert_allclose(L @ b.coeffs, multiply(a, b).coeffs, atol=1e-12)
+    for tag in (QUATERNION, OCTONION):
+        a = alg.random_element(tag, rng)
+        b = alg.random_element(tag, rng)
+        ab = multiply(a, b).coeffs
+        L, R = left_mult_matrix(a), right_mult_matrix(b)
+        np.testing.assert_allclose(L @ b.coeffs, ab, atol=1e-12)
+        np.testing.assert_allclose(R @ a.coeffs, ab, atol=1e-12)
+        # each entry is one signed coefficient of the fixed factor
+        assert set(np.abs(L).ravel()) <= set(np.abs(a.coeffs))
+        assert set(np.abs(R).ravel()) <= set(np.abs(b.coeffs))
 
 
 def test_mixed_tags_rejected():

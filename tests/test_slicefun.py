@@ -31,6 +31,14 @@ def test_slice_point_canonicalization_same_point():
     np.testing.assert_allclose(a.components()[0].coeffs, b.components()[0].coeffs)
 
 
+def test_slice_point_arrays_are_read_only():
+    x = sf.slice_point([0.5, -0.2], [2.0, 0.3], _unit([1.0, 1.0, 0, 0, 0, 0, 0]))
+    np.testing.assert_array_equal(x.z, x.alpha + 1j * x.beta)
+    for arr in (x.alpha, x.beta, x.z):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_decompose_point_two_variables():
     J = _unit([0.0, 3.0, 4.0, 0, 0, 0, 0])
     x1 = 0.5 * E0 + alg.multiply(alg.scalar(TAG, 2.0), J.value)
@@ -289,6 +297,24 @@ def test_restrict_slice_polynomial():
 # --- zero sets on spheres ------------------------------------------------
 
 
+@pytest.mark.parametrize("tag", [alg.QUATERNION, alg.OCTONION], ids=lambda t: t.name)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_values_match_lift(n, tag):
+    rng = np.random.default_rng(10 + n)
+    terms = {tuple(int(m) for m in rng.integers(0, 4, n)): rng.standard_normal(tag.dim) for _ in range(5)}
+    f = sf.lift(stm.stem_polynomial(tag, n, terms))
+    units = alg.sample_unit_imaginaries(tag, 1000, rng)
+    I0 = alg.ImaginaryUnit(element(tag, units[0]))
+    alpha, beta = rng.uniform(-0.8, 0.8, n), rng.uniform(-0.8, 0.8, n)
+    for x in (sf.slice_point(alpha, beta, I0), sf.slice_point(alpha, np.zeros(n), I0)):
+        vals = sf.sphere_values(f, x, units)
+        assert vals.shape == (1000, tag.dim)
+        for row, u in zip(vals, units):
+            I = alg.ImaginaryUnit(element(tag, u))
+            expected = sf.lift_evaluate(f, sf.slice_point(x.alpha, x.beta, I)).coeffs
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_zero_classification_fixed_cases():
     J = _unit([0.0, 0.6, 0.8, 0, 0, 0, 0])
     f_sphere = sf.lift(stm.stem_polynomial(TAG, 1, {(2,): E0, (0,): E0}))
@@ -326,16 +352,17 @@ def test_zero_classification_against_minimizer():
     units0 = alg.sample_unit_imaginaries(TAG, 256, rng)
 
     def sphere_min(f, x):
-        # the stem value at x is the same for every unit, so evaluate it once; the
-        # objective then does the arithmetic of sf.sphere_values on one row
+        # the stem value at x is the same for every unit, so evaluate it and its
+        # right-multiplication matrix once; the objective then does the arithmetic
+        # of sf.sphere_values on one row, one 8x8 product per step
         w = stm.evaluate_stem(f.stem, x.z)
-        w_im, w_re = w.im.coeffs[None, :], w.re.coeffs[None, :]
+        RT, w_re = alg.right_mult_matrix(w.im).T, w.re.coeffs
 
         def objective(v):
             nrm = np.linalg.norm(v)
             row = np.zeros(8)
             row[1:] = v / nrm
-            return np.linalg.norm((alg.multiply_batch(TAG, row[None, :], w_im) + w_re)[0])
+            return np.linalg.norm(row @ RT + w_re)
 
         best = np.inf
         vals = np.linalg.norm(sf.sphere_values(f, x, units0), axis=1)

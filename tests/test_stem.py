@@ -362,6 +362,34 @@ def test_scalar_evaluation_is_batch_of_one(kind):
     np.testing.assert_array_equal(w.im.coeffs, F2[0])
 
 
+@pytest.mark.parametrize("tag", [QUATERNION, OCTONION], ids=lambda t: t.name)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_evaluation_matches_batch_rows(n, tag):
+    rng = np.random.default_rng(n)
+    terms = {tuple(int(m) for m in rng.integers(0, 4, n)): rng.standard_normal(tag.dim) for _ in range(5)}
+    p = stem_polynomial(tag, n, terms)
+    Z = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
+    # sum over terms of |z^mu| max|a_mu|: the scale of each row's rounding
+    scale = np.prod(np.abs(Z)[:, None, :] ** p.exponents[None], axis=2) @ np.abs(p.coefficients).max(axis=1)
+    for q in (p, p - p):
+        F1, F2 = evaluate_stem_batch(q, Z)
+        for k in range(Z.shape[0]):
+            w = evaluate_stem(q, Z[k])
+            # the scalar call is the batch of one, bit for bit
+            B1, B2 = evaluate_stem_batch(q, Z[k : k + 1])
+            np.testing.assert_array_equal(w.re.coeffs, B1[0])
+            np.testing.assert_array_equal(w.im.coeffs, B2[0])
+            # a row of a larger batch differs from it at most by rounding: the
+            # coefficient product is a matmul whose rounding depends on N
+            tol = 8 * np.finfo(float).eps * scale[k]
+            np.testing.assert_allclose(w.re.coeffs, F1[k], rtol=0, atol=tol)
+            np.testing.assert_allclose(w.im.coeffs, F2[k], rtol=0, atol=tol)
+    assert (p - p).exponents.shape == (0, n)
+    assert not np.any(F1) and not np.any(F2)
+    F1, F2 = evaluate_stem_batch(p, Z[:0])
+    assert F1.shape == F2.shape == (0, tag.dim)
+
+
 def test_stem_function_needs_an_evaluator():
     with pytest.raises(ValueError, match="evaluator"):
         StemFunction(arity=1, tag=TAG)
