@@ -91,7 +91,8 @@ class AlgebraMismatchError(ValueError):
 
 
 def _check_same_tag(a: "AlgebraElement", b: "AlgebraElement") -> None:
-    if a.tag != b.tag:
+    # tags are nearly always the shared OCTONION or QUATERNION: identity first
+    if a.tag is not b.tag and a.tag != b.tag:
         raise AlgebraMismatchError(f"cannot combine {a.tag} with {b.tag}")
 
 

@@ -41,7 +41,7 @@ class ComplexifiedElement:
     im: AlgebraElement
 
     def __post_init__(self) -> None:
-        if self.re.tag != self.im.tag:
+        if self.re.tag is not self.im.tag and self.re.tag != self.im.tag:
             raise AlgebraMismatchError("real and imaginary parts from different algebras")
 
     @property

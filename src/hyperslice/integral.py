@@ -41,11 +41,13 @@ per-factor tables (one per disc, or the volume rule's pyramid table and
 per-disc angles).  Its trailing factors form an inner block of at most CHUNK
 rows, tabulated once per call, and a chunk is a whole number of inner blocks
 (or a slice of a last factor that alone exceeds CHUNK), built by
-broadcasting a few outer rows against that table.  Each chunk is evaluated
-and reduced by a few matrix products before the next one starts, so memory
-is O(CHUNK) whatever the grid size.  At CHUNK = 2048 the largest per-chunk
-arrays are the stem values (2048 x dim doubles, 128 KiB for octonions) and
-the stem's monomial table (32 KiB per term).
+broadcasting a few outer rows against that table.  A StemPolynomial's
+monomials are one more such product, of per-disc power tables, so its nodes
+are never formed.  Each chunk is evaluated and reduced by a few matrix
+products before the next one starts, so memory is O(CHUNK) whatever the grid
+size.  At CHUNK = 2048 the largest per-chunk arrays are the stem values
+(2048 x dim doubles, 128 KiB for octonions) and the monomial table (32 KiB
+per term).
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .algebra import (
     units_close,
 )
 from .slicefun import SliceFunction, SlicePoint, lift_evaluate, representation_symmetric, slice_point
-from .stem import Smoothness, evaluate_stem_batch, wirtinger_batch
+from .stem import Smoothness, StemPolynomial, evaluate_stem_batch, wirtinger_batch
 
 __all__ = [
     "SliceMismatchError",
@@ -265,41 +267,47 @@ def _spread(op, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
 def _product_grid(shape: tuple, groups: list):
     """Tensor-product rule streamed in chunks of at most CHUNK rows, in C order of the factor indices.
 
-    A group (op, tables) has one table (shape[f], width) per factor f; a
-    node's value is op (np.add or np.multiply) folded over the rows its
+    A group (op, tables, ordered) has one table (shape[f], width) per factor
+    f; a node's value is op (np.add or np.multiply) folded over the rows its
     indices pick, or for op None those rows side by side.  The inner block,
     the longest run of trailing factors whose product fits in CHUNK (or the
     last factor alone), is tabulated once; a chunk is a few outer rows
-    broadcast against it.  Yields per chunk one array (width, rows) per
-    group, which no other chunk shares.
+    broadcast against it, so a node's value is (outer fold) op (inner fold).
+    An ordered group folds in factor order, ((row_0 op row_1) op row_2) ...,
+    spreading the outer rows against the inner factors one at a time.  Yields
+    per chunk one array (width, rows) per group, which no other chunk shares.
     """
     s, block = len(shape) - 1, shape[-1]
     while s > 0 and block * shape[s - 1] <= CHUNK:
         s -= 1
         block *= shape[s]
-    # inner values (width, block), spread factor by factor
-    inner = [functools.reduce(lambda v, t: _spread(op, v, t.T), tables[s + 1 :], tables[s].T.copy())
-             for op, tables in groups]
+    # inner values (width, block), spread factor by factor; ordered groups keep the factors apart
+    inner = [[t.T for t in tables[s:]] if ordered and s else
+             [functools.reduce(lambda v, t: _spread(op, v, t.T), tables[s + 1 :], tables[s].T.copy())]
+             for op, tables, ordered in groups]
     outer_count, per = math.prod(shape[:s]), max(1, CHUNK // block)
     # outer rows are gathered for whole chunks at a time, at most CHUNK of them
     span = per * max(1, CHUNK // per)
     for o in range(0, outer_count, span):
         rows = np.arange(o, min(o + span, outer_count))
-        outer = [_fold(op, tables[:s], np.unravel_index(rows, shape[:s]) if s else ()) for op, tables in groups]
+        outer = [_fold(op, tables[:s], np.unravel_index(rows, shape[:s]) if s else ()) for op, tables, _ in groups]
         for r in range(0, len(rows), per):
+            # a is nonzero only for a single inner factor longer than CHUNK
             for a in range(0, block, CHUNK):
-                yield [inn[:, a : a + CHUNK] if out is None else _spread(op, out[r : r + per].T, inn[:, a : a + CHUNK])
-                       for (op, _), out, inn in zip(groups, outer, inner)]
+                yield [inn[0][:, a : a + CHUNK] if out is None else
+                       functools.reduce(lambda v, t: _spread(op, v, t[:, a : a + CHUNK]), inn, out[r : r + per].T)
+                       for (op, _, _), out, inn in zip(groups, outer, inner)]
 
 
-def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: int):
-    """Quadrature nodes and complete complex coefficients for boundary face k.
+def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: int, stem=None):
+    """Quadrature nodes, or a polynomial stem's monomials, and complete complex coefficients for boundary face k.
 
     Yields (Z, c) per chunk: Z complex (n, rows) and c = coeff g_k(xi), coeff
     being the kernel constant, Jacobians and product weights.  Disc l has
     tables xi_l, d_l = |xi_l - x_l|^2 and w_l, with conj(xi_k - x_k) and the
     constant folded into w_k, so c = prod_l w_l / (sum_l d_l)^n and xi - x is
-    never formed.
+    never formed.  For a StemPolynomial stem Z is its monomial table (T, rows),
+    the discs' power columns multiplied in axis order, as batch_evaluator does.
     """
     n = dom.n
     M, R = spec.angular_nodes, spec.radial_nodes
@@ -323,7 +331,10 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
         vals.append(v)
         weights.append(w)
     dists = [((v - x).real ** 2 + (v - x).imag ** 2)[:, None] for v, x in zip(vals, x_z)]
-    groups = [(None, [v[:, None] for v in vals]), (np.multiply, [w[:, None] for w in weights]), (np.add, dists)]
+    poly = isinstance(stem, StemPolynomial)
+    nodes = [stem.power_columns(l, v).T if poly else v[:, None] for l, v in enumerate(vals)]
+    groups = [(np.multiply if poly else None, nodes, poly), (np.multiply, [w[:, None] for w in weights], False),
+              (np.add, dists, False)]
     for Z, W, D in _product_grid(tuple(len(v) for v in vals), groups):
         W *= 1.0 / D**n
         yield Z, W[0]
@@ -339,8 +350,9 @@ def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec
     count = _check_budget(n * M * (spec.radial_nodes * M) ** (n - 1))
     LJ = left_mult_matrix(dom.j.value)
     LJT = np.ascontiguousarray(LJ.T)
-    chunks = (chunk for k in range(n) for chunk in _face_nodes(dom, spec, x.z, k))
-    parts = (_node_sums(c, evaluate_stem_batch(f.stem, Z.T), LJT) for Z, c in chunks)
+    values = f.stem.contract if isinstance(f.stem, StemPolynomial) else (lambda Z: evaluate_stem_batch(f.stem, Z.T))
+    chunks = (chunk for k in range(n) for chunk in _face_nodes(dom, spec, x.z, k, f.stem))
+    parts = (_node_sums(c, values(V), LJT) for V, c in chunks)
     return (*_reduce(f.tag, LJ, parts), count)
 
 
@@ -420,7 +432,7 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
         smax = -edotr + np.sqrt(edotr**2 + dom.radii[l] ** 2 - abs(e) ** 2)
         rays.append((smax * ray)[:, None])
         weights.append((smax**2 * (2.0 * math.pi / M))[:, None])
-    groups = [(None, [U] + [np.empty((M, 0))] * n), (None, rays), (np.multiply, weights)]
+    groups = [(None, [U] + [np.empty((M, 0))] * n, False), (None, rays, False), (np.multiply, weights, False)]
     for Ui, S, W in _product_grid((len(w_pyr),) + (M,) * n, groups):
         diff = Ui * S
         W *= 1.0 / np.sum(diff.real**2 + diff.imag**2, axis=0) ** n

@@ -225,19 +225,26 @@ class StemPolynomial:
         """Per axis: the top exponent and the contiguous exponent column."""
         return [(int(e.max(initial=0)), np.ascontiguousarray(e)) for e in self.exponents.T]
 
-    def batch_evaluator(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(F1, F2) arrays of shape (N, dim): the term-major monomials WT (T, N), transposed, times the coefficients."""
-        Z = np.asarray(Z, dtype=np.complex128)
-        for t, (top, e) in enumerate(self._axis_exponents):
-            # powers z_t^0..z_t^top filled in place, then gathered by exponent
-            # per term; the first gather seeds WT
-            zt = Z[:, t]
-            P = np.empty((top + 1, Z.shape[0]), dtype=np.complex128)
-            P[0] = 1.0
-            for m in range(1, top + 1):
-                np.multiply(P[m - 1], zt, out=P[m])
-            WT = P[e] if t == 0 else np.multiply(WT, P[e], out=WT)
+    def power_columns(self, t: int, z: np.ndarray) -> np.ndarray:
+        """z ** exponents[:, t] as a (T, N) table: powers of z by repeated multiplication, gathered per term."""
+        top, e = self._axis_exponents[t]
+        P = np.empty((top + 1, z.shape[0]), dtype=np.complex128)
+        P[0] = 1.0
+        for m in range(1, top + 1):
+            np.multiply(P[m - 1], z, out=P[m])
+        return P[e]
+
+    def contract(self, WT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F1, F2) arrays of shape (N, dim) from the monomial table WT (T, N): its parts times the coefficients."""
         return WT.real.T @ self.coefficients, WT.imag.T @ self.coefficients
+
+    def batch_evaluator(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F1, F2) arrays of shape (N, dim): the axes' power columns multiplied in axis order, then contracted."""
+        Z = np.asarray(Z, dtype=np.complex128)
+        WT = self.power_columns(0, Z[:, 0])
+        for t in range(1, self.arity):
+            np.multiply(WT, self.power_columns(t, Z[:, t]), out=WT)
+        return self.contract(WT)
 
     def batch_wirtinger(self, Z: np.ndarray, t: int):
         """Exact derivatives: dF/dz_t from wirtinger_poly, dF/dzbar_t identically zero."""

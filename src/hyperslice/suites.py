@@ -51,7 +51,6 @@ __all__ = [
     "load_config",
     "run_suite",
     "emit_report",
-    "report_from_json",
     "random_polynomial",
     "random_nonreal_point",
     "separated_units",
@@ -822,25 +821,6 @@ def report_to_json(r: SuiteReport) -> str:
         "records": [_record_dict(rec) for rec in r.records],
     }
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> SuiteReport:
-    data = json.loads(text)
-    records = []
-    for rec in data["records"]:
-        records.append(
-            CheckRecord(
-                name=rec["name"],
-                passed=bool(rec["pass"]),
-                metric=float(rec["metric"]),
-                tolerance=float(rec["tolerance"]),
-                m=rec["M"],
-                r=rec["R"],
-                v=rec["V"],
-                abs_error=None if rec["abs_error"] is None else float(rec["abs_error"]),
-            )
-        )
-    return SuiteReport(data["suite"], records)
 
 
 def report_to_csv(r: SuiteReport) -> str:

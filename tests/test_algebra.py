@@ -297,6 +297,22 @@ def test_mixed_tags_rejected():
         multiply(one(OCTONION), one(QUATERNION))
 
 
+def test_tag_checks_compare_values_not_identity():
+    from hyperslice.complexified import ComplexifiedElement
+
+    # a tag built anew is equal to OCTONION but not the same object
+    fresh = alg.AlgebraTag("octonion", 8)
+    assert fresh is not OCTONION and fresh == OCTONION
+    a, b = element(fresh, np.arange(8.0)), basis(OCTONION, 3)
+    np.testing.assert_array_equal((a + b).coeffs, np.arange(8.0) + np.eye(8)[3])
+    np.testing.assert_array_equal((b - a).coeffs, np.eye(8)[3] - np.arange(8.0))
+    assert ComplexifiedElement(a, b).tag == OCTONION
+    q = one(QUATERNION)
+    for combine in (lambda: a + q, lambda: q - a, lambda: ComplexifiedElement(a, q), lambda: ComplexifiedElement(q, b)):
+        with pytest.raises(AlgebraMismatchError):
+            combine()
+
+
 def test_parse_algebra_aliases():
     assert parse_algebra("octonion") == OCTONION
     assert parse_algebra("O") == OCTONION

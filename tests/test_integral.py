@@ -1,5 +1,6 @@
 """Boundary and volume quadrature on polydiscs in a slice plane."""
 
+import functools
 import math
 
 import numpy as np
@@ -339,10 +340,12 @@ def test_node_budget_rejects_n3_volume_before_allocating():
 def test_node_budget_counts_every_boundary_face(monkeypatch):
     # each face of an n = 3, (32,16) call has 32 x 512^2 = 8,388,608 nodes,
     # under the budget alone; the call's three faces together are over it
-    def unreachable(F, Z):
-        raise AssertionError("a node was evaluated")
+    # a polynomial's boundary rule evaluates no nodes one by one, so the
+    # guard is on building a face's chunks at all
+    def unreachable(*args):
+        raise AssertionError("a face's nodes were built")
 
-    monkeypatch.setattr(itg, "evaluate_stem_batch", unreachable)
+    monkeypatch.setattr(itg, "_face_nodes", unreachable)
     dom = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
     x = sf.point_from_z(np.full(3, 0.2 + 0.1j), J)
     f = sf.lift(stm.constant_poly(TAG, 3, E0))
@@ -402,27 +405,79 @@ def test_reproduce_check_applies_route_gate(monkeypatch):
         itg.reproduce_check(f, _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
 
 
+@pytest.mark.parametrize("chunk, arities", [(2048, (1, 2, 3)), (30, (1, 2))])
+def test_polynomial_boundary_matches_generic_stem_bitwise(monkeypatch, chunk, arities):
+    # a polynomial's boundary rule builds its monomials from per-disc power
+    # tables; wrapped as a generic stem, the same polynomial is evaluated at
+    # every chunk's nodes.  Both give the same bits, whatever the chunk
+    # layout: at 2048 an n <= 2 face is one block and an n = 3 inner block
+    # spans two discs; at 30 the n = 1 circle and every last disc are sliced
+    monkeypatch.setattr(itg, "CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    specs = {1: itg.QuadratureSpec(64, 8, 1), 2: itg.QuadratureSpec(16, 8, 1), 3: itg.QuadratureSpec(8, 5, 1)}
+    for tag in (OCTONION, QUATERNION):
+        Jt = alg.sample_unit_imaginary(tag, rng)
+        for n in arities:
+            spec = specs[n]
+            dom, x = _ragged(n, Jt)
+            cubic = _random_cubic(rng, tag, n)
+            for p in (cubic, cubic - cubic, stm.constant_poly(tag, n, element(tag, rng.standard_normal(tag.dim)))):
+                generic = sf.SliceFunction(stm.StemFunction(arity=n, tag=tag, batch_evaluator=p.batch_evaluator))
+                for got, want in zip(itg.bm_boundary_dual(sf.lift(p), dom, x, spec),
+                                     itg.bm_boundary_dual(generic, dom, x, spec)):
+                    np.testing.assert_array_equal(got.coeffs, want.coeffs, err_msg=f"{tag} n={n} T={len(p.exponents)}")
+
+
+def test_polynomial_boundary_evaluates_no_nodes(monkeypatch):
+    calls = []
+    evaluate = itg.evaluate_stem_batch
+
+    def counted(F, Z):
+        calls.append(Z.shape[0])
+        return evaluate(F, Z)
+
+    monkeypatch.setattr(itg, "evaluate_stem_batch", counted)
+    p = stm.stem_polynomial(TAG, 2, {(1, 2): E0, (2, 0): E3})
+    spec = itg.QuadratureSpec(16, 8, 1)
+    itg.bm_boundary_integral(sf.lift(p), _bidisc(), _x2(), spec)
+    assert calls == []
+    generic = sf.SliceFunction(stm.StemFunction(arity=2, tag=TAG, batch_evaluator=p.batch_evaluator))
+    itg.bm_boundary_integral(generic, _bidisc(), _x2(), spec)
+    # every node of both 16 x 128 faces, evaluated once
+    assert calls and sum(calls) == 2 * 16 * 128
+
+
 def test_streamed_grid_matches_meshgrid(monkeypatch):
     rng = np.random.default_rng(21)
     sizes = (5, 3, 7)
     vals = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
     weights = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
-    groups = [(None, [v[:, None] for v in vals]), (np.multiply, [w[:, None] for w in weights])]
+    # per-factor tables of width T = 0, 1 and 4, like a polynomial's power columns
+    widths = (0, 1, 4)
+    powers = [[rng.standard_normal((m, T)) + 1j * rng.standard_normal((m, T)) for m in sizes] for T in widths]
+    groups = [(None, [v[:, None] for v in vals], False), (np.multiply, [w[:, None] for w in weights], False)]
+    groups += [(np.multiply, tables, True) for tables in powers]
     # reference: the whole grid in meshgrid order, weights multiplied disc by disc
     grids = np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")
     Z_ref = np.stack([v[g.ravel()] for v, g in zip(vals, grids)], axis=1)
     W_ref = weights[0][grids[0].ravel()]
     for w, g in zip(weights[1:], grids[1:]):
         W_ref = W_ref * w[g.ravel()]
+    # an ordered group folds each node's rows in factor order, as a left-to-right product does
+    P_refs = [functools.reduce(np.multiply, [t[g.ravel()] for t, g in zip(tables, grids)]) for tables in powers]
     # 2048: the whole grid is one inner block; 64: an inner block of 3 x 7
     # rows, three to a chunk; 20: inner block 7, two to a chunk; 5: the last
     # factor alone exceeds CHUNK and is sliced
     for chunk in (2048, 64, 20, 5):
         monkeypatch.setattr(itg, "CHUNK", chunk)
         parts = list(itg._product_grid(sizes, groups))
-        assert all(Z.shape[1] == W.shape[1] <= chunk for Z, W in parts), chunk
-        np.testing.assert_array_equal(np.concatenate([Z for Z, _ in parts], axis=1).T, Z_ref)
-        np.testing.assert_allclose(np.concatenate([W[0] for _, W in parts]), W_ref, rtol=1e-15, atol=0)
+        assert all(Z.shape[1] == W.shape[1] <= chunk for Z, W, *_ in parts), chunk
+        np.testing.assert_array_equal(np.concatenate([Z for Z, *_ in parts], axis=1).T, Z_ref)
+        np.testing.assert_allclose(np.concatenate([W[0] for _, W, *_ in parts]), W_ref, rtol=1e-15, atol=0)
+        for g, (T, P_ref) in enumerate(zip(widths, P_refs), start=2):
+            P = np.concatenate([part[g] for part in parts], axis=1)
+            assert P.shape == (T, Z_ref.shape[0]), (chunk, T)
+            np.testing.assert_array_equal(P.T, P_ref)
 
 
 def _face_permutation_sign(n, k):
@@ -495,14 +550,40 @@ def _streamed(chunks):
     return Z, np.concatenate([c for _, c in parts], axis=-1), [c.shape[-1] for _, c in parts]
 
 
+def _random_cubic(rng, tag, n):
+    """Four terms of degree at most 3, one of them with every exponent 1."""
+    terms = {(1,) * n: element(tag, rng.standard_normal(tag.dim))}
+    while len(terms) < 4:
+        mu = tuple(int(v) for v in rng.multinomial(3, np.full(n + 1, 1.0 / (n + 1)))[:n])
+        terms[mu] = element(tag, rng.standard_normal(tag.dim))
+    return stm.stem_polynomial(tag, n, terms)
+
+
 def _check_rules_against_meshgrid(dom, x, spec):
-    """Both rules visit every node of their grids once, in C order, in chunks of at most CHUNK rows."""
+    """Both rules visit every node of their grids once, in C order, in chunks of at most CHUNK rows.
+
+    A polynomial's monomial table on a face is checked too, for T = 0, 1 and 4 terms.
+    """
+    cubic = _random_cubic(np.random.default_rng(dom.n), TAG, dom.n)
+    polys = [cubic - cubic, stm.coordinate(TAG, dom.n, dom.n - 1), cubic]
     for k in range(dom.n):
         Z, c, sizes = _streamed(itg._face_nodes(dom, spec, x.z, k))
         Z_ref, c_ref = _face_reference(dom, x, spec, k)
         assert Z.shape == Z_ref.shape and max(sizes) <= itg.CHUNK
         np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
         assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) <= 1e-14, k
+        for p in polys:
+            WT, c_p, sizes_p = _streamed(itg._face_nodes(dom, spec, x.z, k, p))
+            assert WT.shape == Z.shape[:1] + p.exponents.shape[:1] and sizes_p == sizes
+            np.testing.assert_array_equal(c_p, c)
+            # bit for bit the table batch_evaluator builds at the grid's own
+            # nodes; to rounding, the monomials of the meshgrid nodes.  The
+            # fold calls np.multiply: with FMA a complex product's bits depend
+            # on operand order, which `a * b` may swap for a large temporary b
+            WT_nodes = functools.reduce(np.multiply, [p.power_columns(l, Z[:, l]) for l in range(dom.n)])
+            np.testing.assert_array_equal(WT, WT_nodes.T)
+            WT_ref = np.prod(Z_ref[:, None, :] ** p.exponents[None], axis=2)
+            np.testing.assert_allclose(WT, WT_ref, rtol=1e-14, atol=0)
     Z, C, sizes = _streamed(itg._volume_nodes(dom, x, spec, 5))
     Z_ref, C_ref = _volume_reference(dom, x, spec, 5)
     assert Z.shape == Z_ref.shape and max(sizes) <= itg.CHUNK
@@ -510,10 +591,10 @@ def _check_rules_against_meshgrid(dom, x, spec):
     assert np.max(np.abs(C - C_ref) / np.abs(C_ref)) <= 1e-14
 
 
-def _ragged(n):
+def _ragged(n, j=J):
     """Discs of different centers and radii, and a point off every center."""
-    dom = itg.PolydiscDomain(np.array([0.2, -0.1, 0.0][:n]), np.array([1.0, 0.7, 1.3][:n]), J)
-    return dom, sf.point_from_z(np.array([0.35 + 0.2j, -0.25 + 0.3j, 0.1 - 0.5j][:n]), J)
+    dom = itg.PolydiscDomain(np.array([0.2, -0.1, 0.0][:n]), np.array([1.0, 0.7, 1.3][:n]), j)
+    return dom, sf.point_from_z(np.array([0.35 + 0.2j, -0.25 + 0.3j, 0.1 - 0.5j][:n]), j)
 
 
 @pytest.mark.parametrize("n", [2, 3])
