@@ -69,7 +69,7 @@ from .algebra import (
     units_close,
 )
 from .slicefun import SliceFunction, SlicePoint, lift_evaluate, representation_symmetric, slice_point
-from .stem import Smoothness, StemPolynomial, evaluate_stem_batch, wirtinger_batch
+from .stem import Smoothness, StemPolynomial, dbar_batch, evaluate_stem_batch
 
 __all__ = [
     "SliceMismatchError",
@@ -394,6 +394,11 @@ def _pyramid_table(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return U, np.tile(wt, n) * np.prod(U, axis=1)
 
 
+def _volume_sizes(spec: QuadratureSpec) -> tuple[int, int]:
+    """(q, M_v) of the volume rule: its Gauss-Legendre order and its angles per disc (see _volume_nodes)."""
+    return 2 * spec.volume_refinement + 2, max(8, spec.angular_nodes // 2)
+
+
 def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int):
     """Duffy-pyramid rule in per-disc polar coordinates centered at x.
 
@@ -414,8 +419,7 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
     g_j(xi).
     """
     n = dom.n
-    q = 2 * spec.volume_refinement + 2
-    M = max(8, spec.angular_nodes // 2)
+    q, M = _volume_sizes(spec)
     rng = np.random.default_rng(seed)
     x_z = x.z
     U, w_pyr = _pyramid_table(n, q)
@@ -446,11 +450,11 @@ def _bm_volume_both(
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
-    count = _check_budget(n * (2 * spec.volume_refinement + 2) ** n * max(8, spec.angular_nodes // 2) ** n)
+    count = _check_budget(n * math.prod(_volume_sizes(spec)) ** n)
     LJ = left_mult_matrix(dom.j.value)
     LJT = np.ascontiguousarray(LJ.T)
     chunks = _volume_nodes(dom, x, spec, seed)
-    parts = (_node_sums(c, wirtinger_batch(f.stem, Z.T, jx)[1], LJT) for Z, C in chunks for jx, c in enumerate(C))
+    parts = (_node_sums(c, dbar_batch(f.stem, Z.T, jx), LJT) for Z, C in chunks for jx, c in enumerate(C))
     return (*_reduce(f.tag, LJ, parts, math.factorial(n - 1) / math.pi**n), count)
 
 

@@ -16,8 +16,9 @@ derivative hooks `batch_wirtinger` / `wirtinger_evaluator`, plus `smoothness`,
   * StemFunction: user-supplied hooks, a smoothness grade, and a sampling domain.
 
 The batch hook wins when both evaluators are given, and a scalar evaluation
-is row 0 of a batch of one.  Wirtinger derivatives fall back to central
-finite differences with step DEFAULT_FD_STEP when no exact hook is present.
+is row 0 of a batch of one.  Without an exact hook, Wirtinger derivatives come
+from central differences with step DEFAULT_FD_STEP, one stencil pair at a time,
+each point a copy of Z with one column moved; dbar_batch forms dF/dzbar alone.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "wirtinger",
     "WirtingerPair",
     "wirtinger_batch",
+    "dbar_batch",
     "central_differences",
     "is_holomorphic",
     "HolomorphyReport",
@@ -410,40 +412,64 @@ class WirtingerPair(NamedTuple):
     dzbar: ComplexifiedElement
 
 
+def _stencil_input(F, Z, t: int, h: float) -> np.ndarray:
+    """Z as a complex array, after refusing an axis outside [0, arity) or a step that is not positive and finite."""
+    if not (0 <= t < F.arity and np.isfinite(h) and h > 0.0):
+        raise ValueError(f"need an axis in [0, {F.arity}) and a positive finite step, got axis {t} and step {h}")
+    return np.asarray(Z, dtype=np.complex128)
+
+
+def _difference(F, Z: np.ndarray, t: int, step: complex, s: float):
+    """(F(Z + step e_t) - F(Z - step e_t)) * s per component, each point a C-ordered copy of Z with column t moved."""
+    Zp, Zm = np.array(Z, order="C"), np.array(Z, order="C")
+    Zp[:, t] += step
+    Zm[:, t] -= step
+    (p1, p2), (m1, m2) = evaluate_stem_batch(F, Zp), evaluate_stem_batch(F, Zm)
+    # the differences are fresh, so scaling them in place never writes a stem's own arrays
+    return tuple(np.multiply(d, s, out=d) for d in (p1 - m1, p2 - m2))
+
+
 def central_differences(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
     """((dF1/dalpha_t, dF2/dalpha_t), (dF1/dbeta_t, dF2/dbeta_t)) at every row of Z = alpha + i beta."""
-    Z = np.asarray(Z, dtype=np.complex128)
-    step = np.zeros(F.arity, dtype=np.complex128)
-    step[t] = h
-    ap1, ap2 = evaluate_stem_batch(F, Z + step)
-    am1, am2 = evaluate_stem_batch(F, Z - step)
-    bp1, bp2 = evaluate_stem_batch(F, Z + 1j * step)
-    bm1, bm2 = evaluate_stem_batch(F, Z - 1j * step)
-    s = 0.5 / h
-    return ((ap1 - am1) * s, (ap2 - am2) * s), ((bp1 - bm1) * s, (bp2 - bm2) * s)
+    Z = _stencil_input(F, Z, t, h)
+    return _difference(F, Z, t, h, 0.5 / h), _difference(F, Z, t, 1j * h, 0.5 / h)
+
+
+def _dbar(da1: np.ndarray, da2: np.ndarray, db1: np.ndarray, db2: np.ndarray):
+    """dF/dzbar = (d/dalpha + i d/dbeta)/2 in place over da: the IEEE steps of 0.5 * (da1 - db2), 0.5 * (da2 + db1)."""
+    da1 -= db2
+    da1 *= 0.5
+    da2 += db1
+    da2 *= 0.5
+    return da1, da2
 
 
 def wirtinger(F, z, t: int, h: float = DEFAULT_FD_STEP) -> WirtingerPair:
     """(dF/dz_t, dF/dzbar_t) at one point: the scalar hook if given, else a batch of one."""
-    if not 0 <= t < F.arity:
-        raise ValueError(f"axis {t} out of range for arity {F.arity}")
+    z = _stencil_input(F, z, t, h)
     if F.wirtinger_evaluator is not None:
-        dz, dzbar = F.wirtinger_evaluator(np.asarray(z, dtype=np.complex128), t)
-        return WirtingerPair(dz, dzbar)
-    dz, dzbar = wirtinger_batch(F, np.asarray(z, dtype=np.complex128).reshape(1, F.arity), t, h)
+        return WirtingerPair(*F.wirtinger_evaluator(z, t))
+    dz, dzbar = wirtinger_batch(F, z.reshape(1, F.arity), t, h)
     return WirtingerPair(_row0(F.tag, dz), _row0(F.tag, dzbar))
 
 
 def wirtinger_batch(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
     """Batched derivatives: ((dz_F1, dz_F2), (dzbar_F1, dzbar_F2)) of shape (N, dim) each."""
-    Z = np.asarray(Z, dtype=np.complex128)
+    Z = _stencil_input(F, Z, t, h)
     if F.batch_wirtinger is not None:
         return F.batch_wirtinger(Z, t)
     (da1, da2), (db1, db2) = central_differences(F, Z, t, h)
-    # d/dz = (d/dalpha - i d/dbeta)/2 and i*(w1 + i w2) = -w2 + i w1
-    dz = (0.5 * (da1 + db2), 0.5 * (da2 - db1))
-    dzbar = (0.5 * (da1 - db2), 0.5 * (da2 + db1))
-    return dz, dzbar
+    # d/dz = (d/dalpha - i d/dbeta)/2, formed (left to right) before _dbar overwrites da1, da2
+    return (0.5 * (da1 + db2), 0.5 * (da2 - db1)), _dbar(da1, da2, db1, db2)
+
+
+def dbar_batch(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
+    """dF/dzbar_t alone as (F1, F2) arrays (N, dim): the exact hook if given, else central differences, no dz half."""
+    Z = _stencil_input(F, Z, t, h)
+    if F.batch_wirtinger is not None:
+        return F.batch_wirtinger(Z, t)[1]
+    (da1, da2), (db1, db2) = central_differences(F, Z, t, h)
+    return _dbar(da1, da2, db1, db2)
 
 
 class HolomorphyReport(NamedTuple):
@@ -453,12 +479,12 @@ class HolomorphyReport(NamedTuple):
 
 
 def is_holomorphic(F, samples=None, tol: float = 1e-6, rng=None, h: float = DEFAULT_FD_STEP) -> HolomorphyReport:
-    """Max |dF/dzbar_t| over all axes and samples, one batch per axis."""
+    """Max |dF/dzbar_t| over all axes and samples by dbar_batch: per axis one exact hook call or four stem calls."""
     if samples is None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
         samples = _stem_samples(F, gen, 16)
     Z = _nonempty(samples, F.arity)
-    residuals = [_row_norms(*wirtinger_batch(F, Z, t, h)[1]) for t in range(F.arity)]
+    residuals = [_row_norms(*dbar_batch(F, Z, t, h)) for t in range(F.arity)]
     # np.max propagates NaN, so a NaN residual fails the report
     worst = float(np.max(residuals))
     return HolomorphyReport(worst, worst <= tol, Z.shape[0])

@@ -166,6 +166,30 @@ def _conj_z1_z2_stem(c):
     return stm.StemFunction(arity=2, tag=TAG, batch_evaluator=_batch, smoothness=stm.Smoothness.C1)
 
 
+def test_volume_fd_path_is_bitwise_the_explicit_formula():
+    # the same stem given a hook that writes the central-difference formula out from its four stencil points
+    c = element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])
+    F = _conj_z1_z2_stem(c)
+
+    def _explicit(Z, t, h=stm.DEFAULT_FD_STEP):
+        step = np.zeros(2, dtype=complex)
+        step[t] = h
+        (ap1, ap2), (am1, am2) = stm.evaluate_stem_batch(F, Z + step), stm.evaluate_stem_batch(F, Z - step)
+        (bp1, bp2), (bm1, bm2) = stm.evaluate_stem_batch(F, Z + 1j * step), stm.evaluate_stem_batch(F, Z - 1j * step)
+        s = 0.5 / h
+        dz = (0.5 * ((ap1 - am1) * s + (bp2 - bm2) * s), 0.5 * ((ap2 - am2) * s - (bp1 - bm1) * s))
+        return dz, (0.5 * ((ap1 - am1) * s - (bp2 - bm2) * s), 0.5 * ((ap2 - am2) * s + (bp1 - bm1) * s))
+
+    hooked = stm.StemFunction(arity=2, tag=TAG, batch_evaluator=F.batch_evaluator, batch_wirtinger=_explicit,
+                              smoothness=stm.Smoothness.C1)
+    dom, x, spec = _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1)
+    got = itg.bm_volume_dual(sf.SliceFunction(stem=F), dom, x, spec)
+    want = itg.bm_volume_dual(sf.SliceFunction(stem=hooked), dom, x, spec)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    assert got[0].norm() > 0.01
+
+
 def test_volume_error_falls_with_refinement():
     from hyperslice.suites import _conj_z1_stem
 

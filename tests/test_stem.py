@@ -8,12 +8,15 @@ import pytest
 from hyperslice.algebra import OCTONION, QUATERNION, basis, element, one, zero
 from hyperslice.complexified import ComplexifiedElement, c_multiply
 from hyperslice.stem import (
+    DEFAULT_FD_STEP,
     Domain,
     Smoothness,
     StemFunction,
+    central_differences,
     check_intrinsic,
     constant_poly,
     coordinate,
+    dbar_batch,
     evaluate_stem,
     evaluate_stem_batch,
     is_holomorphic,
@@ -180,6 +183,154 @@ def test_wirtinger_batch_antiholomorphic():
     assert np.abs(dz1).max() <= 1e-9 and np.abs(dz2).max() <= 1e-9
     np.testing.assert_allclose(db1, np.tile(E0.coeffs, (3, 1)), atol=1e-9)
     assert np.abs(db2).max() <= 1e-9
+
+
+def explicit_fd(F, Z, t, h=DEFAULT_FD_STEP):
+    """(dz, dzbar) from the four stencil points Z +- h e_t, Z +- i h e_t, each written out as one formula."""
+    step = np.zeros(F.arity, dtype=complex)
+    step[t] = h
+    (ap1, ap2), (am1, am2) = evaluate_stem_batch(F, Z + step), evaluate_stem_batch(F, Z - step)
+    (bp1, bp2), (bm1, bm2) = evaluate_stem_batch(F, Z + 1j * step), evaluate_stem_batch(F, Z - 1j * step)
+    s = 0.5 / h
+    dz = (0.5 * ((ap1 - am1) * s + (bp2 - bm2) * s), 0.5 * ((ap2 - am2) * s - (bp1 - bm1) * s))
+    dzbar = (0.5 * ((ap1 - am1) * s - (bp2 - bm2) * s), 0.5 * ((ap2 - am2) * s + (bp1 - bm1) * s))
+    return dz, dzbar
+
+
+def _mixed_stem(tag, n, rng):
+    """conj(z_1) z_n^2 c + sin(z_1 + ... + z_n) d: no hooks, dbar nonzero on axis 0 only."""
+    c, d = rng.standard_normal(tag.dim), rng.standard_normal(tag.dim)
+
+    def _batch(Z):
+        w = np.conj(Z[:, 0]) * Z[:, -1] ** 2
+        v = np.sin(Z.sum(axis=1))
+        return np.real(w)[:, None] * c + np.real(v)[:, None] * d, np.imag(w)[:, None] * c + np.imag(v)[:, None] * d
+
+    return StemFunction(arity=n, tag=tag, batch_evaluator=_batch, smoothness=Smoothness.C1)
+
+
+@pytest.mark.parametrize("tag", [OCTONION, QUATERNION])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+def test_fd_derivatives_are_bitwise_the_explicit_formula(tag, n, layout):
+    rng = np.random.default_rng(10 * n + tag.dim)
+    F = _mixed_stem(tag, n, rng)
+    W = rng.uniform(-0.7, 0.7, (n, 37, 2)) @ np.array([1.0, 1j])
+    # the volume rule passes Z.T of a C-ordered (n, rows) chunk
+    Z = W.T if layout == "transposed" else np.ascontiguousarray(W.T)
+    for t in range(n):
+        dz, dzbar = explicit_fd(F, Z, t)
+        got_dz, got_dzbar = wirtinger_batch(F, Z, t)
+        for got, want in zip((*got_dz, *got_dzbar, *dbar_batch(F, Z, t)), (*dz, *dzbar, *dzbar)):
+            np.testing.assert_array_equal(got, want)
+    # a sanity anchor on the values themselves: dbar_1 of conj(z_1) z_n^2 c is z_n^2 c
+    assert np.abs(dbar_batch(F, Z, 0)[0]).max() > 0.01
+
+
+def _fd_outputs_checked(make_batch, expected_dbar):
+    """Derivatives of a stem whose arrays must survive them: correct, and the stem's arrays unchanged."""
+    returned = []
+
+    def _batch(Z):
+        out = make_batch(Z)
+        returned.append((out, [a.copy() for a in out]))
+        return out
+
+    F = StemFunction(arity=2, tag=QUATERNION, batch_evaluator=_batch, smoothness=Smoothness.C1)
+    Z = np.random.default_rng(8).uniform(-0.6, 0.6, (2, 11, 2)) @ np.array([1.0, 1j])
+    for _ in range(2):
+        for t in (0, 1):
+            want = expected_dbar(Z.T, t)
+            for got in (dbar_batch(F, Z.T, t), wirtinger_batch(F, Z.T, t)[1]):
+                np.testing.assert_allclose(got[0], want[0], atol=1e-9)
+                np.testing.assert_allclose(got[1], want[1], atol=1e-9)
+            central_differences(F, Z.T, t)
+    assert returned
+    for out, snapshot in returned:
+        for a, b in zip(out, snapshot):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_fd_derivatives_never_write_read_only_stem_outputs():
+    # conj(z_1) (1, 1, 1, 1): both components are read-only broadcasts
+    def _batch(Z):
+        w = np.conj(Z[:, 0])
+        return np.broadcast_to(np.real(w)[:, None], (len(Z), 4)), np.broadcast_to(np.imag(w)[:, None], (len(Z), 4))
+
+    def _dbar(Z, t):
+        return np.full((len(Z), 4), float(t == 0)), np.zeros((len(Z), 4))
+
+    _fd_outputs_checked(_batch, _dbar)
+
+
+def test_fd_derivatives_never_write_cached_stem_outputs():
+    # conj(z_1) z_2 c, memoized: a repeated point set gets the same writable arrays back
+    c = np.array([0.5, -1.0, 2.0, 0.25])
+    cache = {}
+
+    def _batch(Z):
+        key = Z.tobytes()
+        if key not in cache:
+            w = np.conj(Z[:, 0]) * Z[:, 1]
+            cache[key] = (np.real(w)[:, None] * c, np.imag(w)[:, None] * c)
+        return cache[key]
+
+    def _dbar(Z, t):
+        v = Z[:, 1] if t == 0 else np.zeros(len(Z))
+        return np.real(v)[:, None] * c, np.imag(v)[:, None] * c
+
+    _fd_outputs_checked(_batch, _dbar)
+    assert len(cache) == 8  # four stencil points per axis, each met twice
+
+
+def test_fd_cached_constant_stem_has_zero_derivatives():
+    # the same array object on every call: every difference is exactly zero
+    F1, F2 = np.full((5, 4), 0.75), np.full((5, 4), -2.0)
+    F = StemFunction(arity=2, tag=QUATERNION, batch_evaluator=lambda Z: (F1, F2))
+    Z = np.full((5, 2), 0.1 + 0.2j)
+    for t in (0, 1):
+        for got in (*wirtinger_batch(F, Z, t), dbar_batch(F, Z, t)):
+            assert not np.any(got[0]) and not np.any(got[1])
+    assert np.all(F1 == 0.75) and np.all(F2 == -2.0)
+
+
+def _counting_stem(hook: bool):
+    """conj(z_1) z_2 e_0 that counts its evaluations and hook calls."""
+    calls = []
+
+    def _batch(Z):
+        calls.append("eval")
+        w = np.conj(Z[:, 0]) * Z[:, 1]
+        return np.real(w)[:, None] * E0.coeffs, np.imag(w)[:, None] * E0.coeffs
+
+    def _bw(Z, t):
+        calls.append("hook")
+        zeros = np.zeros((len(Z), TAG.dim))
+        return (zeros, zeros), (zeros, zeros)
+
+    F = StemFunction(arity=2, tag=TAG, batch_evaluator=_batch, batch_wirtinger=_bw if hook else None)
+    return F, calls
+
+
+@pytest.mark.parametrize("fn", [central_differences, wirtinger_batch, dbar_batch])
+@pytest.mark.parametrize("hook", [False, True])
+@pytest.mark.parametrize("t, h", [(-1, 1e-5), (2, 1e-5), (0, 0.0), (0, -1e-5), (1, float("nan")), (1, float("inf"))])
+def test_derivatives_reject_bad_axis_or_step_before_any_stem_call(fn, hook, t, h):
+    F, calls = _counting_stem(hook)
+    Z = np.array([[0.2 + 0.1j, -0.3 + 0.4j]])
+    with pytest.raises(ValueError, match="axis .* step"):
+        fn(F, Z, t, h)
+    assert calls == []
+    fn(F, Z, 1, 1e-5)
+    assert calls == (["hook"] if hook and fn is not central_differences else ["eval"] * 4)
+
+
+def test_is_holomorphic_makes_four_stem_calls_per_axis():
+    F, calls = _counting_stem(hook=False)
+    assert not is_holomorphic(F).passed
+    assert calls == ["eval"] * 8
+    F, calls = _counting_stem(hook=True)
+    assert is_holomorphic(F).passed and calls == ["hook"] * 2
 
 
 def test_is_holomorphic_flags():
