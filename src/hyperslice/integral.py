@@ -30,11 +30,11 @@ Jacobian cancels the |xi - x|^{1-2n} singularity of the kernel, so
 Gauss-Legendre in the pyramid coordinates and the trapezoid rule in the
 angles converge fast, and no node lands on x.
 
-Every integral is computed twice, componentwise over the complex component
-functions F_J^k and directly in the algebra, and the two routes must agree to
-1e-12.  Both rules take their nodes from one product-grid helper and share
-one chunk-ordered reduction into the two algebra values.  Before any node
-is built, a call is held to NODE_BUDGET nodes, all boundary faces together.
+One pass sums every integral directly in the algebra and componentwise over
+the F_J^k, a stem value F1 + i F2 that must agree with the direct route to
+1e-12 once lifted to F1 + J F2; off-slice evaluation lifts it to F1 + I F2.
+Both rules take their nodes from one product-grid helper and share one
+chunk-ordered reduction; a call is held to NODE_BUDGET nodes (all faces).
 
 Nodes are streamed along the grid's tensor structure.  A grid is only its
 per-factor tables (one per disc, or the volume rule's pyramid table and
@@ -55,20 +55,21 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    AlgebraTag,
     ImaginaryUnit,
     canonicalize_unit,
     element,
     left_mult_matrix,
     units_close,
 )
-from .slicefun import SliceFunction, SlicePoint, lift_evaluate, representation_symmetric, slice_point
+from .complexified import ComplexifiedElement
+from .slicefun import SliceFunction, SlicePoint, lift_evaluate, lift_value, slice_point
 from .stem import Smoothness, StemPolynomial, dbar_batch, evaluate_stem_batch
 
 __all__ = [
@@ -159,12 +160,16 @@ class QuadratureSpec:
     volume_refinement: int = 3
 
     def __post_init__(self) -> None:
-        if self.angular_nodes < 8:
-            raise ValueError("angular_nodes must be >= 8")
-        if self.radial_nodes < 4:
-            raise ValueError("radial_nodes must be >= 4")
-        if self.volume_refinement < 0:
-            raise ValueError("volume_refinement must be >= 0")
+        for name, low in (("angular_nodes", 8), ("radial_nodes", 4), ("volume_refinement", 0)):
+            value = getattr(self, name)
+            try:
+                # operator.index refuses 8.5, nan and inf, which numpy would reject only mid-call
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,18 +184,18 @@ class BMReport:
 # shared plumbing
 
 
-def _reduce(tag: AlgebraTag, LJ: np.ndarray, parts, scale: float = 1.0):
-    """Sum the (direct, componentwise) parts in the order given; the componentwise s becomes Re(s) + J Im(s).
+def _reduce(j: ImaginaryUnit, parts, scale: float = 1.0):
+    """Sum the (direct, componentwise) parts in order: direct, s lifted to Re(s) + J Im(s), s as Re(s) + i Im(s).
 
     So a result depends on the chunk layout (and so on CHUNK) and nothing else.
     """
-    direct = np.zeros(tag.dim)
-    comp = np.zeros(tag.dim, dtype=np.complex128)
+    direct = np.zeros(j.tag.dim)
+    comp = np.zeros(j.tag.dim, dtype=np.complex128)
     for d_part, c_part in parts:
         direct = direct + d_part
         comp = comp + c_part
-    comp_el = element(tag, scale * np.real(comp)) + element(tag, LJ @ (scale * np.imag(comp)))
-    return element(tag, scale * direct), comp_el
+    w = ComplexifiedElement(element(j.tag, scale * np.real(comp)), element(j.tag, scale * np.imag(comp)))
+    return element(j.tag, scale * direct), lift_value(w, j), w
 
 
 def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray], LJT: np.ndarray):
@@ -348,12 +353,11 @@ def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec
     _check_point(dom, x)
     n, M = dom.n, spec.angular_nodes
     count = _check_budget(n * M * (spec.radial_nodes * M) ** (n - 1))
-    LJ = left_mult_matrix(dom.j.value)
-    LJT = np.ascontiguousarray(LJ.T)
+    LJT = np.ascontiguousarray(left_mult_matrix(dom.j.value).T)
     values = f.stem.contract if isinstance(f.stem, StemPolynomial) else (lambda Z: evaluate_stem_batch(f.stem, Z.T))
     chunks = (chunk for k in range(n) for chunk in _face_nodes(dom, spec, x.z, k, f.stem))
     parts = (_node_sums(c, values(V), LJT) for V, c in chunks)
-    return (*_reduce(f.tag, LJ, parts), count)
+    return (*_reduce(dom.j, parts), count)
 
 
 def bm_boundary_dual(
@@ -451,11 +455,10 @@ def _bm_volume_both(
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
     count = _check_budget(n * math.prod(_volume_sizes(spec)) ** n)
-    LJ = left_mult_matrix(dom.j.value)
-    LJT = np.ascontiguousarray(LJ.T)
+    LJT = np.ascontiguousarray(left_mult_matrix(dom.j.value).T)
     chunks = _volume_nodes(dom, x, spec, seed)
     parts = (_node_sums(c, dbar_batch(f.stem, Z.T, jx), LJT) for Z, C in chunks for jx, c in enumerate(C))
-    return (*_reduce(f.tag, LJ, parts, math.factorial(n - 1) / math.pi**n), count)
+    return (*_reduce(dom.j, parts, math.factorial(n - 1) / math.pi**n), count)
 
 
 def bm_volume_dual(
@@ -490,32 +493,30 @@ def off_slice_evaluate(
     spec: QuadratureSpec,
     include_volume: bool | None = None,
 ) -> AlgebraElement:
-    """Evaluate f at alpha + beta I from boundary data on the J-slice alone.
+    """Evaluate f at alpha + beta I from one integral at x = alpha + beta J on the domain's slice.
 
-    The J-slice mirrors x = alpha + beta J and conj(x) are integrated and the
-    two results are combined by the symmetric representation formula; the unit
-    combination is applied after each integral is reduced to an algebra
-    element.  For I = J the combination collapses to the plain boundary value.
+    The rule's componentwise route gives the stem value F1(z) + i F2(z) (minus
+    the volume term's, for non-regular f); once both routes agree it is lifted
+    to F1 + I F2 as lift_evaluate does, F1 at a real point.  The rule at
+    conj(x) would only give F1 - J F2 again, so it is not integrated.
     """
     if q_point.tag != dom.j.tag:
         raise SliceMismatchError("point algebra does not match domain")
     x = slice_point(q_point.alpha, q_point.beta, dom.j)
-    xb = x.conjugated()
     if include_volume is None:
         include_volume = f.stem.smoothness < Smoothness.ANALYTIC
-    Rx = bm_boundary_integral(f, dom, x, spec)
-    Rxb = bm_boundary_integral(f, dom, xb, spec)
+    direct, comp, w, _ = _bm_boundary_both(f, dom, x, spec)
+    _agreed(direct, comp)
     if include_volume:
-        Rx = Rx - bm_volume_integral(f, dom, x, spec)
-        Rxb = Rxb - bm_volume_integral(f, dom, xb, spec)
-    if q_point.is_real:
-        return (Rx + Rxb) * 0.5
-    return representation_symmetric(Rx, Rxb, q_point.j, dom.j)
+        direct, comp, v, _ = _bm_volume_both(f, dom, x, spec, 0)
+        _agreed(direct, comp)
+        w = w - v
+    return w.re if q_point.is_real else lift_value(w, q_point.j)
 
 
 @dataclass(frozen=True, eq=False)
 class HartogsExtension:
-    """Evaluator returned by hartogs_extend; callable on slice points inside the contour."""
+    """Evaluator from hartogs_extend: off_slice_evaluate on the contour's faces alone, no volume term."""
 
     source: SliceFunction
     contour: PolydiscDomain
@@ -554,7 +555,7 @@ def reproduce_check(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> BMReport:
     """Boundary integral against the direct lift, packaged with its node count."""
-    direct, comp, nodes = _bm_boundary_both(f, dom, x, spec)
+    direct, comp, _, nodes = _bm_boundary_both(f, dom, x, spec)
     reproduced, reference = _agreed(direct, comp), lift_evaluate(f, x)
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
 
@@ -567,7 +568,7 @@ def correction_check(
     nodes_used counts the volume rule's nodes.
     """
     boundary = bm_boundary_integral(f, dom, x, spec)
-    direct, comp, nodes = _bm_volume_both(f, dom, x, spec, seed)
+    direct, comp, _, nodes = _bm_volume_both(f, dom, x, spec, seed)
     reproduced, reference = boundary - _agreed(direct, comp), lift_evaluate(f, x)
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
 

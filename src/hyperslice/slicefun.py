@@ -36,6 +36,7 @@ from .algebra import (
     sample_unit_imaginary,
     unit_from_vector,
 )
+from .complexified import ComplexifiedElement
 from .stem import (
     StemFunction,
     StemPolynomial,
@@ -62,6 +63,7 @@ __all__ = [
     "SliceFunction",
     "lift",
     "lift_evaluate",
+    "lift_value",
     "sphere_values",
     "representation",
     "representation_symmetric",
@@ -244,6 +246,11 @@ def lift(F, validate: bool = True, samples=None, tol: float = 1e-10) -> SliceFun
     return SliceFunction(F)
 
 
+def lift_value(w: ComplexifiedElement, j: ImaginaryUnit) -> AlgebraElement:
+    """F1 + J F2 for a stem value w = F1 + i F2: the value on the J-slice."""
+    return w.re + multiply(j.value, w.im)
+
+
 def lift_evaluate(f: SliceFunction, x: SlicePoint) -> AlgebraElement:
     """f(alpha + beta J) = F1(z) + J F2(z); at real points the odd part must vanish."""
     w = evaluate_stem(f.stem, x.z)
@@ -253,7 +260,7 @@ def lift_evaluate(f: SliceFunction, x: SlicePoint) -> AlgebraElement:
                 f"odd component {w.im.norm():.3e} does not vanish at a real point"
             )
         return w.re
-    return w.re + multiply(x.j.value, w.im)
+    return lift_value(w, x.j)
 
 
 def sphere_values(f: SliceFunction, x: SlicePoint, units: np.ndarray) -> np.ndarray:

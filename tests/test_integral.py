@@ -213,7 +213,7 @@ def test_volume_rule_reaches_1e10_within_1e5_nodes():
     f = sf.lift(_conj_z1_stem(TAG, 2, element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])))
     spec = itg.QuadratureSpec(32, 16, 5)
     b = itg.bm_boundary_integral(f, dom, x, spec)
-    direct, comp, nodes = itg._bm_volume_both(f, dom, x, spec, 0)
+    direct, comp, _, nodes = itg._bm_volume_both(f, dom, x, spec, 0)
     assert nodes <= 100_000
     assert (b - itg._agreed(direct, comp) - sf.lift_evaluate(f, x)).norm() <= 1e-10
 
@@ -271,7 +271,7 @@ def test_off_slice_evaluation_matches_lift():
         q = sf.slice_point(x.alpha, x.beta, I)
         val = itg.off_slice_evaluate(f, dom, q, SPEC)
         assert (val - f(q)).norm() <= 1e-8
-    # real target point: average of the two mirrored integrals
+    # real target point: the even component F1 of the stem value
     qr = sf.slice_point(x.alpha, np.zeros(2), J)
     val = itg.off_slice_evaluate(f, dom, qr, SPEC)
     assert (val - f(qr)).norm() <= 1e-10
@@ -284,6 +284,112 @@ def test_off_slice_collapses_on_domain_slice():
     off = itg.off_slice_evaluate(f, dom, q, SPEC)
     direct = itg.bm_boundary_integral(f, dom, q, SPEC)
     assert (off - direct).norm() <= 1e-12
+
+
+def _recip_sum_stem(tag, n, c):
+    """F(z) = (z_1 + ... + z_n - 4)^{-1} c: a generic stem, holomorphic on every _ragged polydisc."""
+    from hyperslice.suites import _times
+
+    return stm.StemFunction(arity=n, tag=tag, smoothness=stm.Smoothness.ANALYTIC,
+                            batch_evaluator=lambda Z: _times(1.0 / (Z.sum(axis=1) - 4.0), c.coeffs))
+
+
+@pytest.mark.parametrize("n, M", [(1, 16), (1, 15), (2, 16), (2, 9), (3, 8), (3, 9)])
+def test_conjugate_point_integral_is_the_j_conjugate_stem_value(n, M):
+    # the node set of a polydisc with real centers is conjugation symmetric
+    # for even and odd M alike, and an intrinsic stem satisfies F(conj z) =
+    # conj F(z), so the rule at conj(x) is the rule at x with i -> -i: the
+    # stem value A + iB at x lifts to A - J B there, within rounding
+    from hyperslice.complexified import complex_conjugate
+
+    rng = np.random.default_rng(40 + 10 * n + M)
+    spec = itg.QuadratureSpec(M, 5, 1)
+    for tag in (OCTONION, QUATERNION):
+        Jt = alg.sample_unit_imaginary(tag, rng)
+        dom, x = _ragged(n, Jt)
+        c = element(tag, rng.standard_normal(tag.dim))
+        for f in (sf.lift(_random_cubic(rng, tag, n)), sf.SliceFunction(_recip_sum_stem(tag, n, c))):
+            _, _, w, _ = itg._bm_boundary_both(f, dom, x, spec)
+            mirrored = sf.lift_value(complex_conjugate(w), dom.j)
+            for value in itg.bm_boundary_dual(f, dom, x.conjugated(), spec):
+                assert (value - mirrored).norm() <= 1e-13 * (1.0 + value.norm()), (tag.name, type(f.stem).__name__)
+            # B is not zero, so the mirrored value is not the value at x
+            assert w.im.norm() > 1e-4
+
+
+def test_off_slice_and_hartogs_integrate_once_at_the_point(monkeypatch):
+    from hyperslice.suites import _conj_z1_stem, _rational_stem
+
+    # both rules record the point of every boundary and volume pass
+    passes = []
+    for kind, rule in (("boundary", itg._bm_boundary_both), ("volume", itg._bm_volume_both)):
+        def counted(f, dom, x, *args, kind=kind, rule=rule):
+            passes.append((kind, x.z.copy()))
+            return rule(f, dom, x, *args)
+
+        monkeypatch.setattr(itg, f"_bm_{kind}_both", counted)
+    dom, x = _bidisc(), _x2()
+    I = alg.sample_unit_imaginary(TAG, np.random.default_rng(3))
+    q = sf.slice_point(x.alpha, x.beta, I)
+    spec = itg.QuadratureSpec(16, 8, 1)
+    regular = sf.lift(stm.stem_polynomial(TAG, 2, {(1, 2): E0, (2, 0): E3}))
+    nonregular = sf.lift(_conj_z1_stem(TAG, 2, E1 + 0.5 * E3))
+    ext = itg.hartogs_extend(sf.lift(_rational_stem(TAG, E1)), dom, 0.5, spec)
+    qh = sf.slice_point([0.1, -0.2], [0.2, 0.1], I)
+    for call, point, kinds in [(lambda: itg.off_slice_evaluate(regular, dom, q, spec), q, ["boundary"]),
+                               (lambda: itg.off_slice_evaluate(nonregular, dom, q, spec), q, ["boundary", "volume"]),
+                               (lambda: ext(qh), qh, ["boundary"])]:
+        passes.clear()
+        call()
+        assert [kind for kind, _ in passes] == kinds
+        # each pass is at alpha + beta J itself, never at its conjugate
+        for _, z in passes:
+            np.testing.assert_array_equal(z, point.z)
+
+
+@pytest.mark.parametrize("tag", [OCTONION, QUATERNION], ids=lambda t: t.name)
+def test_off_slice_with_volume_term_matches_lift(tag):
+    # conj(z_1) c is not slice regular, so off_slice_evaluate subtracts the
+    # volume term at x; the bound is test_volume_correction_reconstructs_antiholomorphic's
+    from hyperslice.suites import _conj_z1_stem
+
+    rng = np.random.default_rng(31)
+    Jt = alg.sample_unit_imaginary(tag, rng)
+    dom = itg.PolydiscDomain(np.zeros(2), np.ones(2), Jt)
+    x = sf.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j]), Jt)
+    f = sf.lift(_conj_z1_stem(tag, 2, element(tag, rng.standard_normal(tag.dim))))
+    for _ in range(2):
+        q = sf.slice_point(x.alpha, x.beta, alg.sample_unit_imaginary(tag, rng))
+        assert (itg.off_slice_evaluate(f, dom, q, SPEC) - sf.lift_evaluate(f, q)).norm() <= 5e-3
+        # without the volume term the boundary value alone is far off
+        assert (itg.off_slice_evaluate(f, dom, q, SPEC, include_volume=False) - sf.lift_evaluate(f, q)).norm() > 0.05
+
+
+def test_hartogs_extension_reads_only_the_contour():
+    # a stem that raises on any row inside the hole polydisc: the extension
+    # still reproduces the unguarded stem's lift inside the hole and in the
+    # annulus, so it never evaluates f there
+    from hyperslice.suites import _rational_stem
+
+    c = element(TAG, [1.0, 0, 0.5, 0, -0.25, 0, 0, 0])
+    plain = _rational_stem(TAG, c)
+    dom, hole = _bidisc(), 0.5
+
+    def guarded(Z):
+        if np.any(np.all(np.abs(Z) < hole, axis=1)):
+            raise AssertionError("the stem was evaluated inside the hole")
+        return plain.batch_evaluator(Z)
+
+    f = sf.SliceFunction(stm.StemFunction(arity=2, tag=TAG, smoothness=stm.Smoothness.ANALYTIC,
+                                          batch_evaluator=guarded))
+    ext = itg.hartogs_extend(f, dom, hole, SPEC)
+    rng = np.random.default_rng(14)
+    inside, annulus = [sf.slice_point(alpha, rng.uniform(-0.2, 0.2, 2), alg.sample_unit_imaginary(TAG, rng))
+                       for alpha in (rng.uniform(-0.3, 0.3, 2), np.array([0.65, -0.2]))]
+    for q in (inside, annulus):
+        assert (ext(q) - sf.lift_evaluate(sf.lift(plain), q)).norm() <= 1e-6
+    with pytest.raises(AssertionError, match="inside the hole"):
+        sf.lift_evaluate(f, inside)
 
 
 def test_hartogs_extension_reproduces_across_hole():
@@ -314,6 +420,23 @@ def test_hartogs_n1_rejected_and_counterexample():
     assert (g - sf.lift_evaluate(f1, x)).norm() > 0.1
 
 
+@pytest.mark.parametrize("kind", ["boundary", "volume"])
+def test_off_slice_applies_route_gate(monkeypatch, kind):
+    from hyperslice.suites import _conj_z1_stem
+
+    rule = getattr(itg, f"_bm_{kind}_both")
+
+    def shifted(*args):
+        direct, comp, w, count = rule(*args)
+        return direct, comp + 1e-6 * E0, w, count
+
+    monkeypatch.setattr(itg, f"_bm_{kind}_both", shifted)
+    f = sf.lift(_conj_z1_stem(TAG, 2, E1))
+    q = sf.slice_point(_x2().alpha, _x2().beta, alg.sample_unit_imaginary(TAG, 8))
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        itg.off_slice_evaluate(f, _bidisc(), q, itg.QuadratureSpec(16, 8, 1))
+
+
 def test_hole_fraction_validation():
     f = sf.lift(stm.constant_poly(TAG, 2, E0))
     with pytest.raises(ValueError):
@@ -327,6 +450,12 @@ def test_quadrature_spec_validation():
         itg.QuadratureSpec(16, 2, 3)
     with pytest.raises(ValueError):
         itg.PolydiscDomain(np.zeros(2), np.array([1.0, -1.0]), J)
+
+
+@pytest.mark.parametrize("fields", [(8.5, 4, 1), (np.nan, 4, 1), (16, 4.5, 1), (16, 4, 1.5), (16, np.inf, 1)])
+def test_quadrature_spec_rejects_non_integers(fields):
+    with pytest.raises(ValueError, match="must be an integer"):
+        itg.QuadratureSpec(*fields)
 
 
 def test_convergence_csv_schema(tmp_path):
