@@ -38,16 +38,16 @@ chunk-ordered reduction; a call is held to NODE_BUDGET nodes (all faces).
 
 Nodes are streamed along the grid's tensor structure.  A grid is only its
 per-factor tables (one per disc, or the volume rule's pyramid table and
-per-disc angles).  Its trailing factors form an inner block of at most CHUNK
-rows, tabulated once per call, and a chunk is a whole number of inner blocks
-(or a slice of a last factor that alone exceeds CHUNK), built by
-broadcasting a few outer rows against that table.  A StemPolynomial's
-monomials are one more such product, of per-disc power tables, so its nodes
-are never formed.  Each chunk is evaluated and reduced by a few matrix
-products before the next one starts, so memory is O(CHUNK) whatever the grid
-size.  At CHUNK = 2048 the largest per-chunk arrays are the stem values
-(2048 x dim doubles, 128 KiB for octonions) and the monomial table (32 KiB
-per term).
+per-disc angles); each node value is np.add or np.multiply folded left over
+its factors' columns in factor order: coordinates as a sum of one-hot rows,
+the volume rule's xi - x as a product of pyramid points and ray rows, and a
+StemPolynomial's monomials as a product of per-disc power tables, so its
+nodes are never formed.  A chunk is a few outer nodes, folded once, broadcast
+against the last factor's table or a CHUNK-column slice of it.  Each chunk is
+evaluated and reduced by a few matrix products before the next one starts,
+so memory is O(CHUNK) whatever the grid size.  At CHUNK = 2048 the largest
+per-chunk arrays are the stem values (2048 x dim doubles, 128 KiB for
+octonions) and the monomial table (32 KiB per term).
 """
 
 from __future__ import annotations
@@ -252,56 +252,41 @@ def _check_budget(count: int) -> int:
     return count
 
 
-def _fold(op, tables: list, idx) -> np.ndarray | None:
-    """Rows idx[f] of the factors' tables, combined by op (side by side for op None); None for no factors."""
-    rows = [np.take(t, i, axis=0) for t, i in zip(tables, idx)]
-    return (functools.reduce(op, rows) if op else np.concatenate(rows, axis=1)) if rows else None
+def _axis_rows(op, n: int, l: int, v: np.ndarray) -> np.ndarray:
+    """Table (n, len(v)) of v in row l and op's identity elsewhere: an op fold over discs keeps disc l in row l."""
+    return np.where(np.arange(n)[:, None] == l, v, op.identity)
 
 
 def _spread(op, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Values (width, k b) of k outer rows (width, k) against b inner rows (width, b), in C order."""
-    k, b = outer.shape[1], inner.shape[1]
-    if op is not None:
-        return op(outer[:, :, None], inner[:, None, :]).reshape(len(inner), k * b)
-    vals = np.empty((len(outer) + len(inner), k, b), np.result_type(outer, inner))
-    vals[: len(outer)] = outer[:, :, None]
-    vals[len(outer) :] = inner[:, None, :]
-    return vals.reshape(len(vals), k * b)
+    """Values (width, k b) of k outer nodes (width, k) op b last-factor columns (width, b), in C order."""
+    return op(outer[:, :, None], inner[:, None, :]).reshape(len(inner), outer.shape[1] * inner.shape[1])
 
 
 def _product_grid(shape: tuple, groups: list):
     """Tensor-product rule streamed in chunks of at most CHUNK rows, in C order of the factor indices.
 
-    A group (op, tables, ordered) has one table (shape[f], width) per factor
-    f; a node's value is op (np.add or np.multiply) folded over the rows its
-    indices pick, or for op None those rows side by side.  The inner block,
-    the longest run of trailing factors whose product fits in CHUNK (or the
-    last factor alone), is tabulated once; a chunk is a few outer rows
-    broadcast against it, so a node's value is (outer fold) op (inner fold).
-    An ordered group folds in factor order, ((row_0 op row_1) op row_2) ...,
-    spreading the outer rows against the inner factors one at a time.  Yields
-    per chunk one array (width, rows) per group, which no other chunk shares.
+    A group (op, tables) has one table (width, shape[f]) per factor f, and
+    op is np.add or np.multiply; a node's value is op folded left over the
+    columns its indices pick, ((t_0 op t_1) op t_2) ..., in factor order.
+    The last factor is the inner block: a chunk is a few outer nodes, folded
+    once per span of at most CHUNK of them, broadcast against the last
+    factor's table (or a CHUNK-column slice of it, when it alone exceeds
+    CHUNK).  Yields per chunk one array (width, rows) per group, which no
+    other chunk shares.
     """
-    s, block = len(shape) - 1, shape[-1]
-    while s > 0 and block * shape[s - 1] <= CHUNK:
-        s -= 1
-        block *= shape[s]
-    # inner values (width, block), spread factor by factor; ordered groups keep the factors apart
-    inner = [[t.T for t in tables[s:]] if ordered and s else
-             [functools.reduce(lambda v, t: _spread(op, v, t.T), tables[s + 1 :], tables[s].T.copy())]
-             for op, tables, ordered in groups]
-    outer_count, per = math.prod(shape[:s]), max(1, CHUNK // block)
-    # outer rows are gathered for whole chunks at a time, at most CHUNK of them
+    *head, last = shape
+    count, per = math.prod(head), max(1, CHUNK // last)
     span = per * max(1, CHUNK // per)
-    for o in range(0, outer_count, span):
-        rows = np.arange(o, min(o + span, outer_count))
-        outer = [_fold(op, tables[:s], np.unravel_index(rows, shape[:s]) if s else ()) for op, tables, _ in groups]
+    for o in range(0, count, span):
+        rows = np.arange(o, min(o + span, count))
+        idx = np.unravel_index(rows, head) if head else ()
+        # zip stops at the outer factors; a one-factor grid's one outer node is op's identity
+        outer = [functools.reduce(op, [t[:, i] for t, i in zip(tables, idx)]) if head else
+                 np.full((1, 1), op.identity) for op, tables in groups]
         for r in range(0, len(rows), per):
-            # a is nonzero only for a single inner factor longer than CHUNK
-            for a in range(0, block, CHUNK):
-                yield [inn[0][:, a : a + CHUNK] if out is None else
-                       functools.reduce(lambda v, t: _spread(op, v, t[:, a : a + CHUNK]), inn, out[r : r + per].T)
-                       for (op, _, _), out, inn in zip(groups, outer, inner)]
+            for a in range(0, last, CHUNK):
+                yield [_spread(op, out[:, r : r + per], tables[-1][:, a : a + CHUNK])
+                       for (op, tables), out in zip(groups, outer)]
 
 
 def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: int, stem=None):
@@ -311,8 +296,9 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
     being the kernel constant, Jacobians and product weights.  Disc l has
     tables xi_l, d_l = |xi_l - x_l|^2 and w_l, with conj(xi_k - x_k) and the
     constant folded into w_k, so c = prod_l w_l / (sum_l d_l)^n and xi - x is
-    never formed.  For a StemPolynomial stem Z is its monomial table (T, rows),
-    the discs' power columns multiplied in axis order, as batch_evaluator does.
+    never formed.  Z is the sum of the discs' one-hot rows, xi_l in row l; for
+    a StemPolynomial stem it is the monomial table (T, rows) instead, the
+    discs' power tables multiplied in axis order, as batch_evaluator does.
     """
     n = dom.n
     M, R = spec.angular_nodes, spec.radial_nodes
@@ -335,11 +321,10 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
             w = (wr[:, None] * np.full(M, w_ang)[None, :]).ravel() * (2j * np.repeat(rho, M))
         vals.append(v)
         weights.append(w)
-    dists = [((v - x).real ** 2 + (v - x).imag ** 2)[:, None] for v, x in zip(vals, x_z)]
+    dists = [((v - x).real ** 2 + (v - x).imag ** 2)[None] for v, x in zip(vals, x_z)]
     poly = isinstance(stem, StemPolynomial)
-    nodes = [stem.power_columns(l, v).T if poly else v[:, None] for l, v in enumerate(vals)]
-    groups = [(np.multiply if poly else None, nodes, poly), (np.multiply, [w[:, None] for w in weights], False),
-              (np.add, dists, False)]
+    nodes = [stem.power_columns(l, v) if poly else _axis_rows(np.add, n, l, v) for l, v in enumerate(vals)]
+    groups = [(np.multiply if poly else np.add, nodes), (np.multiply, [w[None] for w in weights]), (np.add, dists)]
     for Z, W, D in _product_grid(tuple(len(v) for v in vals), groups):
         W *= 1.0 / D**n
         yield Z, W[0]
@@ -351,8 +336,8 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
 
 def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     _check_point(dom, x)
-    n, M = dom.n, spec.angular_nodes
-    count = _check_budget(n * M * (spec.radial_nodes * M) ** (n - 1))
+    n = dom.n
+    count = _check_budget(_boundary_count(n, spec))
     LJT = np.ascontiguousarray(left_mult_matrix(dom.j.value).T)
     values = f.stem.contract if isinstance(f.stem, StemPolynomial) else (lambda Z: evaluate_stem_batch(f.stem, Z.T))
     chunks = (chunk for k in range(n) for chunk in _face_nodes(dom, spec, x.z, k, f.stem))
@@ -403,6 +388,16 @@ def _volume_sizes(spec: QuadratureSpec) -> tuple[int, int]:
     return 2 * spec.volume_refinement + 2, max(8, spec.angular_nodes // 2)
 
 
+def _boundary_count(n: int, spec: QuadratureSpec) -> int:
+    """Nodes of the boundary rule over all n faces: each is M angles times n - 1 discs of R M nodes."""
+    return n * spec.angular_nodes * (spec.radial_nodes * spec.angular_nodes) ** (n - 1)
+
+
+def _volume_count(n: int, spec: QuadratureSpec) -> int:
+    """Nodes of the volume rule: n pyramids of q^n points, times M_v angles per disc."""
+    return n * math.prod(_volume_sizes(spec)) ** n
+
+
 def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int):
     """Duffy-pyramid rule in per-disc polar coordinates centered at x.
 
@@ -417,8 +412,9 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
     Gauss-Legendre of order q = 2V+2 runs in tau and in each v, and
     M_v = max(8, M//2) trapezoid angles per disc, so the rule has
     n q^n M_v^n nodes: the pyramid table is the grid's first factor, the
-    angles of discs 1..n the others.  Angular offsets are jittered from
-    the seed, deterministically; every u_l is positive, so no node lands on x.
+    angles of discs 1..n the others; xi - x is u times a ray row per disc,
+    S_l e^{i phi_l} in row l and ones elsewhere.  Angular offsets are jittered
+    from the seed, deterministically; every u_l is positive, so no node lands on x.
     Yields (Z, C) per chunk, both (n, rows): row j of C is the weights times
     g_j(xi).
     """
@@ -428,9 +424,8 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
     x_z = x.z
     U, w_pyr = _pyramid_table(n, q)
 
-    # xi - x = U[i_0] * (S_1 e^{i phi_1}, ..., S_n e^{i phi_n})
-    rays: list[np.ndarray] = [np.empty((len(U), 0))]
-    weights: list[np.ndarray] = [w_pyr[:, None]]
+    rays: list[np.ndarray] = [U.T]
+    weights: list[np.ndarray] = [w_pyr[None]]
     for l in range(n):
         e = complex(x_z[l] - dom.centers[l])
         offset = rng.uniform(0.05, 0.45)
@@ -438,11 +433,9 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
         ray = np.exp(1j * phi)
         edotr = np.real(np.conj(e) * ray)
         smax = -edotr + np.sqrt(edotr**2 + dom.radii[l] ** 2 - abs(e) ** 2)
-        rays.append((smax * ray)[:, None])
-        weights.append((smax**2 * (2.0 * math.pi / M))[:, None])
-    groups = [(None, [U] + [np.empty((M, 0))] * n, False), (None, rays, False), (np.multiply, weights, False)]
-    for Ui, S, W in _product_grid((len(w_pyr),) + (M,) * n, groups):
-        diff = Ui * S
+        rays.append(_axis_rows(np.multiply, n, l, smax * ray))
+        weights.append((smax**2 * (2.0 * math.pi / M))[None])
+    for diff, W in _product_grid((len(w_pyr),) + (M,) * n, [(np.multiply, rays), (np.multiply, weights)]):
         W *= 1.0 / np.sum(diff.real**2 + diff.imag**2, axis=0) ** n
         yield x_z[:, None] + diff, np.conj(diff) * W
 
@@ -454,7 +447,7 @@ def _bm_volume_both(
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
-    count = _check_budget(n * math.prod(_volume_sizes(spec)) ** n)
+    count = _check_budget(_volume_count(n, spec))
     LJT = np.ascontiguousarray(left_mult_matrix(dom.j.value).T)
     chunks = _volume_nodes(dom, x, spec, seed)
     parts = (_node_sums(c, dbar_batch(f.stem, Z.T, jx), LJT) for Z, C in chunks for jx, c in enumerate(C))

@@ -16,7 +16,8 @@ of its name less any `octonion_`/`quaternion_` prefix.  Records in `WITNESSES`
 pass above their tolerance, all others at or below it.
 
 Config defaults live in `ExperimentConfig` and `QuadratureSpec` only; every
-integer field must be a YAML integer, and a malformed value raises ValueError.
+integer field must be a YAML integer, and a malformed value, a negative seed or
+a quadrature grid over NODE_BUDGET in the configured suite raises ValueError.
 
 Report serialization is byte stable: keys are sorted, floats are rendered with
 %.15e, and wall-clock times are excluded from JSON.  Report equality compares
@@ -158,11 +159,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown suite {self.suite!r}; expected one of {SUITE_NAMES}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         for name, tol in self.tolerances.items():
             if not tol > 0.0:
                 raise ValueError(f"tolerance override {name!r} must be positive")
+        # every grid the configured suite integrates, before any suite runs: all on two discs (or one, a smaller
+        # grid), and monotone_angular also runs M = 64 and volume_vanishes_regular V = 1
+        spec = self.quadrature
+        counts = [quad._boundary_count(2, spec)] if self.suite in ("bm", "off-slice", "hartogs", "all") else []
+        if self.suite in ("bm", "all"):
+            counts += [quad._boundary_count(2, replace(spec, angular_nodes=64)), quad._volume_count(2, spec),
+                       quad._volume_count(2, replace(spec, volume_refinement=1))]
+        for count in counts:
+            quad._check_budget(count)
 
     def tol(self, name: str) -> float:
         """A record's fixed tolerance, else the override or default for its name less the algebra prefix."""

@@ -520,9 +520,14 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(itg, "_node_sums", recorded)
     monkeypatch.setattr(itg, "CHUNK", 1000)
     itg.bm_boundary_dual(sf.lift(stm.constant_poly(TAG, 2, E0)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
-    # two faces of 16 x (8 x 16) = 2048 nodes: chunks are whole inner blocks,
-    # 7 of 128 rows on face 0 and 62 of 16 rows on face 1
+    # two faces of 16 x (8 x 16) = 2048 nodes: a chunk is whole blocks of the
+    # last factor, 7 of 128 rows on face 0 and 62 of 16 rows on face 1
     assert spans == [896, 896, 256, 992, 992, 64]
+    spans.clear()
+    itg.bm_volume_dual(sf.lift(_conj_z1_stem(TAG, 2, E1)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
+    # 32 pyramid points x 8 x 8 angles: 125 outer nodes of 8 angles to a
+    # chunk, and each chunk is reduced once per axis
+    assert spans == [1000, 1000, 1000, 1000, 48, 48]
     p3 = stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3})
     cases = [
         (itg.bm_boundary_dual, sf.lift(stm.stem_polynomial(TAG, 2, {(1, 2): E0, (2, 0): E3})),
@@ -563,8 +568,9 @@ def test_polynomial_boundary_matches_generic_stem_bitwise(monkeypatch, chunk, ar
     # a polynomial's boundary rule builds its monomials from per-disc power
     # tables; wrapped as a generic stem, the same polynomial is evaluated at
     # every chunk's nodes.  Both give the same bits, whatever the chunk
-    # layout: at 2048 an n <= 2 face is one block and an n = 3 inner block
-    # spans two discs; at 30 the n = 1 circle and every last disc are sliced
+    # layout: at 2048 an n <= 2 face is one chunk and an n = 3 chunk is 51
+    # outer nodes against the last disc; at 30 the n = 1 circle and every
+    # last disc are sliced
     monkeypatch.setattr(itg, "CHUNK", chunk)
     rng = np.random.default_rng(17)
     specs = {1: itg.QuadratureSpec(64, 8, 1), 2: itg.QuadratureSpec(16, 8, 1), 3: itg.QuadratureSpec(8, 5, 1)}
@@ -607,30 +613,29 @@ def test_streamed_grid_matches_meshgrid(monkeypatch):
     weights = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
     # per-factor tables of width T = 0, 1 and 4, like a polynomial's power columns
     widths = (0, 1, 4)
-    powers = [[rng.standard_normal((m, T)) + 1j * rng.standard_normal((m, T)) for m in sizes] for T in widths]
-    groups = [(None, [v[:, None] for v in vals], False), (np.multiply, [w[:, None] for w in weights], False)]
-    groups += [(np.multiply, tables, True) for tables in powers]
-    # reference: the whole grid in meshgrid order, weights multiplied disc by disc
+    powers = [[rng.standard_normal((T, m)) + 1j * rng.standard_normal((T, m)) for m in sizes] for T in widths]
+    # the nodes as an add group: factor f's values in row f, exact zeros elsewhere
+    one_hot = [np.where(np.arange(len(sizes))[:, None] == f, v, 0) for f, v in enumerate(vals)]
+    groups = [(np.add, one_hot), (np.multiply, [w[None] for w in weights])]
+    groups += [(np.multiply, tables) for tables in powers]
+    # reference: the whole grid in meshgrid order, every group folded left to right
     grids = np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")
     Z_ref = np.stack([v[g.ravel()] for v, g in zip(vals, grids)], axis=1)
-    W_ref = weights[0][grids[0].ravel()]
-    for w, g in zip(weights[1:], grids[1:]):
-        W_ref = W_ref * w[g.ravel()]
-    # an ordered group folds each node's rows in factor order, as a left-to-right product does
-    P_refs = [functools.reduce(np.multiply, [t[g.ravel()] for t, g in zip(tables, grids)]) for tables in powers]
-    # 2048: the whole grid is one inner block; 64: an inner block of 3 x 7
-    # rows, three to a chunk; 20: inner block 7, two to a chunk; 5: the last
-    # factor alone exceeds CHUNK and is sliced
+    W_ref = functools.reduce(np.multiply, [w[g.ravel()] for w, g in zip(weights, grids)])
+    P_refs = [functools.reduce(np.multiply, [t[:, g.ravel()] for t, g in zip(tables, grids)]) for tables in powers]
+    # the last factor (7 columns) is the inner block.  2048: one chunk of all
+    # 15 outer nodes; 64: nine outer nodes to a chunk; 20: two to a chunk;
+    # 5: the last factor alone exceeds CHUNK and is sliced
     for chunk in (2048, 64, 20, 5):
         monkeypatch.setattr(itg, "CHUNK", chunk)
         parts = list(itg._product_grid(sizes, groups))
         assert all(Z.shape[1] == W.shape[1] <= chunk for Z, W, *_ in parts), chunk
         np.testing.assert_array_equal(np.concatenate([Z for Z, *_ in parts], axis=1).T, Z_ref)
-        np.testing.assert_allclose(np.concatenate([W[0] for _, W, *_ in parts]), W_ref, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(np.concatenate([W[0] for _, W, *_ in parts]), W_ref)
         for g, (T, P_ref) in enumerate(zip(widths, P_refs), start=2):
             P = np.concatenate([part[g] for part in parts], axis=1)
             assert P.shape == (T, Z_ref.shape[0]), (chunk, T)
-            np.testing.assert_array_equal(P.T, P_ref)
+            np.testing.assert_array_equal(P, P_ref)
 
 
 def _face_permutation_sign(n, k):
@@ -759,17 +764,17 @@ def test_chunk_kernel_weights_match_meshgrid(n):
 @pytest.mark.parametrize(
     "n, spec, chunk",
     [
-        # inner blocks that divide CHUNK: 8 and 64 rows (face 1, volume);
-        # face 0's 40-row block does not
+        # last factors that divide CHUNK: 8 rows (face 1, volume); face 0's
+        # 40-row disc does not
         (2, (8, 5, 1), 64),
-        # M = 24, R = 12: face 0's block is one 288-row disc, seven to a
-        # chunk; face 1's is 24 rows and the volume rule's 144
+        # M = 24, R = 12: face 0's last factor is a 288-row disc, seven to a
+        # chunk; face 1's is 24 angles and the volume rule's 12
         (2, (24, 12, 1), 2048),
-        # a single factor larger than CHUNK: the 40-row disc of face 0, and
-        # every last factor at n = 3, is sliced
+        # a last factor larger than CHUNK is sliced: face 0's 40-row disc at
+        # n = 2, and every last factor at n = 3
         (2, (8, 5, 1), 32),
         (3, (8, 5, 1), 7),
-        # n = 1: the whole grid is one inner block, or its circle is sliced
+        # n = 1: the circle is the face's only factor, one chunk or sliced
         (1, (8, 5, 1), 2048),
         (1, (8, 5, 1), 3),
     ],

@@ -187,10 +187,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("n: [2]\n", "n must be an integer"),
         ("tolerances: {leibniz: null}\n", "leibniz"),
         ("functions: [1]\n", "functions must be a list"),
+        ("seed: -5\n", "seed must be >= 0"),
     ],
     ids=[
         "tolerance_name", "quadrature_key", "tolerances_list", "samples_float", "n_float", "quadrature_float",
-        "samples_bool", "seed_null", "n_list", "tolerance_null", "functions_int",
+        "samples_bool", "seed_null", "n_list", "tolerance_null", "functions_int", "seed_negative",
     ],
 )
 def test_cli_rejects_misspelled_config(tmp_path, capsys, body, message):
@@ -200,6 +201,48 @@ def test_cli_rejects_misspelled_config(tmp_path, capsys, body, message):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+def test_cli_rejects_negative_seed_override(fast_config, capsys):
+    # np.random.default_rng would raise on it mid-run, an exit 1 that no record earned
+    assert main(["run", "--config", str(fast_config), "--seed", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "suite, quadrature, nodes",
+    [
+        # each of the two faces of the configured grid: 4096 x (32 x 4096) nodes
+        ("all", "{angular_nodes: 4096}", 2 * 4096 * 32 * 4096),
+        # the configured grid fits; monotone_angular's M = 64 run does not
+        ("bm", "{angular_nodes: 8, radial_nodes: 4096}", 2 * 64 * 4096 * 64),
+        # the volume rule at V = 200: 2 pyramids of 402^2 points x 8^2 angles
+        ("bm", "{angular_nodes: 16, volume_refinement: 200}", 2 * (402 * 8) ** 2),
+    ],
+    ids=["all_angular", "bm_monotone_angular", "bm_volume"],
+)
+def test_cli_rejects_over_budget_quadrature_before_any_suite(tmp_path, capsys, monkeypatch, suite, quadrature, nodes):
+    def unreachable(*args):
+        raise AssertionError("a suite body ran")
+
+    monkeypatch.setattr(su, "_algebra_suite", unreachable)
+    for name in su._MIRRORABLE:
+        monkeypatch.setitem(su._MIRRORABLE, name, unreachable)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"suite: {suite}\nquadrature: {quadrature}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{nodes} nodes exceeds the budget of {2**24}" in err
+
+
+def test_budget_check_counts_only_the_configured_suite(tmp_path):
+    # off-slice integrates only the configured grid, so monotone_angular's M = 64 does not count
+    path = tmp_path / "cfg.yaml"
+    path.write_text("suite: off-slice\nquadrature: {angular_nodes: 8, radial_nodes: 4096}\n")
+    assert su.load_config(path).quadrature == QuadratureSpec(8, 4096, 3)
+    path.write_text("suite: algebra\nquadrature: {angular_nodes: 4096}\n")
+    assert su.load_config(path).quadrature.angular_nodes == 4096
 
 
 @pytest.mark.parametrize("algebra", ["octonion", "quaternion"])
