@@ -33,21 +33,29 @@ angles converge fast, and no node lands on x.
 One pass sums every integral directly in the algebra and componentwise over
 the F_J^k, a stem value F1 + i F2 that must agree with the direct route to
 1e-12 once lifted to F1 + J F2; off-slice evaluation lifts it to F1 + I F2.
-Both rules take their nodes from one product-grid helper and share one
-chunk-ordered reduction; a call is held to NODE_BUDGET nodes (all faces).
+Both routes are linear in the stem's values, so a chunk contributes only its
+four real moments [Re c; Im c] @ [B1 | B2], a (2, 2 width) array, where
+F1 = B1 A and F2 = B2 A for a (width, dim) matrix A: a generic stem's values
+and the volume rule's dbar F are B = F with A the identity, a StemPolynomial's
+are the real and imaginary parts of its monomials w^mu with A its
+coefficients.  Both rules sum the moments in chunk order and finish them once
+per call, contracting A once; a call is held to NODE_BUDGET nodes (all faces).
 
 Nodes are streamed along the grid's tensor structure.  A grid is only its
 per-factor tables (one per disc, or the volume rule's pyramid table and
 per-disc angles); each node value is np.add or np.multiply folded left over
 its factors' columns in factor order: coordinates as a sum of one-hot rows,
-the volume rule's xi - x as a product of pyramid points and ray rows, and a
-StemPolynomial's monomials as a product of per-disc power tables, so its
-nodes are never formed.  A chunk is a few outer nodes, folded once, broadcast
-against the last factor's table or a CHUNK-column slice of it.  Each chunk is
-evaluated and reduced by a few matrix products before the next one starts,
-so memory is O(CHUNK) whatever the grid size.  At CHUNK = 2048 the largest
-per-chunk arrays are the stem values (2048 x dim doubles, 128 KiB for
-octonions) and the monomial table (32 KiB per term).
+the volume rule's xi - x as a product of pyramid points and ray rows.  A
+chunk is a few outer nodes, folded once per chunk, and the last factor's
+table or a CHUNK-column slice of it; a rule spreads the two into node values
+where it needs them.  A StemPolynomial's face needs no node values: its
+monomial sums factor over the discs (sum factorisation; Orszag, J. Comput.
+Phys. 37, 1980), so a chunk spreads only the kernel factor (sum_l d_l)^-n and
+is reduced by one gemm against the last disc's weighted power table.  Each
+chunk is reduced before the next one starts, so memory is O(CHUNK) whatever
+the grid size.  At CHUNK = 2048 the largest per-chunk arrays are a generic
+stem's values (2048 x dim doubles, 128 KiB for octonions); a polynomial
+chunk's are its kernel factor and distances, 16 KiB each.
 """
 
 from __future__ import annotations
@@ -184,35 +192,64 @@ class BMReport:
 # shared plumbing
 
 
-def _reduce(j: ImaginaryUnit, parts, scale: float = 1.0):
-    """Sum the (direct, componentwise) parts in order: direct, s lifted to Re(s) + J Im(s), s as Re(s) + i Im(s).
+def _reduce(j: ImaginaryUnit, parts, A: np.ndarray | None = None, scale: float = 1.0):
+    """Sum the chunks' moments in order, then finish: direct, s lifted to Re(s) + J Im(s), s as Re(s) + i Im(s).
 
-    So a result depends on the chunk layout (and so on CHUNK) and nothing else.
+    A (width, dim) defaults to the identity.  So a result depends on the chunk
+    layout (and so on CHUNK) and nothing else.
     """
-    direct = np.zeros(j.tag.dim)
-    comp = np.zeros(j.tag.dim, dtype=np.complex128)
-    for d_part, c_part in parts:
-        direct = direct + d_part
-        comp = comp + c_part
+    A = np.eye(j.tag.dim) if A is None else A
+    moments = np.zeros((2, 2 * A.shape[0]))
+    for part in parts:
+        moments += part
+    direct, comp = _finish(moments, A, np.ascontiguousarray(left_mult_matrix(j.value).T))
     w = ComplexifiedElement(element(j.tag, scale * np.real(comp)), element(j.tag, scale * np.imag(comp)))
     return element(j.tag, scale * direct), lift_value(w, j), w
 
 
-def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray], LJT: np.ndarray):
-    """Sum over nodes of c (F1 + i F2), directly in the algebra and componentwise.
+def _finish(moments: np.ndarray, A: np.ndarray, LJT: np.ndarray):
+    """Direct and componentwise sums (dim,) of c (F1 + i F2) from the summed moments (2, 2 width); A is read once.
 
-    The direct route lifts F to F1 + J F2 at every node and applies c as
-    Re(c) + J Im(c), both by left multiplication with J (LJT is its matrix,
-    transposed); every node sum is one product with [Re c; Im c] (2, N).
+    Rows RR, RI, IR, II of the moments times A are the sums of Re(c) F1,
+    Re(c) F2, Im(c) F1 and Im(c) F2.  The direct route lifts F to F1 + J F2
+    and applies c as Re(c) + J Im(c), both by left multiplication with J (LJT
+    is its matrix, transposed): S0 = RR A + RI A LJT, S1 = IR A + II A LJT and
+    direct = S0 + S1 LJT.  The componentwise route is (RR - II) A + i (IR + RI) A.
     """
+    RR, RI, IR, II = moments.reshape(4, -1) @ A
+    return RR + RI @ LJT + (IR + II @ LJT) @ LJT, (RR - II) + 1j * (IR + RI)
+
+
+def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Moments (2, 2 dim) of one chunk of nodes: [Re c; Im c] @ [F1 | F2], for c (rows,) and F1, F2 (rows, dim)."""
     F1, F2 = F
     # [Re c; Im c] as a strided view of c, which BLAS reads without a copy
     C = np.ascontiguousarray(c).view(np.float64).reshape(-1, 2).T
-    fvals = F2 @ LJT
-    fvals += F1
-    S = C @ fvals
-    A, B = C @ F1, C @ F2
-    return S[0] + S[1] @ LJT, (A[0] - B[1]) + 1j * (A[1] + B[0])
+    return np.hstack((C @ F1, C @ F2))
+
+
+# rows Re(c) Re(m), Re(c) Im(m), Im(c) Re(m), Im(c) Im(m) from rows Re X, Im X, Re Y, Im Y of
+# X = c m and Y = c conj(m): c m + c conj(m) = 2 Re(m) c and c m - c conj(m) = 2i Im(m) c
+_CONJUGATE_PAIR = 0.5 * np.array(
+    [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [0.0, 1.0, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.0]]
+)
+
+
+def _monomial_sums(Q_outer: np.ndarray, Q_last: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Moments (2, 2T) of one polynomial chunk: B1 and B2 are the real and imaginary parts of the monomials m = w^mu.
+
+    Disc l's table is Q_l = w_l [P_l; conj P_l] (2T, len), so a node's
+    coefficient times [m; conj m] is the product of its discs' columns times
+    the kernel factor K.  Q_outer (2T, k) is the chunk's outer nodes' fold,
+    Q_last (2T, b) the last disc's columns, which transpose to C order, and K
+    (k, b): G = K Q_last^T sums each outer node's nodes of the chunk, one
+    real gemm through a float view, and summing Q_outer[:, i] G[i] over the
+    outer nodes gives X = sum c m and Y = sum c conj(m).
+    """
+    T = Q_last.shape[0] // 2
+    G = (K @ Q_last.T.view(np.float64)).view(np.complex128)
+    S = np.einsum("ti,it->t", Q_outer, G)
+    return (_CONJUGATE_PAIR @ S.view(np.float64).reshape(2, T, 2).transpose(0, 2, 1).reshape(4, T)).reshape(2, 2 * T)
 
 
 def _agreed(direct: AlgebraElement, comp: AlgebraElement) -> AlgebraElement:
@@ -268,37 +305,37 @@ def _product_grid(shape: tuple, groups: list):
     A group (op, tables) has one table (width, shape[f]) per factor f, and
     op is np.add or np.multiply; a node's value is op folded left over the
     columns its indices pick, ((t_0 op t_1) op t_2) ..., in factor order.
-    The last factor is the inner block: a chunk is a few outer nodes, folded
-    once per span of at most CHUNK of them, broadcast against the last
-    factor's table (or a CHUNK-column slice of it, when it alone exceeds
-    CHUNK).  Yields per chunk one array (width, rows) per group, which no
-    other chunk shares.
+    The last factor is the inner block: a chunk is a few outer nodes against
+    the last factor's table (or a CHUNK-column slice of it, when it alone
+    exceeds CHUNK).  Yields per chunk one (op, outer, last) per group: the
+    outer nodes' fold (width, k), made once per chunk, and the last factor's
+    columns (width, b), a view of its table; _spread(op, outer, last) is the
+    chunk's node values (width, k b).
     """
     *head, last = shape
     count, per = math.prod(head), max(1, CHUNK // last)
-    span = per * max(1, CHUNK // per)
-    for o in range(0, count, span):
-        rows = np.arange(o, min(o + span, count))
-        idx = np.unravel_index(rows, head) if head else ()
+    for o in range(0, count, per):
+        idx = np.unravel_index(np.arange(o, min(o + per, count)), head) if head else ()
         # zip stops at the outer factors; a one-factor grid's one outer node is op's identity
         outer = [functools.reduce(op, [t[:, i] for t, i in zip(tables, idx)]) if head else
                  np.full((1, 1), op.identity) for op, tables in groups]
-        for r in range(0, len(rows), per):
-            for a in range(0, last, CHUNK):
-                yield [_spread(op, out[:, r : r + per], tables[-1][:, a : a + CHUNK])
-                       for (op, tables), out in zip(groups, outer)]
+        for a in range(0, last, CHUNK):
+            yield [(op, out, tables[-1][:, a : a + CHUNK]) for (op, tables), out in zip(groups, outer)]
 
 
 def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: int, stem=None):
-    """Quadrature nodes, or a polynomial stem's monomials, and complete complex coefficients for boundary face k.
+    """Boundary face k per chunk: its nodes and complete complex coefficients, or a polynomial stem's monomial factors.
 
-    Yields (Z, c) per chunk: Z complex (n, rows) and c = coeff g_k(xi), coeff
-    being the kernel constant, Jacobians and product weights.  Disc l has
-    tables xi_l, d_l = |xi_l - x_l|^2 and w_l, with conj(xi_k - x_k) and the
-    constant folded into w_k, so c = prod_l w_l / (sum_l d_l)^n and xi - x is
-    never formed.  Z is the sum of the discs' one-hot rows, xi_l in row l; for
-    a StemPolynomial stem it is the monomial table (T, rows) instead, the
-    discs' power tables multiplied in axis order, as batch_evaluator does.
+    A node's coefficient is c = coeff g_k(xi), coeff being the kernel
+    constant, Jacobians and product weights.  Disc l has tables xi_l,
+    d_l = |xi_l - x_l|^2 and w_l, with conj(xi_k - x_k) and the constant
+    folded into w_k, so c = prod_l w_l K with K = (sum_l d_l)^-n, and xi - x
+    is never formed.  Yields (Z, c) per chunk: Z complex (n, rows), the sum
+    of the discs' one-hot rows, xi_l in row l.  For a StemPolynomial stem a
+    disc's weights and power table (from power_columns) are one table
+    Q_l = w_l [P_l; conj P_l] (2T, len), and it yields (Q_outer, Q_last, K)
+    per chunk, the pieces _monomial_sums reduces: no node, monomial or
+    coefficient is formed.
     """
     n = dom.n
     M, R = spec.angular_nodes, spec.radial_nodes
@@ -321,13 +358,24 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
             w = (wr[:, None] * np.full(M, w_ang)[None, :]).ravel() * (2j * np.repeat(rho, M))
         vals.append(v)
         weights.append(w)
-    dists = [((v - x).real ** 2 + (v - x).imag ** 2)[None] for v, x in zip(vals, x_z)]
-    poly = isinstance(stem, StemPolynomial)
-    nodes = [stem.power_columns(l, v) if poly else _axis_rows(np.add, n, l, v) for l, v in enumerate(vals)]
-    groups = [(np.multiply if poly else np.add, nodes), (np.multiply, [w[None] for w in weights]), (np.add, dists)]
-    for Z, W, D in _product_grid(tuple(len(v) for v in vals), groups):
-        W *= 1.0 / D**n
-        yield Z, W[0]
+    shape = tuple(len(v) for v in vals)
+    dists = (np.add, [((v - x).real ** 2 + (v - x).imag ** 2)[None] for v, x in zip(vals, x_z)])
+    if isinstance(stem, StemPolynomial):
+        Q = []
+        for l, (v, w) in enumerate(zip(vals, weights)):
+            P = stem.power_columns(l, v)
+            # the last disc's in Fortran order, so a chunk's columns of it transpose to C order
+            Q.append(np.empty((2 * len(P), len(v)), dtype=np.complex128, order="F" if l == n - 1 else "C"))
+            np.multiply(w, P, out=Q[l][: len(P)])
+            np.multiply(w, np.conj(P, out=Q[l][len(P) :]), out=Q[l][len(P) :])
+        for (_, Q_outer, Q_last), D in _product_grid(shape, [(np.multiply, Q), dists]):
+            yield Q_outer, Q_last, (1.0 / _spread(*D) ** n).reshape(Q_outer.shape[1], Q_last.shape[1])
+        return
+    nodes = (np.add, [_axis_rows(np.add, n, l, v) for l, v in enumerate(vals)])
+    for Z, W, D in _product_grid(shape, [nodes, (np.multiply, [w[None] for w in weights]), dists]):
+        c = _spread(*W)[0]
+        c *= 1.0 / _spread(*D)[0] ** n
+        yield _spread(*Z), c
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +386,10 @@ def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec
     _check_point(dom, x)
     n = dom.n
     count = _check_budget(_boundary_count(n, spec))
-    LJT = np.ascontiguousarray(left_mult_matrix(dom.j.value).T)
-    values = f.stem.contract if isinstance(f.stem, StemPolynomial) else (lambda Z: evaluate_stem_batch(f.stem, Z.T))
     chunks = (chunk for k in range(n) for chunk in _face_nodes(dom, spec, x.z, k, f.stem))
-    parts = (_node_sums(c, values(V), LJT) for V, c in chunks)
-    return (*_reduce(dom.j, parts), count)
+    if isinstance(f.stem, StemPolynomial):
+        return (*_reduce(dom.j, (_monomial_sums(*chunk) for chunk in chunks), f.stem.coefficients), count)
+    return (*_reduce(dom.j, (_node_sums(c, evaluate_stem_batch(f.stem, Z.T)) for Z, c in chunks)), count)
 
 
 def bm_boundary_dual(
@@ -435,7 +482,8 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
         smax = -edotr + np.sqrt(edotr**2 + dom.radii[l] ** 2 - abs(e) ** 2)
         rays.append(_axis_rows(np.multiply, n, l, smax * ray))
         weights.append((smax**2 * (2.0 * math.pi / M))[None])
-    for diff, W in _product_grid((len(w_pyr),) + (M,) * n, [(np.multiply, rays), (np.multiply, weights)]):
+    for R, W in _product_grid((len(w_pyr),) + (M,) * n, [(np.multiply, rays), (np.multiply, weights)]):
+        diff, W = _spread(*R), _spread(*W)
         W *= 1.0 / np.sum(diff.real**2 + diff.imag**2, axis=0) ** n
         yield x_z[:, None] + diff, np.conj(diff) * W
 
@@ -448,10 +496,9 @@ def _bm_volume_both(
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
     count = _check_budget(_volume_count(n, spec))
-    LJT = np.ascontiguousarray(left_mult_matrix(dom.j.value).T)
     chunks = _volume_nodes(dom, x, spec, seed)
-    parts = (_node_sums(c, dbar_batch(f.stem, Z.T, jx), LJT) for Z, C in chunks for jx, c in enumerate(C))
-    return (*_reduce(dom.j, parts, math.factorial(n - 1) / math.pi**n), count)
+    parts = (_node_sums(c, dbar_batch(f.stem, Z.T, jx)) for Z, C in chunks for jx, c in enumerate(C))
+    return (*_reduce(dom.j, parts, scale=math.factorial(n - 1) / math.pi**n), count)
 
 
 def bm_volume_dual(

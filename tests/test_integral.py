@@ -509,15 +509,21 @@ def test_node_budget_counts_every_boundary_face(monkeypatch):
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
     from hyperslice.suites import _conj_z1_stem
 
-    # the rules read CHUNK when called, so patching it changes the spans
+    # the rules read CHUNK when called, so patching it changes the spans; a
+    # chunk's rows are its coefficients c, or a polynomial chunk's kernel factor
     spans = []
-    node_sums = itg._node_sums
+    node_sums, monomial_sums = itg._node_sums, itg._monomial_sums
 
-    def recorded(c, F, LJ):
+    def recorded(c, F):
         spans.append(c.shape[0])
-        return node_sums(c, F, LJ)
+        return node_sums(c, F)
+
+    def recorded_monomials(Q_outer, Q_last, K):
+        spans.append(K.size)
+        return monomial_sums(Q_outer, Q_last, K)
 
     monkeypatch.setattr(itg, "_node_sums", recorded)
+    monkeypatch.setattr(itg, "_monomial_sums", recorded_monomials)
     monkeypatch.setattr(itg, "CHUNK", 1000)
     itg.bm_boundary_dual(sf.lift(stm.constant_poly(TAG, 2, E0)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
     # two faces of 16 x (8 x 16) = 2048 nodes: a chunk is whole blocks of the
@@ -550,27 +556,38 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
             assert (values[chunk] - ref).norm() <= 1e-13 * (1.0 + ref.norm()), (rule.__name__, chunk)
 
 
-def test_reproduce_check_applies_route_gate(monkeypatch):
-    node_sums = itg._node_sums
+@pytest.mark.parametrize("path", ["polynomial", "generic", "volume"])
+def test_reproduce_check_applies_route_gate(monkeypatch, path):
+    from hyperslice.suites import _conj_z1_stem
 
-    def shifted(c, F, LJ):
-        direct, comp = node_sums(c, F, LJ)
+    # every rule forms both routes in the one finishing step
+    finish = itg._finish
+
+    def shifted(*args):
+        direct, comp = finish(*args)
         return direct, comp + 1e-6
 
-    monkeypatch.setattr(itg, "_node_sums", shifted)
-    f = sf.lift(stm.stem_polynomial(TAG, 2, {(1, 0): E0}))
+    monkeypatch.setattr(itg, "_finish", shifted)
+    p = stm.stem_polynomial(TAG, 2, {(1, 0): E0})
+    spec = itg.QuadratureSpec(16, 8, 1)
     with pytest.raises(RuntimeError, match="routes disagree"):
-        itg.reproduce_check(f, _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
+        if path == "volume":
+            itg.bm_volume_integral(sf.lift(_conj_z1_stem(TAG, 2, E1)), _bidisc(), _x2(), spec)
+        elif path == "generic":
+            generic = sf.SliceFunction(stm.StemFunction(arity=2, tag=TAG, batch_evaluator=p.batch_evaluator))
+            itg.reproduce_check(generic, _bidisc(), _x2(), spec)
+        else:
+            itg.reproduce_check(sf.lift(p), _bidisc(), _x2(), spec)
 
 
 @pytest.mark.parametrize("chunk, arities", [(2048, (1, 2, 3)), (30, (1, 2))])
-def test_polynomial_boundary_matches_generic_stem_bitwise(monkeypatch, chunk, arities):
-    # a polynomial's boundary rule builds its monomials from per-disc power
-    # tables; wrapped as a generic stem, the same polynomial is evaluated at
-    # every chunk's nodes.  Both give the same bits, whatever the chunk
-    # layout: at 2048 an n <= 2 face is one chunk and an n = 3 chunk is 51
-    # outer nodes against the last disc; at 30 the n = 1 circle and every
-    # last disc are sliced
+def test_polynomial_boundary_matches_generic_stem(monkeypatch, chunk, arities):
+    # a polynomial's boundary rule sums its monomials' moments from per-disc
+    # power tables and applies its coefficients once; wrapped as a generic
+    # stem, the same polynomial is evaluated at every chunk's nodes.  The two
+    # agree to rounding whatever the chunk layout: at 2048 an n <= 2 face is
+    # one chunk and an n = 3 chunk is 51 outer nodes against the last disc;
+    # at 30 the n = 1 circle and every last disc are sliced
     monkeypatch.setattr(itg, "CHUNK", chunk)
     rng = np.random.default_rng(17)
     specs = {1: itg.QuadratureSpec(64, 8, 1), 2: itg.QuadratureSpec(16, 8, 1), 3: itg.QuadratureSpec(8, 5, 1)}
@@ -584,7 +601,43 @@ def test_polynomial_boundary_matches_generic_stem_bitwise(monkeypatch, chunk, ar
                 generic = sf.SliceFunction(stm.StemFunction(arity=n, tag=tag, batch_evaluator=p.batch_evaluator))
                 for got, want in zip(itg.bm_boundary_dual(sf.lift(p), dom, x, spec),
                                      itg.bm_boundary_dual(generic, dom, x, spec)):
-                    np.testing.assert_array_equal(got.coeffs, want.coeffs, err_msg=f"{tag} n={n} T={len(p.exponents)}")
+                    msg = f"{tag} n={n} T={len(p.exponents)}"
+                    if len(p.exponents) == 0:
+                        # the zero polynomial reads exactly 0 on both paths
+                        np.testing.assert_array_equal(got.coeffs, 0.0, err_msg=msg)
+                        np.testing.assert_array_equal(want.coeffs, 0.0, err_msg=msg)
+                    assert (got - want).norm() <= 1e-14 * (1.0 + want.norm()), msg
+
+
+class _CountedCoefficients(np.ndarray):
+    """A coefficient matrix that counts every numpy call reading it."""
+
+    reads = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedCoefficients.reads += 1
+        inputs = tuple(a.view(np.ndarray) if isinstance(a, _CountedCoefficients) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        _CountedCoefficients.reads += 1
+        return super().__array_function__(func, types, args, kwargs)
+
+
+@pytest.mark.parametrize("n, spec", [(2, (32, 16, 1)), (3, (8, 5, 1))])
+def test_polynomial_boundary_reads_its_coefficients_once(n, spec):
+    # the chunks reduce the monomials alone; the coefficients are contracted
+    # once, in the finishing step, however many chunks the call has
+    dom, x = _ragged(n)
+    p = _random_cubic(np.random.default_rng(4), TAG, n)
+    counted = stm.StemPolynomial(TAG, n, p.exponents, p.coefficients.view(_CountedCoefficients))
+    spec = itg.QuadratureSpec(*spec)
+    want = itg.bm_boundary_dual(sf.lift(p), dom, x, spec)
+    _CountedCoefficients.reads = 0
+    got = itg.bm_boundary_dual(sf.lift(counted), dom, x, spec)
+    assert _CountedCoefficients.reads == 1
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
 def test_polynomial_boundary_evaluates_no_nodes(monkeypatch):
@@ -628,7 +681,10 @@ def test_streamed_grid_matches_meshgrid(monkeypatch):
     # 5: the last factor alone exceeds CHUNK and is sliced
     for chunk in (2048, 64, 20, 5):
         monkeypatch.setattr(itg, "CHUNK", chunk)
-        parts = list(itg._product_grid(sizes, groups))
+        chunks = list(itg._product_grid(sizes, groups))
+        # each chunk's outer fold holds its own outer nodes only
+        assert all(outer.shape[1] * last.shape[1] <= chunk for part in chunks for _, outer, last in part), chunk
+        parts = [[itg._spread(*group) for group in part] for part in chunks]
         assert all(Z.shape[1] == W.shape[1] <= chunk for Z, W, *_ in parts), chunk
         np.testing.assert_array_equal(np.concatenate([Z for Z, *_ in parts], axis=1).T, Z_ref)
         np.testing.assert_array_equal(np.concatenate([W[0] for _, W, *_ in parts]), W_ref)
@@ -720,7 +776,8 @@ def _random_cubic(rng, tag, n):
 def _check_rules_against_meshgrid(dom, x, spec):
     """Both rules visit every node of their grids once, in C order, in chunks of at most CHUNK rows.
 
-    A polynomial's monomial table on a face is checked too, for T = 0, 1 and 4 terms.
+    A polynomial's factors on a face are checked too, for T = 0, 1 and 4
+    terms: spread, Q_outer Q_last K is c [w^mu; conj(w^mu)] at every node.
     """
     cubic = _random_cubic(np.random.default_rng(dom.n), TAG, dom.n)
     polys = [cubic - cubic, stm.coordinate(TAG, dom.n, dom.n - 1), cubic]
@@ -731,17 +788,14 @@ def _check_rules_against_meshgrid(dom, x, spec):
         np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
         assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) <= 1e-14, k
         for p in polys:
-            WT, c_p, sizes_p = _streamed(itg._face_nodes(dom, spec, x.z, k, p))
-            assert WT.shape == Z.shape[:1] + p.exponents.shape[:1] and sizes_p == sizes
-            np.testing.assert_array_equal(c_p, c)
-            # bit for bit the table batch_evaluator builds at the grid's own
-            # nodes; to rounding, the monomials of the meshgrid nodes.  The
-            # fold calls np.multiply: with FMA a complex product's bits depend
-            # on operand order, which `a * b` may swap for a large temporary b
-            WT_nodes = functools.reduce(np.multiply, [p.power_columns(l, Z[:, l]) for l in range(dom.n)])
-            np.testing.assert_array_equal(WT, WT_nodes.T)
-            WT_ref = np.prod(Z_ref[:, None, :] ** p.exponents[None], axis=2)
-            np.testing.assert_allclose(WT, WT_ref, rtol=1e-14, atol=0)
+            parts = list(itg._face_nodes(dom, spec, x.z, k, p))
+            assert [K.size for *_, K in parts] == sizes
+            V = np.concatenate([itg._spread(np.multiply, Q_outer, Q_last) * K.ravel() for Q_outer, Q_last, K in parts],
+                               axis=1)
+            m_ref = np.prod(Z_ref[:, None, :] ** p.exponents[None], axis=2).T
+            V_ref = c_ref * np.vstack((m_ref, np.conj(m_ref)))
+            assert V.shape == V_ref.shape == (2 * len(p.exponents), Z.shape[0])
+            np.testing.assert_allclose(V, V_ref, rtol=1e-14, atol=0)
     Z, C, sizes = _streamed(itg._volume_nodes(dom, x, spec, 5))
     Z_ref, C_ref = _volume_reference(dom, x, spec, 5)
     assert Z.shape == Z_ref.shape and max(sizes) <= itg.CHUNK

@@ -215,8 +215,8 @@ def test_cli_rejects_negative_seed_override(fast_config, capsys):
     [
         # each of the two faces of the configured grid: 4096 x (32 x 4096) nodes
         ("all", "{angular_nodes: 4096}", 2 * 4096 * 32 * 4096),
-        # the configured grid fits; monotone_angular's M = 64 run does not
-        ("bm", "{angular_nodes: 8, radial_nodes: 4096}", 2 * 64 * 4096 * 64),
+        # the configured grid fits; monotone_angular's M = 32 run does not
+        ("bm", "{angular_nodes: 8, radial_nodes: 10000}", 2 * 32 * 10000 * 32),
         # the volume rule at V = 200: 2 pyramids of 402^2 points x 8^2 angles
         ("bm", "{angular_nodes: 16, volume_refinement: 200}", 2 * (402 * 8) ** 2),
     ],
@@ -237,10 +237,10 @@ def test_cli_rejects_over_budget_quadrature_before_any_suite(tmp_path, capsys, m
 
 
 def test_budget_check_counts_only_the_configured_suite(tmp_path):
-    # off-slice integrates only the configured grid, so monotone_angular's M = 64 does not count
+    # off-slice integrates only the configured grid, so monotone_angular's M = 32 does not count
     path = tmp_path / "cfg.yaml"
-    path.write_text("suite: off-slice\nquadrature: {angular_nodes: 8, radial_nodes: 4096}\n")
-    assert su.load_config(path).quadrature == QuadratureSpec(8, 4096, 3)
+    path.write_text("suite: off-slice\nquadrature: {angular_nodes: 8, radial_nodes: 10000}\n")
+    assert su.load_config(path).quadrature == QuadratureSpec(8, 10000, 3)
     path.write_text("suite: algebra\nquadrature: {angular_nodes: 4096}\n")
     assert su.load_config(path).quadrature.angular_nodes == 4096
 
