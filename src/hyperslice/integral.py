@@ -47,21 +47,25 @@ per-disc angles); each node value is np.add or np.multiply folded left over
 its factors' columns in factor order: coordinates as a sum of one-hot rows,
 the volume rule's xi - x as a product of pyramid points and ray rows.  A
 chunk is a few outer nodes, folded once per chunk, and the last factor's
-table or a CHUNK-column slice of it; a rule spreads the two into node values
+table or a slice of its columns; a rule spreads the two into node values
 where it needs them.  A StemPolynomial's face needs no node values: its
 monomial sums factor over the discs (sum factorisation; Orszag, J. Comput.
 Phys. 37, 1980), so a chunk spreads only the kernel factor (sum_l d_l)^-n and
 is reduced by one gemm against the last disc's weighted power table.  Each
-chunk is reduced before the next one starts, so memory is O(CHUNK) whatever
-the grid size.  At CHUNK = 2048 the largest per-chunk arrays are a generic
-stem's values (2048 x dim doubles, 128 KiB for octonions); a polynomial
-chunk's are its kernel factor and distances, 16 KiB each.
+chunk is reduced before the next one starts, so memory is O(CHUNK_DOUBLES)
+whatever the grid size: no per-node array of a chunk holds more than
+CHUNK_DOUBLES doubles (128 KiB), and each rule takes as many rows as its
+widest per-node array allows.  Stem-valued chunks (generic faces and the
+volume rule) hold F1 and F2 at up to 8 doubles a row, so they take 2048 rows
+in either algebra; a polynomial chunk holds only its kernel factor, formed in
+place from the distances at 1 double a node, so it takes 16384 nodes.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -101,7 +105,13 @@ __all__ = [
 
 INTERIOR_MARGIN = 0.05
 ROUTE_AGREEMENT_TOL = 1e-12
-CHUNK = 2048
+# doubles one per-node array of a chunk may hold (128 KiB); a rule divides it
+# by the doubles its widest per-node array holds per row
+CHUNK_DOUBLES = 1 << 14
+# a stem-valued chunk's widest arrays are F1 and F2, (rows, dim): 8 doubles a
+# row for octonions (its nodes take 2n, no more up to n = 4); quaternion
+# chunks keep the same rows: twice as many did not make the volume rule faster
+STEM_ROW_DOUBLES = 8
 # most nodes one call may integrate (all boundary faces together): 64x a
 # (64,32) boundary call and 128x the V=3 volume rule at n=2; nodes are
 # streamed, so this bounds time, not memory
@@ -196,7 +206,7 @@ def _reduce(j: ImaginaryUnit, parts, A: np.ndarray | None = None, scale: float =
     """Sum the chunks' moments in order, then finish: direct, s lifted to Re(s) + J Im(s), s as Re(s) + i Im(s).
 
     A (width, dim) defaults to the identity.  So a result depends on the chunk
-    layout (and so on CHUNK) and nothing else.
+    layout (and so on CHUNK_DOUBLES) and nothing else.
     """
     A = np.eye(j.tag.dim) if A is None else A
     moments = np.zeros((2, 2 * A.shape[0]))
@@ -253,7 +263,13 @@ def _monomial_sums(Q_outer: np.ndarray, Q_last: np.ndarray, K: np.ndarray) -> np
 
 
 def _agreed(direct: AlgebraElement, comp: AlgebraElement) -> AlgebraElement:
-    """The direct value, once the componentwise route agrees with it to ROUTE_AGREEMENT_TOL."""
+    """The direct value, once the componentwise route agrees with it to ROUTE_AGREEMENT_TOL.
+
+    Both routes are finished from the same summed moments, so the gate checks
+    how J is applied to them, not the sums themselves: a fault in a chunk's
+    moments moves both routes alike and passes it.  Checks against
+    lift_evaluate, such as reproduce_check's abs_error, are what see it.
+    """
     gap = (direct - comp).norm()
     if gap > ROUTE_AGREEMENT_TOL * max(1.0, direct.norm()):
         raise RuntimeError(f"componentwise and direct routes disagree by {gap:.3e}")
@@ -299,28 +315,42 @@ def _spread(op, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return op(outer[:, :, None], inner[:, None, :]).reshape(len(inner), outer.shape[1] * inner.shape[1])
 
 
-def _product_grid(shape: tuple, groups: list):
-    """Tensor-product rule streamed in chunks of at most CHUNK rows, in C order of the factor indices.
+def _product_grid(shape: tuple, groups: list, rows: int):
+    """Tensor-product rule streamed in chunks of at most rows nodes, in C order of the factor indices.
 
     A group (op, tables) has one table (width, shape[f]) per factor f, and
     op is np.add or np.multiply; a node's value is op folded left over the
     columns its indices pick, ((t_0 op t_1) op t_2) ..., in factor order.
     The last factor is the inner block: a chunk is a few outer nodes against
-    the last factor's table (or a CHUNK-column slice of it, when it alone
-    exceeds CHUNK).  Yields per chunk one (op, outer, last) per group: the
+    the last factor's table (or a rows-column slice of it, when it alone
+    exceeds rows).  The caller picks rows to fit its widest per-node array
+    in CHUNK_DOUBLES.  Yields per chunk one (op, outer, last) per group: the
     outer nodes' fold (width, k), made once per chunk, and the last factor's
     columns (width, b), a view of its table; _spread(op, outer, last) is the
     chunk's node values (width, k b).
     """
     *head, last = shape
-    count, per = math.prod(head), max(1, CHUNK // last)
+    count, per = math.prod(head), max(1, rows // last)
     for o in range(0, count, per):
         idx = np.unravel_index(np.arange(o, min(o + per, count)), head) if head else ()
         # zip stops at the outer factors; a one-factor grid's one outer node is op's identity
         outer = [functools.reduce(op, [t[:, i] for t, i in zip(tables, idx)]) if head else
                  np.full((1, 1), op.identity) for op, tables in groups]
-        for a in range(0, last, CHUNK):
-            yield [(op, out, tables[-1][:, a : a + CHUNK]) for (op, tables), out in zip(groups, outer)]
+        for a in range(0, last, rows):
+            yield [(op, out, tables[-1][:, a : a + rows]) for (op, tables), out in zip(groups, outer)]
+
+
+def _kernel_factor(d_outer: np.ndarray, d_last: np.ndarray, n: int) -> np.ndarray:
+    """K (k, b) = (d_outer[i] + d_last[j])^-n from a chunk's distance folds (1, k) and (1, b), in place.
+
+    K is a polynomial chunk's only per-node array.  The sum is spread by a
+    rank-2 gemm, [d_outer; 1]^T [1; d_last], which rounds each entry once, as
+    a broadcast np.add does, and writes K directly, where the np.add would
+    also allocate iterator buffers as large as K.
+    """
+    K = np.vstack((d_outer, np.ones_like(d_outer))).T @ np.vstack((np.ones_like(d_last), d_last))
+    K **= n
+    return np.divide(1.0, K, out=K)
 
 
 def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: int, stem=None):
@@ -368,11 +398,13 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
             Q.append(np.empty((2 * len(P), len(v)), dtype=np.complex128, order="F" if l == n - 1 else "C"))
             np.multiply(w, P, out=Q[l][: len(P)])
             np.multiply(w, np.conj(P, out=Q[l][len(P) :]), out=Q[l][len(P) :])
-        for (_, Q_outer, Q_last), D in _product_grid(shape, [(np.multiply, Q), dists]):
-            yield Q_outer, Q_last, (1.0 / _spread(*D) ** n).reshape(Q_outer.shape[1], Q_last.shape[1])
+        groups = [(np.multiply, Q), dists]
+        for (_, Q_outer, Q_last), (_, d_outer, d_last) in _product_grid(shape, groups, CHUNK_DOUBLES):
+            yield Q_outer, Q_last, _kernel_factor(d_outer, d_last, n)
         return
     nodes = (np.add, [_axis_rows(np.add, n, l, v) for l, v in enumerate(vals)])
-    for Z, W, D in _product_grid(shape, [nodes, (np.multiply, [w[None] for w in weights]), dists]):
+    groups = [nodes, (np.multiply, [w[None] for w in weights]), dists]
+    for Z, W, D in _product_grid(shape, groups, CHUNK_DOUBLES // STEM_ROW_DOUBLES):
         c = _spread(*W)[0]
         c *= 1.0 / _spread(*D)[0] ** n
         yield _spread(*Z), c
@@ -386,9 +418,10 @@ def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec
     _check_point(dom, x)
     n = dom.n
     count = _check_budget(_boundary_count(n, spec))
-    chunks = (chunk for k in range(n) for chunk in _face_nodes(dom, spec, x.z, k, f.stem))
+    # chain and starmap keep no reference to a reduced chunk, so a polynomial chunk's K is freed before the next
+    chunks = itertools.chain.from_iterable(_face_nodes(dom, spec, x.z, k, f.stem) for k in range(n))
     if isinstance(f.stem, StemPolynomial):
-        return (*_reduce(dom.j, (_monomial_sums(*chunk) for chunk in chunks), f.stem.coefficients), count)
+        return (*_reduce(dom.j, itertools.starmap(_monomial_sums, chunks), f.stem.coefficients), count)
     return (*_reduce(dom.j, (_node_sums(c, evaluate_stem_batch(f.stem, Z.T)) for Z, c in chunks)), count)
 
 
@@ -482,7 +515,8 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
         smax = -edotr + np.sqrt(edotr**2 + dom.radii[l] ** 2 - abs(e) ** 2)
         rays.append(_axis_rows(np.multiply, n, l, smax * ray))
         weights.append((smax**2 * (2.0 * math.pi / M))[None])
-    for R, W in _product_grid((len(w_pyr),) + (M,) * n, [(np.multiply, rays), (np.multiply, weights)]):
+    groups = [(np.multiply, rays), (np.multiply, weights)]
+    for R, W in _product_grid((len(w_pyr),) + (M,) * n, groups, CHUNK_DOUBLES // STEM_ROW_DOUBLES):
         diff, W = _spread(*R), _spread(*W)
         W *= 1.0 / np.sum(diff.real**2 + diff.imag**2, axis=0) ** n
         yield x_z[:, None] + diff, np.conj(diff) * W
@@ -561,7 +595,6 @@ class HartogsExtension:
     source: SliceFunction
     contour: PolydiscDomain
     spec: QuadratureSpec
-    hole_fraction: float
 
     def __call__(self, q_point: SlicePoint) -> AlgebraElement:
         return off_slice_evaluate(
@@ -584,7 +617,7 @@ def hartogs_extend(
         raise HartogsRequiresSeveralVariablesError("extension requires at least two variables")
     if not 0.0 < hole_radius_fraction < 0.8:
         raise ValueError("hole_radius_fraction must lie in (0, 0.8)")
-    return HartogsExtension(f, dom.scaled(0.95), spec, hole_radius_fraction)
+    return HartogsExtension(f, dom.scaled(0.95), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -509,8 +509,9 @@ def test_node_budget_counts_every_boundary_face(monkeypatch):
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
     from hyperslice.suites import _conj_z1_stem
 
-    # the rules read CHUNK when called, so patching it changes the spans; a
-    # chunk's rows are its coefficients c, or a polynomial chunk's kernel factor
+    # the rules read CHUNK_DOUBLES when called, so patching it changes the
+    # spans; a chunk's rows are its coefficients c, or a polynomial chunk's
+    # kernel factor, which takes STEM_ROW_DOUBLES times a stem chunk's rows
     spans = []
     node_sums, monomial_sums = itg._node_sums, itg._monomial_sums
 
@@ -524,12 +525,15 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
 
     monkeypatch.setattr(itg, "_node_sums", recorded)
     monkeypatch.setattr(itg, "_monomial_sums", recorded_monomials)
-    monkeypatch.setattr(itg, "CHUNK", 1000)
+    monkeypatch.setattr(itg, "CHUNK_DOUBLES", 1000)
     itg.bm_boundary_dual(sf.lift(stm.constant_poly(TAG, 2, E0)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
-    # two faces of 16 x (8 x 16) = 2048 nodes: a chunk is whole blocks of the
-    # last factor, 7 of 128 rows on face 0 and 62 of 16 rows on face 1
+    # two faces of 16 x (8 x 16) = 2048 nodes, at most 1000 to a polynomial
+    # chunk: a chunk is whole blocks of the last factor, 7 of 128 rows on
+    # face 0 and 62 of 16 rows on face 1
     assert spans == [896, 896, 256, 992, 992, 64]
     spans.clear()
+    # at most 1000 rows to a stem-valued chunk
+    monkeypatch.setattr(itg, "CHUNK_DOUBLES", 1000 * itg.STEM_ROW_DOUBLES)
     itg.bm_volume_dual(sf.lift(_conj_z1_stem(TAG, 2, E1)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
     # 32 pyramid points x 8 x 8 angles: 125 outer nodes of 8 angles to a
     # chunk, and each chunk is reduced once per axis
@@ -543,16 +547,18 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
         (itg.bm_volume_dual, sf.lift(_conj_z1_stem(TAG, 2, E1 + 0.5 * E3)),
          _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1)),
     ]
+    # the default bound, 64x it and about 1/16 of it
+    bounds = (itg.CHUNK_DOUBLES, 64 * itg.CHUNK_DOUBLES, 1000)
     for rule, f, dom, x, spec in cases:
         values = {}
-        for chunk in (2048, 65536, 1000):
-            monkeypatch.setattr(itg, "CHUNK", chunk)
+        for chunk in bounds:
+            monkeypatch.setattr(itg, "CHUNK_DOUBLES", chunk)
             direct, comp = rule(f, dom, x, spec)
             assert (direct - comp).norm() <= itg.ROUTE_AGREEMENT_TOL * max(1.0, direct.norm())
             values[chunk] = direct
-        ref = values[2048]
+        ref = values[bounds[0]]
         assert ref.norm() > 0.1
-        for chunk in (65536, 1000):
+        for chunk in bounds[1:]:
             assert (values[chunk] - ref).norm() <= 1e-13 * (1.0 + ref.norm()), (rule.__name__, chunk)
 
 
@@ -580,15 +586,18 @@ def test_reproduce_check_applies_route_gate(monkeypatch, path):
             itg.reproduce_check(sf.lift(p), _bidisc(), _x2(), spec)
 
 
-@pytest.mark.parametrize("chunk, arities", [(2048, (1, 2, 3)), (30, (1, 2))])
+@pytest.mark.parametrize("chunk, arities", [(2048, (1, 2, 3)), (30, (1, 2)), (4, (1, 2))])
 def test_polynomial_boundary_matches_generic_stem(monkeypatch, chunk, arities):
     # a polynomial's boundary rule sums its monomials' moments from per-disc
     # power tables and applies its coefficients once; wrapped as a generic
     # stem, the same polynomial is evaluated at every chunk's nodes.  The two
-    # agree to rounding whatever the chunk layout: at 2048 an n <= 2 face is
-    # one chunk and an n = 3 chunk is 51 outer nodes against the last disc;
-    # at 30 the n = 1 circle and every last disc are sliced
-    monkeypatch.setattr(itg, "CHUNK", chunk)
+    # agree to rounding whatever the chunk layouts.  chunk is a stem-valued
+    # chunk's rows, and a polynomial chunk takes 8x as many nodes: at 2048
+    # every face here is one polynomial chunk, an n <= 2 face one generic
+    # chunk and an n = 3 generic chunk 51 outer nodes against the last disc;
+    # at 30 the generic rule slices the n = 1 circle and every last disc; at
+    # 4 the polynomial rule does too
+    monkeypatch.setattr(itg, "CHUNK_DOUBLES", chunk * itg.STEM_ROW_DOUBLES)
     rng = np.random.default_rng(17)
     specs = {1: itg.QuadratureSpec(64, 8, 1), 2: itg.QuadratureSpec(16, 8, 1), 3: itg.QuadratureSpec(8, 5, 1)}
     for tag in (OCTONION, QUATERNION):
@@ -659,7 +668,73 @@ def test_polynomial_boundary_evaluates_no_nodes(monkeypatch):
     assert calls and sum(calls) == 2 * 16 * 128
 
 
-def test_streamed_grid_matches_meshgrid(monkeypatch):
+def _counting(monkeypatch, name):
+    """Patch integral's name to count its calls; returns the list of calls."""
+    calls = []
+    fn = getattr(itg, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(itg, name, counted)
+    return calls
+
+
+def test_polynomial_chunks_fill_the_bound(monkeypatch):
+    # a polynomial chunk holds one double a node, so it takes CHUNK_DOUBLES
+    # nodes; a stem-valued chunk holds F1 and F2, and takes 2048 rows
+    assert (itg.CHUNK_DOUBLES, itg.CHUNK_DOUBLES // itg.STEM_ROW_DOUBLES) == (16384, 2048)
+    monomial = _counting(monkeypatch, "_monomial_sums")
+    node = _counting(monkeypatch, "_node_sums")
+    cases = [
+        # n = 2, (32,16): two faces of 16,384 nodes, one chunk each
+        (OCTONION, 2, (32, 16, 1), 2),
+        (QUATERNION, 2, (32, 16, 1), 2),
+        # (64,32): two faces of 131,072 nodes, 8 chunks of 8 outer nodes each
+        (OCTONION, 2, (64, 32, 1), 16),
+        # n = 3, (16,8): three faces of 262,144 nodes, 16 chunks each
+        (OCTONION, 3, (16, 8, 1), 48),
+    ]
+    for tag, n, spec, chunks in cases:
+        dom, x = _ragged(n, alg.sample_unit_imaginary(tag, np.random.default_rng(3)))
+        monomial.clear()
+        f = sf.lift(_random_cubic(np.random.default_rng(5), tag, n))
+        itg.bm_boundary_dual(f, dom, x, itg.QuadratureSpec(*spec))
+        assert (len(monomial), len(node)) == (chunks, 0), (tag, n, spec)
+    # a generic stem's (32,16) faces are still 8 stem-valued chunks each
+    dom, x = _ragged(2)
+    p = _random_cubic(np.random.default_rng(5), TAG, 2)
+    generic = sf.SliceFunction(stm.StemFunction(arity=2, tag=TAG, batch_evaluator=p.batch_evaluator))
+    monomial.clear()
+    itg.bm_boundary_dual(generic, dom, x, itg.QuadratureSpec(32, 16, 1))
+    assert (len(monomial), len(node)) == (0, 16)
+
+
+@pytest.mark.parametrize("path", ["polynomial", "generic"])
+def test_chunk_sum_fault_passes_the_gate_and_fails_reproduction(monkeypatch, path):
+    # both routes are finished from the same summed moments, so a fault in
+    # the chunk sums, here negated Im(c) Im(m) moments (the II block), moves
+    # them alike: the route gate passes and the comparison with the lift fails
+    name = "_monomial_sums" if path == "polynomial" else "_node_sums"
+    sums = getattr(itg, name)
+
+    def faulty(*args):
+        moments = sums(*args)
+        moments[1, moments.shape[1] // 2 :] *= -1.0
+        return moments
+
+    p = _random_cubic(np.random.default_rng(8), TAG, 2)
+    f = sf.lift(p) if path == "polynomial" else sf.SliceFunction(
+        stm.StemFunction(arity=2, tag=TAG, batch_evaluator=p.batch_evaluator))
+    dom, x = _ragged(2)
+    spec = itg.QuadratureSpec(32, 16, 1)
+    assert itg.reproduce_check(f, dom, x, spec).abs_error <= 1e-8
+    monkeypatch.setattr(itg, name, faulty)
+    assert itg.reproduce_check(f, dom, x, spec).abs_error > 1e-3
+
+
+def test_streamed_grid_matches_meshgrid():
     rng = np.random.default_rng(21)
     sizes = (5, 3, 7)
     vals = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
@@ -676,12 +751,11 @@ def test_streamed_grid_matches_meshgrid(monkeypatch):
     Z_ref = np.stack([v[g.ravel()] for v, g in zip(vals, grids)], axis=1)
     W_ref = functools.reduce(np.multiply, [w[g.ravel()] for w, g in zip(weights, grids)])
     P_refs = [functools.reduce(np.multiply, [t[:, g.ravel()] for t, g in zip(tables, grids)]) for tables in powers]
-    # the last factor (7 columns) is the inner block.  2048: one chunk of all
-    # 15 outer nodes; 64: nine outer nodes to a chunk; 20: two to a chunk;
-    # 5: the last factor alone exceeds CHUNK and is sliced
+    # the last factor (7 columns) is the inner block.  2048 rows: one chunk
+    # of all 15 outer nodes; 64: nine outer nodes to a chunk; 20: two to a
+    # chunk; 5: the last factor alone exceeds the rows and is sliced
     for chunk in (2048, 64, 20, 5):
-        monkeypatch.setattr(itg, "CHUNK", chunk)
-        chunks = list(itg._product_grid(sizes, groups))
+        chunks = list(itg._product_grid(sizes, groups, chunk))
         # each chunk's outer fold holds its own outer nodes only
         assert all(outer.shape[1] * last.shape[1] <= chunk for part in chunks for _, outer, last in part), chunk
         parts = [[itg._spread(*group) for group in part] for part in chunks]
@@ -774,22 +848,30 @@ def _random_cubic(rng, tag, n):
 
 
 def _check_rules_against_meshgrid(dom, x, spec):
-    """Both rules visit every node of their grids once, in C order, in chunks of at most CHUNK rows.
+    """Both rules visit every node of their grids once, in C order, each chunk within its rule's cap.
 
+    A stem-valued chunk has at most CHUNK_DOUBLES / STEM_ROW_DOUBLES rows.
     A polynomial's factors on a face are checked too, for T = 0, 1 and 4
-    terms: spread, Q_outer Q_last K is c [w^mu; conj(w^mu)] at every node.
+    terms: spread, Q_outer Q_last K is c [w^mu; conj(w^mu)] at every node,
+    and its chunks are laid out as the face's stem-valued chunks would be at
+    STEM_ROW_DOUBLES times the bound, so at most CHUNK_DOUBLES nodes each.
     """
+    stem_rows = itg.CHUNK_DOUBLES // itg.STEM_ROW_DOUBLES
     cubic = _random_cubic(np.random.default_rng(dom.n), TAG, dom.n)
     polys = [cubic - cubic, stm.coordinate(TAG, dom.n, dom.n - 1), cubic]
     for k in range(dom.n):
         Z, c, sizes = _streamed(itg._face_nodes(dom, spec, x.z, k))
         Z_ref, c_ref = _face_reference(dom, x, spec, k)
-        assert Z.shape == Z_ref.shape and max(sizes) <= itg.CHUNK
+        assert Z.shape == Z_ref.shape and max(sizes) <= stem_rows
         np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
         assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) <= 1e-14, k
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(itg, "CHUNK_DOUBLES", itg.CHUNK_DOUBLES * itg.STEM_ROW_DOUBLES)
+            wide = _streamed(itg._face_nodes(dom, spec, x.z, k))[2]
+        assert max(wide) <= itg.CHUNK_DOUBLES
         for p in polys:
             parts = list(itg._face_nodes(dom, spec, x.z, k, p))
-            assert [K.size for *_, K in parts] == sizes
+            assert [K.size for *_, K in parts] == wide
             V = np.concatenate([itg._spread(np.multiply, Q_outer, Q_last) * K.ravel() for Q_outer, Q_last, K in parts],
                                axis=1)
             m_ref = np.prod(Z_ref[:, None, :] ** p.exponents[None], axis=2).T
@@ -798,7 +880,7 @@ def _check_rules_against_meshgrid(dom, x, spec):
             np.testing.assert_allclose(V, V_ref, rtol=1e-14, atol=0)
     Z, C, sizes = _streamed(itg._volume_nodes(dom, x, spec, 5))
     Z_ref, C_ref = _volume_reference(dom, x, spec, 5)
-    assert Z.shape == Z_ref.shape and max(sizes) <= itg.CHUNK
+    assert Z.shape == Z_ref.shape and max(sizes) <= stem_rows
     np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
     assert np.max(np.abs(C - C_ref) / np.abs(C_ref)) <= 1e-14
 
@@ -818,23 +900,27 @@ def test_chunk_kernel_weights_match_meshgrid(n):
 @pytest.mark.parametrize(
     "n, spec, chunk",
     [
-        # last factors that divide CHUNK: 8 rows (face 1, volume); face 0's
-        # 40-row disc does not
+        # chunk is a stem-valued chunk's rows; a polynomial chunk takes
+        # STEM_ROW_DOUBLES = 8 times as many nodes.  Last factors that
+        # divide 64 rows: 8 rows (face 1, volume); face 0's 40-row disc does not
         (2, (8, 5, 1), 64),
         # M = 24, R = 12: face 0's last factor is a 288-row disc, seven to a
-        # chunk; face 1's is 24 angles and the volume rule's 12
+        # stem-valued chunk and all 24 (the whole face) to a polynomial one;
+        # face 1's is 24 angles and the volume rule's 12
         (2, (24, 12, 1), 2048),
-        # a last factor larger than CHUNK is sliced: face 0's 40-row disc at
-        # n = 2, and every last factor at n = 3
+        # a last factor larger than the rows is sliced: face 0's 40-row disc
+        # at n = 2, and every last factor at n = 3
         (2, (8, 5, 1), 32),
         (3, (8, 5, 1), 7),
         # n = 1: the circle is the face's only factor, one chunk or sliced
         (1, (8, 5, 1), 2048),
         (1, (8, 5, 1), 3),
+        # 32 nodes to a polynomial chunk: it slices face 0's 40-row disc too
+        (2, (8, 5, 1), 4),
     ],
 )
 def test_chunk_layouts_visit_every_node_once(monkeypatch, n, spec, chunk):
-    monkeypatch.setattr(itg, "CHUNK", chunk)
+    monkeypatch.setattr(itg, "CHUNK_DOUBLES", chunk * itg.STEM_ROW_DOUBLES)
     _check_rules_against_meshgrid(*_ragged(n), itg.QuadratureSpec(*spec))
 
 
@@ -862,6 +948,25 @@ def test_quadrature_memory_stays_chunk_sized():
     g = sf.lift(_conj_z1_stem(TAG, 2, E1))
     peak = _traced_peak_mb(lambda: itg.bm_volume_integral(g, _bidisc(), _x2(), SPEC))
     assert peak <= 8.0, f"V=3 volume peak {peak:.1f} MB"
+
+
+def test_polynomial_chunks_hold_one_kernel_factor():
+    # a polynomial chunk's K is written once and raised to -n in place: no
+    # broadcast buffers or copies besides it, and the same bits as np.add
+    rng = np.random.default_rng(6)
+    d_outer, d_last = rng.random((1, 128)), rng.random((1, 128))
+    for n in (1, 2, 3):
+        want = 1.0 / (d_outer.T + d_last) ** n
+        got = []
+        peak = _traced_peak_mb(lambda: got.append(itg._kernel_factor(d_outer, d_last, n)))
+        np.testing.assert_array_equal(got[0], want)
+        assert peak * 2**20 <= want.nbytes + 8192, n
+    # whole polynomial calls of 2, 16 and 48 chunks stay within 1.5 MB
+    for n, spec in [(2, (32, 16, 1)), (2, (64, 32, 1)), (3, (16, 8, 1))]:
+        dom, x = _ragged(n)
+        f = sf.lift(_random_cubic(np.random.default_rng(5), TAG, n))
+        peak = _traced_peak_mb(lambda: itg.bm_boundary_integral(f, dom, x, itg.QuadratureSpec(*spec)))
+        assert peak <= 1.5, f"n={n} {spec} peak {peak:.2f} MB"
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
