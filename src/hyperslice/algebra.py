@@ -9,9 +9,9 @@ generated once at import time and frozen; products are table driven, so the
 coefficients of a product are exact signed sums of coefficient products
 (no rounding beyond the float operations themselves).
 
-The table is stored three ways: an index matrix K with e_i e_j = S[i,j] e_K[i,j],
-a sign matrix S, and a dense structure tensor T with (ab)_k = sum_ij a_i b_j T[i,j,k].
-The tensor form feeds the matmul product kernel.
+The table is stored once, as a dense structure tensor T with
+(ab)_k = sum_ij a_i b_j T[i,j,k], which feeds the matmul product kernel; the
+index and sign matrices of e_i e_j = S[i,j] e_K[i,j] are read off it.
 """
 
 from __future__ import annotations
@@ -122,9 +122,7 @@ def _cd_multiply_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def _build_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    index = np.zeros((dim, dim), dtype=np.intp)
-    sign = np.zeros((dim, dim), dtype=np.float64)
+def _build_tensor(dim: int) -> np.ndarray:
     tensor = np.zeros((dim, dim, dim), dtype=np.float64)
     for i in range(dim):
         ei = np.zeros(dim)
@@ -135,31 +133,25 @@ def _build_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             prod = _cd_multiply_vec(ei, ej)
             nz = np.nonzero(prod)[0]
             assert nz.size == 1 and abs(prod[nz[0]]) == 1.0
-            index[i, j] = nz[0]
-            sign[i, j] = prod[nz[0]]
-            tensor[i, j, nz[0]] = prod[nz[0]]
-    for arr in (index, sign, tensor):
-        arr.setflags(write=False)
-    return index, sign, tensor
+            tensor[i, j] = prod
+    tensor.setflags(write=False)
+    return tensor
 
 
-_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-    4: _build_tables(4),
-    8: _build_tables(8),
-}
+_TENSORS = {4: _build_tensor(4), 8: _build_tensor(8)}
 # T reshaped to (dim, dim*dim): row i holds the matrix T[i] of b -> e_i b
-_FLAT_TENSORS = {dim: tables[2].reshape(dim, dim * dim) for dim, tables in _TABLES.items()}
+_FLAT_TENSORS = {dim: tensor.reshape(dim, dim * dim) for dim, tensor in _TENSORS.items()}
 
 
 def multiplication_table(tag: AlgebraTag) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen (index, sign) matrices: e_i e_j = sign[i,j] * e_{index[i,j]}."""
-    index, sign, _ = _TABLES[tag.dim]
-    return index, sign
+    """(index, sign) matrices read off the structure tensor: e_i e_j = sign[i,j] * e_{index[i,j]}."""
+    T = structure_tensor(tag)
+    return np.abs(T).argmax(axis=2), T.sum(axis=2)
 
 
 def structure_tensor(tag: AlgebraTag) -> np.ndarray:
     """Dense tensor T with (ab)_k = sum_{i,j} a_i b_j T[i,j,k]."""
-    return _TABLES[tag.dim][2]
+    return _TENSORS[tag.dim]
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +381,9 @@ def units_close(a: ImaginaryUnit, b: ImaginaryUnit, tol: float = TOL_UNIT) -> bo
     return a.tag == b.tag and bool(np.max(np.abs(a.coeffs - b.coeffs)) <= tol)
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def sample_unit_imaginaries(tag: AlgebraTag, count: int, seed_or_rng=0) -> np.ndarray:
     """Uniform sample on the (dim-2)-sphere of imaginary units, as (count, dim) coefficients."""
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     out = np.zeros((count, tag.dim))
     v = rng.standard_normal((count, tag.dim - 1))
     nrm = np.linalg.norm(v, axis=1)
@@ -418,7 +404,7 @@ def sample_unit_imaginary(tag: AlgebraTag, seed_or_rng=0) -> ImaginaryUnit:
 
 def random_element(tag: AlgebraTag, seed_or_rng=0, scale: float = 1.0) -> AlgebraElement:
     """Gaussian element with norm clamped to [1e-3, 1e3] so inverses stay well conditioned."""
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     while True:
         c = rng.standard_normal(tag.dim) * scale
         nrm = float(np.linalg.norm(c))

@@ -57,8 +57,10 @@ whatever the grid size: no per-node array of a chunk holds more than
 CHUNK_DOUBLES doubles (128 KiB), and each rule takes as many rows as its
 widest per-node array allows.  Stem-valued chunks (generic faces and the
 volume rule) hold F1 and F2 at up to 8 doubles a row, so they take 2048 rows
-in either algebra; a polynomial chunk holds only its kernel factor, formed in
-place from the distances at 1 double a node, so it takes 16384 nodes.
+in either algebra.  A polynomial chunk holds its kernel factor, formed in
+place from the distances at 1 double a node, and its outer nodes' fold at 4T
+doubles an outer node for T terms, so it takes 16384 nodes, or fewer outer
+nodes once 4T exceeds the last factor's columns.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from .algebra import (
 )
 from .complexified import ComplexifiedElement
 from .slicefun import SliceFunction, SlicePoint, lift_evaluate, lift_value, slice_point
-from .stem import Smoothness, StemPolynomial, dbar_batch, evaluate_stem_batch
+from .stem import Smoothness, StemPolynomial, _box, dbar_batch, evaluate_stem_batch
 
 __all__ = [
     "SliceMismatchError",
@@ -139,14 +141,7 @@ class PolydiscDomain:
     j: ImaginaryUnit
 
     def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.centers, dtype=np.float64)).copy()
-        r = np.atleast_1d(np.asarray(self.radii, dtype=np.float64)).copy()
-        if c.shape != r.shape or c.ndim != 1:
-            raise ValueError("centers and radii must be 1-d arrays of equal length")
-        if not np.isfinite(c).all():
-            raise ValueError("centers must be finite")
-        if not (np.isfinite(r) & (r > 0.0)).all():
-            raise ValueError("radii must be positive and finite")
+        c, r = _box(self.centers, self.radii)
         # real centers keep the disc set conjugation invariant
         jc, _ = canonicalize_unit(self.j)
         c.setflags(write=False)
@@ -343,12 +338,14 @@ def _product_grid(shape: tuple, groups: list, rows: int):
 def _kernel_factor(d_outer: np.ndarray, d_last: np.ndarray, n: int) -> np.ndarray:
     """K (k, b) = (d_outer[i] + d_last[j])^-n from a chunk's distance folds (1, k) and (1, b), in place.
 
-    K is a polynomial chunk's only per-node array.  The sum is spread by a
-    rank-2 gemm, [d_outer; 1]^T [1; d_last], which rounds each entry once, as
+    Both face kinds form their kernel factor here; it is a polynomial chunk's
+    only per-node array.  The sum is spread by a rank-2 gemm, [d_outer; 1]^T [1; d_last], which rounds each entry once, as
     a broadcast np.add does, and writes K directly, where the np.add would
     also allocate iterator buffers as large as K.
     """
-    K = np.vstack((d_outer, np.ones_like(d_outer))).T @ np.vstack((np.ones_like(d_last), d_last))
+    A, B = np.ones((2, d_outer.shape[1])), np.ones((2, d_last.shape[1]))
+    A[0], B[1] = d_outer, d_last
+    K = A.T @ B
     K **= n
     return np.divide(1.0, K, out=K)
 
@@ -399,14 +396,18 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
             np.multiply(w, P, out=Q[l][: len(P)])
             np.multiply(w, np.conj(P, out=Q[l][len(P) :]), out=Q[l][len(P) :])
         groups = [(np.multiply, Q), dists]
-        for (_, Q_outer, Q_last), (_, d_outer, d_last) in _product_grid(shape, groups, CHUNK_DOUBLES):
+        # K holds 1 double a node and Q_outer 4T an outer node of b nodes, so
+        # CHUNK_DOUBLES // max(b, 4T) outer nodes keep both within CHUNK_DOUBLES
+        b = min(shape[-1], CHUNK_DOUBLES)
+        rows = CHUNK_DOUBLES * b // max(b, 4 * len(stem.exponents))
+        for (_, Q_outer, Q_last), (_, d_outer, d_last) in _product_grid(shape, groups, rows):
             yield Q_outer, Q_last, _kernel_factor(d_outer, d_last, n)
         return
     nodes = (np.add, [_axis_rows(np.add, n, l, v) for l, v in enumerate(vals)])
     groups = [nodes, (np.multiply, [w[None] for w in weights]), dists]
     for Z, W, D in _product_grid(shape, groups, CHUNK_DOUBLES // STEM_ROW_DOUBLES):
         c = _spread(*W)[0]
-        c *= 1.0 / _spread(*D)[0] ** n
+        c *= _kernel_factor(D[1], D[2], n).ravel()
         yield _spread(*Z), c
 
 
@@ -478,7 +479,7 @@ def _volume_count(n: int, spec: QuadratureSpec) -> int:
     return n * math.prod(_volume_sizes(spec)) ** n
 
 
-def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int):
+def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     """Duffy-pyramid rule in per-disc polar coordinates centered at x.
 
     Disc l is written xi_l = x_l + u_l S_l(phi_l) e^{i phi_l} with u_l in
@@ -493,14 +494,15 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
     M_v = max(8, M//2) trapezoid angles per disc, so the rule has
     n q^n M_v^n nodes: the pyramid table is the grid's first factor, the
     angles of discs 1..n the others; xi - x is u times a ray row per disc,
-    S_l e^{i phi_l} in row l and ones elsewhere.  Angular offsets are jittered
-    from the seed, deterministically; every u_l is positive, so no node lands on x.
+    S_l e^{i phi_l} in row l and ones elsewhere.  Each disc's angles are offset
+    by a fixed jitter, the draws of default_rng(0); every u_l is positive, so
+    no node lands on x.
     Yields (Z, C) per chunk, both (n, rows): row j of C is the weights times
     g_j(xi).
     """
     n = dom.n
     q, M = _volume_sizes(spec)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x_z = x.z
     U, w_pyr = _pyramid_table(n, q)
 
@@ -522,38 +524,28 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed
         yield x_z[:, None] + diff, np.conj(diff) * W
 
 
-def _bm_volume_both(
-    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int
-):
+def _bm_volume_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     _check_point(dom, x)
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
     count = _check_budget(_volume_count(n, spec))
-    chunks = _volume_nodes(dom, x, spec, seed)
+    chunks = _volume_nodes(dom, x, spec)
     parts = (_node_sums(c, dbar_batch(f.stem, Z.T, jx)) for Z, C in chunks for jx, c in enumerate(C))
     return (*_reduce(dom.j, parts, scale=math.factorial(n - 1) / math.pi**n), count)
 
 
 def bm_volume_dual(
-    f: SliceFunction,
-    dom: PolydiscDomain,
-    x: SlicePoint,
-    spec: QuadratureSpec,
-    seed: int = 0,
+    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    return _bm_volume_both(f, dom, x, spec, seed)[:2]
+    return _bm_volume_both(f, dom, x, spec)[:2]
 
 
 def bm_volume_integral(
-    f: SliceFunction,
-    dom: PolydiscDomain,
-    x: SlicePoint,
-    spec: QuadratureSpec,
-    seed: int = 0,
+    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> AlgebraElement:
     """The dbar correction, signed so that boundary - volume = f(x)."""
-    return _agreed(*bm_volume_dual(f, dom, x, spec, seed))
+    return _agreed(*bm_volume_dual(f, dom, x, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +574,7 @@ def off_slice_evaluate(
     direct, comp, w, _ = _bm_boundary_both(f, dom, x, spec)
     _agreed(direct, comp)
     if include_volume:
-        direct, comp, v, _ = _bm_volume_both(f, dom, x, spec, 0)
+        direct, comp, v, _ = _bm_volume_both(f, dom, x, spec)
         _agreed(direct, comp)
         w = w - v
     return w.re if q_point.is_real else lift_value(w, q_point.j)
@@ -634,14 +626,14 @@ def reproduce_check(
 
 
 def correction_check(
-    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec, seed: int = 0
+    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> BMReport:
     """Boundary integral minus the volume term against the direct lift.
 
     nodes_used counts the volume rule's nodes.
     """
     boundary = bm_boundary_integral(f, dom, x, spec)
-    direct, comp, _, nodes = _bm_volume_both(f, dom, x, spec, seed)
+    direct, comp, _, nodes = _bm_volume_both(f, dom, x, spec)
     reproduced, reference = boundary - _agreed(direct, comp), lift_evaluate(f, x)
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
 

@@ -382,7 +382,7 @@ def check_slice_regular(
     Also cross-checks holomorphy of the stem itself; both residuals must clear
     the tolerance to pass.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(17)
+    gen = np.random.default_rng(17 if rng is None else rng)
     if units is None:
         units = [sample_unit_imaginary(f.tag, gen) for _ in range(2)]
     if samples is None:

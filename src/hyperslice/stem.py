@@ -5,20 +5,22 @@ intrinsic stems induce well-defined slice functions.  The even-odd splitting
 F = F1 + i F2 gives the two algebra-valued components used everywhere else.
 
 Every stem speaks one protocol, read through attributes: `batch_evaluator`
-(Z (N, n) -> (F1, F2) arrays (N, dim)) or a scalar `evaluator`, optional exact
-derivative hooks `batch_wirtinger` / `wirtinger_evaluator`, plus `smoothness`,
-`domain` and `intrinsic`.  Two containers implement it:
+(Z (N, n) -> (F1, F2) arrays (N, dim)), an optional exact derivative hook
+`batch_wirtinger`, plus `smoothness`, `domain` and `intrinsic`.  Two
+containers implement it:
 
   * StemPolynomial: monomials z^mu with algebra coefficients on the right,
     held as an exponent array and a coefficient array.  They are intrinsic,
     have exact Wirtinger derivatives and evaluate as one matrix product;
     products and restrictions treat them like any other stem.
   * StemFunction: user-supplied hooks, a smoothness grade, and a sampling domain.
+    A scalar hook given at construction without its batch hook becomes that
+    batch hook, a loop over rows; given with it, the batch hook wins.
 
-The batch hook wins when both evaluators are given, and a scalar evaluation
-is row 0 of a batch of one.  Without an exact hook, Wirtinger derivatives come
-from central differences with step DEFAULT_FD_STEP, one stencil pair at a time,
-each point a copy of Z with one column moved; dbar_batch forms dF/dzbar alone.
+A scalar evaluation is row 0 of a batch of one.  Without an exact hook,
+Wirtinger derivatives come from central differences with step DEFAULT_FD_STEP,
+one stencil pair at a time, each point a copy of Z with one column moved;
+dbar_batch forms dF/dzbar alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import enum
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -84,6 +86,19 @@ class Smoothness(enum.IntEnum):
 # domains
 
 
+def _box(centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of a polydisc box's centers and radii as 1-d float arrays, after refusing a malformed box."""
+    c = np.atleast_1d(np.array(centers, dtype=np.float64))
+    r = np.atleast_1d(np.array(radii, dtype=np.float64))
+    if c.shape != r.shape or c.ndim != 1:
+        raise ValueError("centers and radii must be 1-d arrays of equal length")
+    if not np.isfinite(c).all():
+        raise ValueError("centers must be finite")
+    if not (np.isfinite(r) & (r > 0.0)).all():
+        raise ValueError("radii must be positive and finite")
+    return c, r
+
+
 @dataclass(frozen=True)
 class Domain:
     """A conjugation-symmetric sampling region: membership predicate plus a polydisc box.
@@ -97,14 +112,7 @@ class Domain:
     predicate: Callable[[np.ndarray], bool] | None = None
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.centers, dtype=np.float64)
-        r = np.asarray(self.radii, dtype=np.float64)
-        if c.shape != r.shape or c.ndim != 1:
-            raise ValueError("centers and radii must be 1-d arrays of equal length")
-        if not np.isfinite(c).all():
-            raise ValueError("centers must be finite")
-        if not (np.isfinite(r) & (r > 0.0)).all():
-            raise ValueError("radii must be positive and finite")
+        c, r = _box(self.centers, self.radii)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
 
@@ -161,33 +169,53 @@ def _default_domain(arity: int) -> Domain:
 
 @dataclass(frozen=True, eq=False)
 class StemFunction:
-    """A stem function given by hooks; at least one of the two evaluators is required.
+    """A stem function given by hooks; a batch_evaluator or a scalar evaluator is required.
 
     Hooks:
-      evaluator(z) -> ComplexifiedElement for z of shape (n,)
       batch_evaluator(Z) -> (F1, F2) arrays of shape (N, dim) for Z of shape (N, n)
-      wirtinger_evaluator(z, t) -> (dF/dz_t, dF/dzbar_t) as ComplexifiedElements
       batch_wirtinger(Z, t) -> ((dz_F1, dz_F2), (dzbar_F1, dzbar_F2)) arrays
+    Construction-only scalar hooks, each turned into its missing batch hook:
+      evaluator(z) -> ComplexifiedElement for z of shape (n,)
+      wirtinger_evaluator(z, t) -> (dF/dz_t, dF/dzbar_t) as ComplexifiedElements
     """
 
     arity: int
     tag: AlgebraTag
-    evaluator: Callable[[np.ndarray], ComplexifiedElement] | None = None
+    evaluator: InitVar[Callable[[np.ndarray], ComplexifiedElement] | None] = None
     smoothness: Smoothness = Smoothness.C1
-    wirtinger_evaluator: Callable | None = None
+    wirtinger_evaluator: InitVar[Callable | None] = None
     batch_evaluator: Callable | None = None
     batch_wirtinger: Callable | None = None
     domain: Domain | None = None
     intrinsic: bool = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, evaluator, wirtinger_evaluator) -> None:
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
-        if self.evaluator is None and self.batch_evaluator is None:
-            raise ValueError("a stem needs an evaluator or a batch_evaluator")
+        if self.batch_evaluator is None:
+            if evaluator is None:
+                raise ValueError("a stem needs an evaluator or a batch_evaluator")
+            object.__setattr__(self, "batch_evaluator", _row_loop(evaluator, self.tag.dim, 1))
+        if self.batch_wirtinger is None and wirtinger_evaluator is not None:
+            object.__setattr__(self, "batch_wirtinger", _row_loop(wirtinger_evaluator, self.tag.dim, 2))
 
     def __call__(self, z) -> ComplexifiedElement:
         return evaluate_stem(self, z)
+
+
+def _row_loop(hook: Callable, dim: int, parts: int) -> Callable:
+    """A batch hook from a scalar one: hook(z, *args) at each row z of Z, its parts elements as (F1, F2) pairs (N, dim)."""
+
+    def batch(Z, *args):
+        out = np.empty((parts, 2, Z.shape[0], dim))
+        for k, z in enumerate(Z):
+            values = hook(z, *args)
+            for p, w in enumerate(values if parts > 1 else (values,)):
+                out[p, 0, k], out[p, 1, k] = w.re.coeffs, w.im.coeffs
+        pairs = tuple((o[0], o[1]) for o in out)
+        return pairs if parts > 1 else pairs[0]
+
+    return batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +236,6 @@ class StemPolynomial:
     # dF/dz_t per axis t, built by wirtinger_poly on first use
     _derivatives: dict = field(init=False, repr=False, default_factory=dict)
 
-    evaluator = None
-    wirtinger_evaluator = None
     smoothness = Smoothness.ANALYTIC
     intrinsic = True
 
@@ -354,18 +380,8 @@ def evaluate_stem(F, z) -> ComplexifiedElement:
 
 def evaluate_stem_batch(F, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate at all rows of Z, returning (F1, F2) component arrays of shape (N, dim)."""
-    Z = np.asarray(Z, dtype=np.complex128)
-    if F.batch_evaluator is not None:
-        F1, F2 = F.batch_evaluator(Z)
-        return np.asarray(F1, dtype=np.float64), np.asarray(F2, dtype=np.float64)
-    dim = F.tag.dim
-    F1 = np.empty((Z.shape[0], dim))
-    F2 = np.empty((Z.shape[0], dim))
-    for k in range(Z.shape[0]):
-        w = F.evaluator(Z[k])
-        F1[k] = w.re.coeffs
-        F2[k] = w.im.coeffs
-    return F1, F2
+    F1, F2 = F.batch_evaluator(np.asarray(Z, dtype=np.complex128))
+    return np.asarray(F1, dtype=np.float64), np.asarray(F2, dtype=np.float64)
 
 
 class IntrinsicReport(NamedTuple):
@@ -394,8 +410,7 @@ def _row_norms(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
 def check_intrinsic(F, samples=None, tol: float = 1e-10, rng=None) -> IntrinsicReport:
     """Max of |F(conj z) - complex_conjugate(F(z))| over the sample set."""
     if samples is None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
-        samples = _stem_samples(F, gen, 32)
+        samples = _stem_samples(F, np.random.default_rng(0 if rng is None else rng), 32)
     Z = _nonempty(samples, F.arity)
     lhs1, lhs2 = evaluate_stem_batch(F, np.conj(Z))
     rhs1, rhs2 = evaluate_stem_batch(F, Z)
@@ -445,11 +460,8 @@ def _dbar(da1: np.ndarray, da2: np.ndarray, db1: np.ndarray, db2: np.ndarray):
 
 
 def wirtinger(F, z, t: int, h: float = DEFAULT_FD_STEP) -> WirtingerPair:
-    """(dF/dz_t, dF/dzbar_t) at one point: the scalar hook if given, else a batch of one."""
-    z = _stencil_input(F, z, t, h)
-    if F.wirtinger_evaluator is not None:
-        return WirtingerPair(*F.wirtinger_evaluator(z, t))
-    dz, dzbar = wirtinger_batch(F, z.reshape(1, F.arity), t, h)
+    """(dF/dz_t, dF/dzbar_t) at one point: row 0 of a batch of one."""
+    dz, dzbar = wirtinger_batch(F, np.asarray(z, dtype=np.complex128).reshape(1, F.arity), t, h)
     return WirtingerPair(_row0(F.tag, dz), _row0(F.tag, dzbar))
 
 
@@ -481,8 +493,7 @@ class HolomorphyReport(NamedTuple):
 def is_holomorphic(F, samples=None, tol: float = 1e-6, rng=None, h: float = DEFAULT_FD_STEP) -> HolomorphyReport:
     """Max |dF/dzbar_t| over all axes and samples by dbar_batch: per axis one exact hook call or four stem calls."""
     if samples is None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
-        samples = _stem_samples(F, gen, 16)
+        samples = _stem_samples(F, np.random.default_rng(0 if rng is None else rng), 16)
     Z = _nonempty(samples, F.arity)
     residuals = [_row_norms(*dbar_batch(F, Z, t, h)) for t in range(F.arity)]
     # np.max propagates NaN, so a NaN residual fails the report

@@ -213,7 +213,7 @@ def test_volume_rule_reaches_1e10_within_1e5_nodes():
     f = sf.lift(_conj_z1_stem(TAG, 2, element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])))
     spec = itg.QuadratureSpec(32, 16, 5)
     b = itg.bm_boundary_integral(f, dom, x, spec)
-    direct, comp, _, nodes = itg._bm_volume_both(f, dom, x, spec, 0)
+    direct, comp, _, nodes = itg._bm_volume_both(f, dom, x, spec)
     assert nodes <= 100_000
     assert (b - itg._agreed(direct, comp) - sf.lift_evaluate(f, x)).norm() <= 1e-10
 
@@ -711,6 +711,37 @@ def test_polynomial_chunks_fill_the_bound(monkeypatch):
     assert (len(monomial), len(node)) == (0, 16)
 
 
+@pytest.mark.parametrize("terms", [4, 20])
+def test_polynomial_chunks_bound_the_outer_fold(monkeypatch, terms):
+    # Q_outer holds 4T doubles an outer node and K one a node, so a chunk's
+    # outer nodes are cut until both fit CHUNK_DOUBLES; uncut, a 20-term
+    # stem's Q_outer held 40,960 doubles at n = 2 (32,16) and 81,920 at
+    # n = 3 (16,8).  The result still matches the generic path
+    seen = []
+    sums = itg._monomial_sums
+
+    def recorded(Q_outer, Q_last, K):
+        seen.append((Q_outer.shape, K.size))
+        return sums(Q_outer, Q_last, K)
+
+    monkeypatch.setattr(itg, "_monomial_sums", recorded)
+    rng = np.random.default_rng(terms)
+    for n, spec in ((2, itg.QuadratureSpec(32, 16, 1)), (3, itg.QuadratureSpec(16, 8, 1))):
+        dom, x = _ragged(n)
+        mus = set()
+        while len(mus) < terms:
+            mus.add(tuple(int(m) for m in rng.integers(0, 5 if n == 2 else 3, n)))
+        p = stm.stem_polynomial(TAG, n, {mu: rng.standard_normal(TAG.dim) for mu in sorted(mus)})
+        seen.clear()
+        got = itg.bm_boundary_dual(sf.lift(p), dom, x, spec)
+        assert seen and all(shape[0] == 2 * terms for shape, _ in seen)
+        assert max(4 * terms * shape[1] for shape, _ in seen) <= itg.CHUNK_DOUBLES
+        assert max(size for _, size in seen) <= itg.CHUNK_DOUBLES
+        generic = sf.SliceFunction(stm.StemFunction(arity=n, tag=TAG, batch_evaluator=p.batch_evaluator))
+        for a, b in zip(got, itg.bm_boundary_dual(generic, dom, x, spec)):
+            assert (a - b).norm() <= 1e-14 * (1.0 + b.norm()), (n, terms)
+
+
 @pytest.mark.parametrize("path", ["polynomial", "generic"])
 def test_chunk_sum_fault_passes_the_gate_and_fails_reproduction(monkeypatch, path):
     # both routes are finished from the same summed moments, so a fault in
@@ -854,7 +885,9 @@ def _check_rules_against_meshgrid(dom, x, spec):
     A polynomial's factors on a face are checked too, for T = 0, 1 and 4
     terms: spread, Q_outer Q_last K is c [w^mu; conj(w^mu)] at every node,
     and its chunks are laid out as the face's stem-valued chunks would be at
-    STEM_ROW_DOUBLES times the bound, so at most CHUNK_DOUBLES nodes each.
+    STEM_ROW_DOUBLES times the bound, their outer nodes cut to
+    CHUNK_DOUBLES // max(b, 4T) for b last-factor columns a chunk: neither K
+    (1 double a node) nor Q_outer (4T an outer node) exceeds CHUNK_DOUBLES.
     """
     stem_rows = itg.CHUNK_DOUBLES // itg.STEM_ROW_DOUBLES
     cubic = _random_cubic(np.random.default_rng(dom.n), TAG, dom.n)
@@ -865,21 +898,24 @@ def _check_rules_against_meshgrid(dom, x, spec):
         assert Z.shape == Z_ref.shape and max(sizes) <= stem_rows
         np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
         assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) <= 1e-14, k
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(itg, "CHUNK_DOUBLES", itg.CHUNK_DOUBLES * itg.STEM_ROW_DOUBLES)
-            wide = _streamed(itg._face_nodes(dom, spec, x.z, k))[2]
-        assert max(wide) <= itg.CHUNK_DOUBLES
+        b = min(spec.angular_nodes * (1 if k == dom.n - 1 else spec.radial_nodes), itg.CHUNK_DOUBLES)
         for p in polys:
+            four_t = 4 * len(p.exponents)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(itg, "CHUNK_DOUBLES", itg.CHUNK_DOUBLES * b // max(b, four_t) * itg.STEM_ROW_DOUBLES)
+                wide = _streamed(itg._face_nodes(dom, spec, x.z, k))[2]
+            assert max(wide) <= itg.CHUNK_DOUBLES
             parts = list(itg._face_nodes(dom, spec, x.z, k, p))
             assert [K.size for *_, K in parts] == wide
+            assert max(four_t * Q_outer.shape[1] for Q_outer, *_ in parts) <= itg.CHUNK_DOUBLES
             V = np.concatenate([itg._spread(np.multiply, Q_outer, Q_last) * K.ravel() for Q_outer, Q_last, K in parts],
                                axis=1)
             m_ref = np.prod(Z_ref[:, None, :] ** p.exponents[None], axis=2).T
             V_ref = c_ref * np.vstack((m_ref, np.conj(m_ref)))
             assert V.shape == V_ref.shape == (2 * len(p.exponents), Z.shape[0])
             np.testing.assert_allclose(V, V_ref, rtol=1e-14, atol=0)
-    Z, C, sizes = _streamed(itg._volume_nodes(dom, x, spec, 5))
-    Z_ref, C_ref = _volume_reference(dom, x, spec, 5)
+    Z, C, sizes = _streamed(itg._volume_nodes(dom, x, spec))
+    Z_ref, C_ref = _volume_reference(dom, x, spec, 0)
     assert Z.shape == Z_ref.shape and max(sizes) <= stem_rows
     np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
     assert np.max(np.abs(C - C_ref) / np.abs(C_ref)) <= 1e-14
@@ -901,7 +937,10 @@ def test_chunk_kernel_weights_match_meshgrid(n):
     "n, spec, chunk",
     [
         # chunk is a stem-valued chunk's rows; a polynomial chunk takes
-        # STEM_ROW_DOUBLES = 8 times as many nodes.  Last factors that
+        # STEM_ROW_DOUBLES = 8 times as many nodes, but half as many outer
+        # nodes for the 4-term cubic on a face whose last factor is the
+        # 8-angle circle, where Q_outer's 16 doubles an outer node set the
+        # cap.  Last factors that
         # divide 64 rows: 8 rows (face 1, volume); face 0's 40-row disc does not
         (2, (8, 5, 1), 64),
         # M = 24, R = 12: face 0's last factor is a 288-row disc, seven to a

@@ -553,3 +553,90 @@ def test_stem_function_needs_an_evaluator():
 def test_domain_rejects_non_finite(centers, radii):
     with pytest.raises(ValueError, match="finite"):
         Domain(np.array(centers), np.array(radii))
+
+
+def _recording_stem(seen: list) -> StemFunction:
+    """F(z) = z_1 conj(z_2) e1, recording every batch of rows it is evaluated at."""
+
+    def batch(Z):
+        seen.append(np.array(Z))
+        w = Z[:, 0] * np.conj(Z[:, 1])
+        return np.real(w)[:, None] * E1.coeffs[None, :], np.imag(w)[:, None] * E1.coeffs[None, :]
+
+    return StemFunction(arity=2, tag=TAG, batch_evaluator=batch)
+
+
+def test_checks_honour_an_integer_rng():
+    # an integer rng seeds the sample draw, as numpy's default_rng does
+    from hyperslice.slicefun import check_slice_regular, lift
+
+    seen = []
+    f = lift(_recording_stem(seen))
+    checks = [check_intrinsic, is_holomorphic, lambda F, rng: check_slice_regular(f, rng=rng)]
+    for check in checks:
+        runs = []
+        for rng in (5, np.random.default_rng(5), None):
+            seen.clear()
+            check(f.stem, rng=rng)
+            runs.append(np.concatenate(seen))
+        np.testing.assert_array_equal(runs[0], runs[1])
+        assert runs[0].shape == runs[2].shape and not np.array_equal(runs[0], runs[2])
+
+
+def _raise(*_):
+    raise AssertionError("a scalar hook was called after construction")
+
+
+def test_stems_are_read_through_the_batch_hooks_only():
+    # F(z) = conj(z_1) e1 with exact hooks; the scalar hooks beside them raise
+    import hyperslice.integral as itg
+    from hyperslice.algebra import unit_from_vector
+    from hyperslice.slicefun import lift, lift_evaluate, point_from_z
+
+    def batch(Z):
+        return np.real(Z[:, 0])[:, None] * E1.coeffs[None, :], -np.imag(Z[:, 0])[:, None] * E1.coeffs[None, :]
+
+    def batch_wirtinger(Z, t):
+        zeros = np.zeros((Z.shape[0], TAG.dim))
+        return (zeros, zeros), (zeros + (E1.coeffs if t == 0 else 0.0), zeros)
+
+    F = StemFunction(arity=2, tag=TAG, evaluator=_raise, wirtinger_evaluator=_raise, batch_evaluator=batch,
+                     batch_wirtinger=batch_wirtinger)
+    z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
+    np.testing.assert_array_equal(evaluate_stem(F, z).im.coeffs, -0.2 * E1.coeffs)
+    np.testing.assert_array_equal(wirtinger(F, z, 0).dzbar.re.coeffs, E1.coeffs)
+    np.testing.assert_array_equal(wirtinger_batch(F, z[None], 0)[1][0], E1.coeffs[None])
+    np.testing.assert_array_equal(dbar_batch(F, z[None], 1)[0], 0.0)
+    assert is_holomorphic(F).max_residual == 1.0
+    assert check_intrinsic(F).passed
+    J = unit_from_vector(TAG, [0.0, 0.6, 0.0, 0.8, 0, 0, 0])
+    dom, x, spec, f = itg.PolydiscDomain(np.zeros(2), np.ones(2), J), point_from_z(z, J), itg.QuadratureSpec(16, 8, 1), lift(F)
+    value = itg.bm_boundary_integral(f, dom, x, spec) - itg.bm_volume_integral(f, dom, x, spec)
+    assert (value - lift_evaluate(f, x)).norm() <= 5e-3
+
+
+def test_scalar_hooks_become_row_loops():
+    # a scalar-only stem's batch hooks are its scalar hooks row by row, bit for
+    # bit; the Wirtinger hook is deliberately not F's derivative, so a finite
+    # difference could not reproduce it
+    def scalar(z):
+        return ComplexifiedElement(E1 * float(np.real(z[0]) * np.imag(z[1])), E3 * float(np.abs(z[0])))
+
+    def scalar_wirtinger(z, t):
+        return ComplexifiedElement(E3 * float(t + 1), zero(TAG)), ComplexifiedElement(E1 * np.exp(z[t].real), E3 * z[t].imag)
+
+    F = StemFunction(arity=2, tag=TAG, evaluator=scalar, wirtinger_evaluator=scalar_wirtinger)
+    rng = np.random.default_rng(9)
+    Z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    F1, F2 = evaluate_stem_batch(F, Z)
+    for t in (0, 1):
+        (dz1, dz2), (db1, db2) = wirtinger_batch(F, Z, t)
+        d1, d2 = dbar_batch(F, Z, t)
+        for k, z in enumerate(Z):
+            w, (dz, dzbar) = scalar(z), scalar_wirtinger(z, t)
+            for got, want in ((F1, w.re), (F2, w.im), (dz1, dz.re), (dz2, dz.im), (db1, dzbar.re), (db2, dzbar.im),
+                              (d1, dzbar.re), (d2, dzbar.im)):
+                np.testing.assert_array_equal(got[k], want.coeffs)
+    F1, F2 = evaluate_stem_batch(F, Z[:0])
+    (dz1, dz2), (db1, db2) = wirtinger_batch(F, Z[:0], 0)
+    assert all(a.shape == (0, TAG.dim) for a in (F1, F2, dz1, dz2, db1, db2))
