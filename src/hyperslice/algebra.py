@@ -291,14 +291,24 @@ def inverse(a: AlgebraElement) -> AlgebraElement:
 def multiply_batch(tag: AlgebraTag, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise algebra product of coefficient arrays, broadcasting (dim,) or (1, dim) against (N, dim).
 
-    Each row a of A becomes the (dim, dim) matrix a T with (ab) = b (a T);
-    one batched matmul then applies it to the matching row of B.  Two (dim,)
-    vectors give one (dim,) product.
+    A single-row factor is one (dim, dim) matrix applied to every row of the
+    other in one gemm: B @ (a T) for a left factor a, A @ (b @ T) for a right
+    factor b.  Otherwise each row a of A becomes the matrix a T with
+    (ab) = b (a T), applied to its row of B by one batched matmul.  The result
+    has the broadcast shape of A and B; two (dim,) vectors give a (dim,).
     """
     d = tag.dim
     A = np.asarray(A, dtype=np.float64)
-    AT = (A @ _FLAT_TENSORS[d]).reshape(*A.shape[:-1], d, d)
-    return (np.asarray(B, dtype=np.float64)[..., None, :] @ AT)[..., 0, :]
+    B = np.asarray(B, dtype=np.float64)
+    if A.size == d:
+        out, single = B @ (A.reshape(d) @ _FLAT_TENSORS[d]).reshape(d, d), A
+    elif B.size == d:
+        out, single = A @ (B.reshape(d) @ _TENSORS[d]), B
+    else:
+        AT = (A @ _FLAT_TENSORS[d]).reshape(*A.shape[:-1], d, d)
+        return (B[..., None, :] @ AT)[..., 0, :]
+    # a single row with more axes than the other factor adds leading ones, as broadcasting does
+    return out.reshape((1,) * (single.ndim - out.ndim) + out.shape)
 
 
 def left_mult_matrix(a: AlgebraElement) -> np.ndarray:

@@ -5,9 +5,8 @@ that commutes with everything.  The product is
 
     (x + iy)(u + iv) = (xu - yv) + i(xv + yu),
 
-and two conjugations act on w: the c-involution conj(x) + i conj(y) (algebra
-conjugation on both parts) and the complex conjugation x - iy.  Stem functions
-take values here.
+a central complex scalar p + iq acts as (p + iq)(x + iy) = (px - qy) + i(qx + py),
+and the complex conjugation is x - iy.  Stem functions take values here.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ __all__ = [
     "ComplexifiedElement",
     "c_multiply",
     "c_multiply_batch",
-    "c_involution",
     "complex_conjugate",
-    "scalar_action",
 ]
 
 
@@ -63,7 +60,8 @@ class ComplexifiedElement:
         if isinstance(other, (int, float, np.floating, np.integer)):
             return ComplexifiedElement(self.re * float(other), self.im * float(other))
         if isinstance(other, complex):
-            return scalar_action(other, self)
+            p, q = other.real, other.imag
+            return ComplexifiedElement(self.re * p - self.im * q, self.re * q + self.im * p)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -97,17 +95,7 @@ def c_multiply_batch(
     return re, im
 
 
-def c_involution(w: ComplexifiedElement) -> ComplexifiedElement:
-    """w^c: algebra conjugation applied to both components."""
-    return ComplexifiedElement(w.re.conjugate(), w.im.conjugate())
-
-
 def complex_conjugate(w: ComplexifiedElement) -> ComplexifiedElement:
     """w-bar: negate the central imaginary part."""
     return ComplexifiedElement(w.re, -w.im)
 
-
-def scalar_action(c: complex, w: ComplexifiedElement) -> ComplexifiedElement:
-    """(p + iq) * w with p + iq a central complex scalar."""
-    p, q = float(np.real(c)), float(np.imag(c))
-    return ComplexifiedElement(w.re * p - w.im * q, w.re * q + w.im * p)

@@ -65,7 +65,6 @@ nodes once 4T exceeds the last factor's columns.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -96,13 +95,11 @@ __all__ = [
     "bm_boundary_integral",
     "bm_boundary_dual",
     "bm_volume_integral",
-    "bm_volume_dual",
     "off_slice_evaluate",
     "HartogsExtension",
     "hartogs_extend",
     "reproduce_check",
     "correction_check",
-    "write_convergence_csv",
 ]
 
 INTERIOR_MARGIN = 0.05
@@ -535,17 +532,11 @@ def _bm_volume_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: 
     return (*_reduce(dom.j, parts, scale=math.factorial(n - 1) / math.pi**n), count)
 
 
-def bm_volume_dual(
-    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
-) -> tuple[AlgebraElement, AlgebraElement]:
-    return _bm_volume_both(f, dom, x, spec)[:2]
-
-
 def bm_volume_integral(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> AlgebraElement:
     """The dbar correction, signed so that boundary - volume = f(x)."""
-    return _agreed(*bm_volume_dual(f, dom, x, spec))
+    return _agreed(*_bm_volume_both(f, dom, x, spec)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -637,20 +628,3 @@ def correction_check(
     reproduced, reference = boundary - _agreed(direct, comp), lift_evaluate(f, x)
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
 
-
-def write_convergence_csv(path, rows, extra=()) -> None:
-    """Rows of dicts with keys M, R, V, abs_error, wall_ms, then the keys in extra; fixed header order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "R", "V", "abs_error", "wall_ms", *extra])
-        for row in rows:
-            writer.writerow(
-                [
-                    int(row["M"]),
-                    int(row["R"]),
-                    int(row["V"]),
-                    "%.15e" % float(row["abs_error"]),
-                    "%.3f" % float(row["wall_ms"]),
-                    *(row[key] for key in extra),
-                ]
-            )

@@ -11,6 +11,10 @@ decomposition, the lift, representation formulas, spherical value and
 derivative, the slice product (for polynomial stems the star product, which
 stem.poly_product computes as a coefficient convolution), regularity checks,
 per-sphere zero classification, and one-variable restrictions.
+
+The lift and the representation formulas are written once over coefficient
+rows; each single-point call is row 0 of a batch of one, and every product by
+a unit goes through algebra.multiply_batch.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from .algebra import (
     canonicalize_unit,
     element,
     inverse,
-    left_mult_matrix,
     multiply,
-    right_mult_matrix,
+    multiply_batch,
     sample_unit_imaginary,
     unit_from_vector,
 )
@@ -45,6 +48,7 @@ from .stem import (
     central_differences,
     check_intrinsic,
     evaluate_stem,
+    evaluate_stem_batch,
     is_holomorphic,
     restrict_stem,
     stem_product,
@@ -63,10 +67,13 @@ __all__ = [
     "SliceFunction",
     "lift",
     "lift_evaluate",
+    "lift_evaluate_batch",
     "lift_value",
     "sphere_values",
     "representation",
+    "representation_batch",
     "representation_symmetric",
+    "representation_symmetric_batch",
     "SphericalData",
     "spherical",
     "spherical_value",
@@ -103,6 +110,13 @@ class IntrinsicityError(ValueError):
 
 
 PARALLEL_RTOL = 1e-10
+
+
+def _shared_tag(*xs) -> AlgebraTag:
+    tag = xs[0].tag
+    if any(x.tag != tag for x in xs):
+        raise AlgebraMismatchError("mixed algebras")
+    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +200,7 @@ def decompose_point(xs: Sequence[AlgebraElement]) -> SlicePoint:
     """
     if not xs:
         raise ValueError("empty tuple")
-    tag = xs[0].tag
-    for x in xs:
-        if x.tag != tag:
-            raise AlgebraMismatchError("mixed algebras in point tuple")
+    tag = _shared_tag(*xs)
     alpha = np.array([x.real for x in xs])
     V = np.stack([x.coeffs[1:] for x in xs])
     mags = np.linalg.norm(V, axis=1)
@@ -251,64 +262,73 @@ def lift_value(w: ComplexifiedElement, j: ImaginaryUnit) -> AlgebraElement:
     return w.re + multiply(j.value, w.im)
 
 
+def lift_evaluate_batch(f: SliceFunction, Z: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Rows F1(z) + I F2(z), (N, dim), of f at alpha + beta I for Z = alpha + i beta (N, n) and unit rows (N, dim).
+
+    One row of either broadcasts against the other.  No canonical sign is
+    needed: F2 is odd in beta, so (beta, I) and (-beta, -I) agree.
+    """
+    F1, F2 = evaluate_stem_batch(f.stem, Z)
+    return F1 + multiply_batch(f.tag, units, F2)
+
+
 def lift_evaluate(f: SliceFunction, x: SlicePoint) -> AlgebraElement:
-    """f(alpha + beta J) = F1(z) + J F2(z); at real points the odd part must vanish."""
-    w = evaluate_stem(f.stem, x.z)
+    """f(alpha + beta J) = F1(z) + J F2(z), row 0 of a batch of one; at real points the odd part must vanish."""
     if x.is_real:
+        w = evaluate_stem(f.stem, x.z)
         if w.im.norm() > 1e-10:
-            raise IntrinsicityError(
-                f"odd component {w.im.norm():.3e} does not vanish at a real point"
-            )
+            raise IntrinsicityError(f"odd component {w.im.norm():.3e} does not vanish at a real point")
         return w.re
-    return lift_value(w, x.j)
+    return AlgebraElement(f.tag, lift_evaluate_batch(f, x.z[None], x.j.coeffs[None])[0])
 
 
 def sphere_values(f: SliceFunction, x: SlicePoint, units: np.ndarray) -> np.ndarray:
-    """Evaluate f over the sphere through x at many units: one stem evaluation and one matrix product.
+    """f over the sphere through x at (N, dim) unit rows: the lift batch of the one point x.z.
 
-    units: (N, dim) coefficient rows of imaginary units I; returns (N, dim)
-    coefficients of f(alpha + beta I) = F1 + I F2, whose rows are the units
-    times the transposed right-multiplication matrix of F2, plus F1.
+    One stem evaluation, then I F2 for all units is one gemm through F2's right-multiplication matrix.
     """
-    w = evaluate_stem(f.stem, x.z)
-    return np.asarray(units, dtype=np.float64) @ right_mult_matrix(w.im).T + w.re.coeffs
+    return lift_evaluate_batch(f, x.z[None], units)
 
 
 # ---------------------------------------------------------------------------
 # representation formulas
 
 
-def representation(
-    f_at_J: AlgebraElement,
-    f_at_K: AlgebraElement,
-    I: ImaginaryUnit,
-    J: ImaginaryUnit,
-    K: ImaginaryUnit,
-) -> AlgebraElement:
-    """Recover f(alpha + beta I) from values on two other slices.
+def representation_batch(tag: AlgebraTag, fJ, fK, I, J, K) -> np.ndarray:
+    """Recover rows of f(alpha + beta I) from rows on two other slices; (..., dim) rows broadcast.
 
     Parenthesization matters in a non-associative algebra and is kept exactly:
-    (I - K)((J - K)^{-1} f_J) - (I - J)((J - K)^{-1} f_K).
+    (I - K)((J - K)^{-1} f_J) - (I - J)((J - K)^{-1} f_K).  Any row whose
+    J - K is numerically non-invertible raises DegenerateUnitsError.
     """
-    dJK = J.value - K.value
-    if dJK.norm() <= 1e-8:
+    dJK = J - K
+    if np.any(np.linalg.norm(dJK, axis=-1) <= 1e-8):
         raise DegenerateUnitsError("J - K is numerically non-invertible")
-    u = inverse(dJK)
-    t1 = multiply(I.value - K.value, multiply(u, f_at_J))
-    t2 = multiply(I.value - J.value, multiply(u, f_at_K))
+    # (J - K)^{-1} = conj(J - K) / |J - K|^2
+    u = dJK / np.sum(dJK * dJK, axis=-1, keepdims=True)
+    u[..., 1:] *= -1.0
+    t1 = multiply_batch(tag, I - K, multiply_batch(tag, u, fJ))
+    t2 = multiply_batch(tag, I - J, multiply_batch(tag, u, fK))
     return t1 - t2
 
 
-def representation_symmetric(
-    f_at_J: AlgebraElement,
-    f_at_mJ: AlgebraElement,
-    I: ImaginaryUnit,
-    J: ImaginaryUnit,
-) -> AlgebraElement:
-    """K = -J special case: (f_J + f_{-J})/2 - (I/2)(J (f_J - f_{-J}))."""
-    avg = (f_at_J + f_at_mJ) * 0.5
-    skew = multiply(I.value * 0.5, multiply(J.value, f_at_J - f_at_mJ))
-    return avg - skew
+def representation_symmetric_batch(tag: AlgebraTag, fJ, fmJ, I, J) -> np.ndarray:
+    """K = -J special case on (..., dim) rows: (f_J + f_{-J})/2 - (I/2)(J (f_J - f_{-J}))."""
+    return (fJ + fmJ) * 0.5 - multiply_batch(tag, I * 0.5, multiply_batch(tag, J, fJ - fmJ))
+
+
+def representation(f_at_J: AlgebraElement, f_at_K: AlgebraElement, I: ImaginaryUnit, J: ImaginaryUnit,
+                   K: ImaginaryUnit) -> AlgebraElement:
+    """Recover f(alpha + beta I) from values on two other slices: representation_batch at one point."""
+    tag = _shared_tag(f_at_J, f_at_K, I, J, K)
+    return AlgebraElement(tag, representation_batch(tag, *(v.coeffs for v in (f_at_J, f_at_K, I, J, K))))
+
+
+def representation_symmetric(f_at_J: AlgebraElement, f_at_mJ: AlgebraElement, I: ImaginaryUnit,
+                             J: ImaginaryUnit) -> AlgebraElement:
+    """K = -J special case: representation_symmetric_batch at one point."""
+    tag = _shared_tag(f_at_J, f_at_mJ, I, J)
+    return AlgebraElement(tag, representation_symmetric_batch(tag, *(v.coeffs for v in (f_at_J, f_at_mJ, I, J))))
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +410,12 @@ def check_slice_regular(
     samples = _nonempty(samples, f.arity)
 
     residuals = []
-    L = [left_mult_matrix(J.value) for J in units]
     for t in range(f.arity):
         (da1, da2), (db1, db2) = central_differences(f.stem, samples, t, h)
-        for LJ in L:
-            # rows of a (S, dim) array times LJ.T apply LJ to each sample
-            dbeta = db1 + db2 @ LJ.T
-            res = da1 + da2 @ LJ.T + dbeta @ LJ.T
+        for J in units:
+            # the J-slice's derivatives are da1 + J da2 and db1 + J db2, one gemm per product
+            dbeta = db1 + multiply_batch(f.tag, J.coeffs, db2)
+            res = da1 + multiply_batch(f.tag, J.coeffs, da2) + multiply_batch(f.tag, J.coeffs, dbeta)
             residuals.append(np.linalg.norm(res, axis=1))
     # np.max propagates NaN, so a NaN residual fails the report
     worst = float(np.max(residuals))

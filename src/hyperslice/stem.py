@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 DEFAULT_FD_STEP = 1e-5
+SAMPLE_DRAWS_PER_POINT = 1000
 
 
 class Smoothness(enum.IntEnum):
@@ -129,10 +130,16 @@ class Domain:
         return True
 
     def sample_symmetric(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Points z with both z and conj(z) inside the domain, shape (count, n)."""
+        """Points z with both z and conj(z) inside the domain, shape (count, n).
+
+        Raises ValueError once SAMPLE_DRAWS_PER_POINT * count draws from the box leave it short.
+        """
         out = np.empty((count, self.arity), dtype=np.complex128)
-        got = 0
+        got = draws = 0
         while got < count:
+            if draws == SAMPLE_DRAWS_PER_POINT * count:
+                raise ValueError(f"{draws} draws gave {got} of {count} symmetric sample points; is the domain empty?")
+            draws += 1
             re = rng.uniform(-1.0, 1.0, self.arity) * self.radii + self.centers
             im = rng.uniform(-1.0, 1.0, self.arity) * self.radii
             z = re + 1j * im

@@ -26,12 +26,11 @@ the JSON, so it ignores them too.
 
 from __future__ import annotations
 
+import functools
 import io
-import itertools
 import json
 import os
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -308,11 +307,17 @@ def _run_checks(cfg: ExperimentConfig, checks: dict, **columns) -> list:
     return records
 
 
-def _basis_associators(tag: AlgebraTag) -> Iterator[float]:
+def _basis_associators(tag: AlgebraTag) -> np.ndarray:
     """Associator norms of all basis triples; a nonzero one certifies non-associativity."""
-    for i, j, k in itertools.product(range(tag.dim), repeat=3):
-        a, b, c = alg.basis(tag, i), alg.basis(tag, j), alg.basis(tag, k)
-        yield (alg.multiply(alg.multiply(a, b), c) - alg.multiply(a, alg.multiply(b, c))).norm()
+    basis = np.array([alg.basis(tag, k).coeffs for k in range(tag.dim)])
+    a, b, c = basis[np.indices((tag.dim,) * 3).reshape(3, -1)]
+    m = functools.partial(alg.multiply_batch, tag)
+    return _row_norms(m(m(a, b), c) - m(a, m(b, c)))
+
+
+def _row_norms(*arrays: np.ndarray) -> np.ndarray:
+    """Norms of the (..., dim) rows of each array, concatenated."""
+    return np.concatenate([np.linalg.norm(x, axis=-1).ravel() for x in arrays])
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +328,33 @@ def _algebra_suite(cfg: ExperimentConfig) -> list:
     records: list[CheckRecord] = []
     for tag in (OCTONION, QUATERNION):
         rng = np.random.default_rng(cfg.seed + 1)
-        pairs = [
-            (alg.random_element(tag, rng), alg.random_element(tag, rng))
-            for _ in range(cfg.samples)
-        ]
+        # drawn in pair order a_0, b_0, a_1, b_1, ...; a and b are (samples, dim) rows
+        draws = [alg.random_element(tag, rng).coeffs for _ in range(2 * cfg.samples)]
+        a, b = np.reshape(draws, (cfg.samples, 2, tag.dim)).transpose(1, 0, 2)
+        m = functools.partial(alg.multiply_batch, tag)
 
         def alternativity():
-            for a, b in pairs:
-                ab = alg.multiply(a, b)
-                yield (alg.multiply(a, ab) - alg.multiply(alg.multiply(a, a), b)).norm()
-                yield (alg.multiply(ab, b) - alg.multiply(a, alg.multiply(b, b))).norm()
+            ab = m(a, b)
+            return _row_norms(m(a, ab) - m(m(a, a), b), m(ab, b) - m(a, m(b, b)))
 
         def artin():
             # any two generators span an associative subalgebra: compare
             # reassociations of the word a b a b
-            for a, b in pairs:
-                ab = alg.multiply(a, b)
-                ba = alg.multiply(b, a)
-                w1 = alg.multiply(alg.multiply(ab, a), b)
-                w2 = alg.multiply(alg.multiply(a, ba), b)
-                w3 = alg.multiply(a, alg.multiply(b, ab))
-                w4 = alg.multiply(ab, ab)
-                w5 = alg.multiply(a, alg.multiply(ba, b))
-                for w in (w1, w2, w3, w5):
-                    yield (w - w4).norm()
+            ab, ba = m(a, b), m(b, a)
+            w4 = m(ab, ab)
+            return _row_norms(*(w - w4 for w in (m(m(ab, a), b), m(m(a, ba), b), m(a, m(b, ab)), m(a, m(ba, b)))))
 
         def norm_comp():
-            for a, b in pairs:
-                lhs = alg.multiply(a, b).norm_squared()
-                rhs = a.norm_squared() * b.norm_squared()
-                yield abs(lhs - rhs) / max(1.0, rhs)
+            lhs = np.sum(m(a, b) ** 2, axis=1)
+            rhs = np.sum(a * a, axis=1) * np.sum(b * b, axis=1)
+            return np.abs(lhs - rhs) / np.maximum(1.0, rhs)
 
         def inverse_law():
-            onev = alg.one(tag)
-            for a, _ in pairs:
-                ia = alg.inverse(a)
-                yield (alg.multiply(a, ia) - onev).norm()
-                yield (alg.multiply(ia, a) - onev).norm()
+            # a^{-1} = conj(a) / |a|^2
+            ia = a / np.sum(a * a, axis=1, keepdims=True)
+            ia[:, 1:] *= -1.0
+            e0 = alg.one(tag).coeffs
+            return _row_norms(m(a, ia) - e0, m(ia, a) - e0)
 
         checks = {"alternativity": alternativity, "artin_words": artin, "norm_composition": norm_comp,
                   "inverse_law": inverse_law}
@@ -372,29 +367,33 @@ def _representation_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     rng = np.random.default_rng(cfg.seed + 2)
     per_n = max(1, cfg.samples // 3)
 
-    cases = []
+    # one batch per polynomial: its cases' points z (G, n) and units I, J, K (G, dim), in draw order
+    batches = []
     for n in (1, 2, 3):
         polys = [random_polynomial(tag, n, 4, rng, terms=5)]
         polys += [p for p in cfg.functions if p.arity == n and p.tag == tag]
-        fs = [sf.lift(p) for p in polys]
+        picks, units, zs = [], [], []
         for _ in range(per_n):
-            f = fs[int(rng.integers(0, len(fs)))]
-            I, J, K = separated_units(tag, rng, 3)
-            cases.append((f, I, J, K, rng.uniform(-0.8, 0.8, n), rng.uniform(-0.8, 0.8, n)))
-    # values on the J and -J slices, kept for the formula comparison
-    mirrored = []
+            picks.append(int(rng.integers(0, len(polys))))
+            units.append([u.coeffs for u in separated_units(tag, rng, 3)])
+            zs.append(rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.8, 0.8, n))  # alpha, then beta
+        picks, units, zs = np.array(picks), np.array(units), np.array(zs)
+        for k, p in enumerate(polys):
+            sel = picks == k
+            batches.append((sf.lift(p), zs[sel], *units[sel].transpose(1, 0, 2)))
+    # rows on the J and -J slices and the symmetric formula, kept for the formula comparison
+    mirrored_rows = []
 
     def direct():
-        for f, I, J, K, alpha, beta in cases:
-            fJ, fK, fmJ, fI = (f(sf.slice_point(alpha, beta, u)) for u in (J, K, -J, I))
-            symmetric = sf.representation_symmetric(fJ, fmJ, I, J)
-            mirrored.append((fJ, fmJ, I, J, symmetric))
-            yield (sf.representation(fJ, fK, I, J, K) - fI).norm()
-            yield (symmetric - fI).norm()
+        for f, Z, I, J, K in batches:
+            fJ, fK, fmJ, fI = (sf.lift_evaluate_batch(f, Z, u) for u in (J, K, -J, I))
+            symmetric = sf.representation_symmetric_batch(tag, fJ, fmJ, I, J)
+            mirrored_rows.append((fJ, fmJ, I, J, symmetric))
+            yield from _row_norms(sf.representation_batch(tag, fJ, fK, I, J, K) - fI, symmetric - fI)
 
     def agreement():
-        for fJ, fmJ, I, J, symmetric in mirrored:
-            yield (sf.representation(fJ, fmJ, I, J, -J) - symmetric).norm()
+        for fJ, fmJ, I, J, symmetric in mirrored_rows:
+            yield from _row_norms(sf.representation_batch(tag, fJ, fmJ, I, J, -J) - symmetric)
 
     return _run_checks(cfg, {"representation_direct": direct, "formula_agreement": agreement})
 

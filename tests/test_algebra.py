@@ -278,6 +278,35 @@ def test_multiply_batch_matches_scalar():
             np.testing.assert_allclose(batch[row], expected.coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("tag", [QUATERNION, OCTONION], ids=lambda t: t.name)
+def test_multiply_batch_against_structure_tensor(tag):
+    d = tag.dim
+    rng = np.random.default_rng(5)
+    shapes = [
+        ((7, d), (d,), (7, d)),
+        ((7, d), (1, d), (7, d)),
+        ((d,), (7, d), (7, d)),
+        ((1, d), (7, d), (7, d)),
+        ((d,), (d,), (d,)),
+        ((5, 1, d), (1, 3, d), (5, 3, d)),
+        ((5, 1, d), (1, 1, d), (5, 1, d)),
+        ((1, 1, d), (1, 3, d), (1, 3, d)),
+    ]
+    for a_shape, b_shape, out_shape in shapes:
+        A, B = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        got = multiply_batch(tag, A, B)
+        assert got.shape == out_shape, (a_shape, b_shape)
+        want = np.einsum("...i,...j,ijk->...k", A, B, structure_tensor(tag))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    # a single-row factor is its (dim, dim) multiplication matrix, applied to every row in one gemm
+    A = rng.standard_normal((1000, d))
+    a, b = alg.random_element(tag, rng), alg.random_element(tag, rng)
+    for row in (b.coeffs, b.coeffs[None, :]):
+        np.testing.assert_array_equal(multiply_batch(tag, A, row), A @ right_mult_matrix(b).T)
+    for row in (a.coeffs, a.coeffs[None, :]):
+        np.testing.assert_array_equal(multiply_batch(tag, row, A), A @ left_mult_matrix(a).T)
+
+
 def test_mult_matrices():
     rng = np.random.default_rng(9)
     for tag in (QUATERNION, OCTONION):

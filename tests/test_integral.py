@@ -183,8 +183,8 @@ def test_volume_fd_path_is_bitwise_the_explicit_formula():
     hooked = stm.StemFunction(arity=2, tag=TAG, batch_evaluator=F.batch_evaluator, batch_wirtinger=_explicit,
                               smoothness=stm.Smoothness.C1)
     dom, x, spec = _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1)
-    got = itg.bm_volume_dual(sf.SliceFunction(stem=F), dom, x, spec)
-    want = itg.bm_volume_dual(sf.SliceFunction(stem=hooked), dom, x, spec)
+    got = itg._bm_volume_both(sf.SliceFunction(stem=F), dom, x, spec)[:2]
+    want = itg._bm_volume_both(sf.SliceFunction(stem=hooked), dom, x, spec)[:2]
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
     assert got[0].norm() > 0.01
@@ -458,18 +458,6 @@ def test_quadrature_spec_rejects_non_integers(fields):
         itg.QuadratureSpec(*fields)
 
 
-def test_convergence_csv_schema(tmp_path):
-    rows = [
-        {"M": 16, "R": 32, "V": 3, "abs_error": 1e-7, "wall_ms": 12.5},
-        {"M": 32, "R": 32, "V": 3, "abs_error": 1e-13, "wall_ms": 30.0},
-    ]
-    path = tmp_path / "conv.csv"
-    itg.write_convergence_csv(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "M,R,V,abs_error,wall_ms"
-    assert lines[1].startswith("16,32,3,1.000000000000000e-07,")
-
-
 @pytest.mark.parametrize(
     "centers, radii",
     [([0.0, 0.0], [1.0, np.inf]), ([0.0, 0.0], [np.nan, 1.0]), ([np.nan, 0.0], [1.0, 1.0]), ([0.0, -np.inf], [1.0, 1.0])],
@@ -534,7 +522,7 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
     spans.clear()
     # at most 1000 rows to a stem-valued chunk
     monkeypatch.setattr(itg, "CHUNK_DOUBLES", 1000 * itg.STEM_ROW_DOUBLES)
-    itg.bm_volume_dual(sf.lift(_conj_z1_stem(TAG, 2, E1)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
+    itg._bm_volume_both(sf.lift(_conj_z1_stem(TAG, 2, E1)), _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1))
     # 32 pyramid points x 8 x 8 angles: 125 outer nodes of 8 angles to a
     # chunk, and each chunk is reduced once per axis
     assert spans == [1000, 1000, 1000, 1000, 48, 48]
@@ -544,7 +532,7 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
          _bidisc(), _x2(), itg.QuadratureSpec(32, 16, 1)),
         (itg.bm_boundary_dual, sf.lift(p3), itg.PolydiscDomain(np.zeros(3), np.ones(3), J),
          sf.point_from_z(np.array([0.2 + 0.1j, -0.3j, 0.15]), J), itg.QuadratureSpec(8, 4, 1)),
-        (itg.bm_volume_dual, sf.lift(_conj_z1_stem(TAG, 2, E1 + 0.5 * E3)),
+        (lambda *args: itg._bm_volume_both(*args)[:2], sf.lift(_conj_z1_stem(TAG, 2, E1 + 0.5 * E3)),
          _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1)),
     ]
     # the default bound, 64x it and about 1/16 of it

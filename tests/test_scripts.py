@@ -29,6 +29,18 @@ def test_convergence_study_volume_table(tmp_path, capsys):
     assert all(a < b for a, b in zip(nodes, nodes[1:])), nodes
 
 
+def test_convergence_csv_schema(tmp_path):
+    rows = [
+        {"M": 16, "R": 32, "V": 3, "abs_error": 1e-7, "wall_ms": 12.5},
+        {"M": 32, "R": 32, "V": 3, "abs_error": 1e-13, "wall_ms": 30.0},
+    ]
+    path = tmp_path / "conv.csv"
+    _load("convergence_study").write_convergence_csv(path, rows)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "M,R,V,abs_error,wall_ms"
+    assert lines[1].startswith("16,32,3,1.000000000000000e-07,")
+
+
 def test_zero_structure_demo_confirms_verdicts(capsys):
     assert _load("zero_structure_demo").main(["--random", "2", "--units", "300"]) == 0
     assert "all verdicts confirmed by scan" in capsys.readouterr().out

@@ -150,6 +150,88 @@ def test_symmetric_formula_agrees_with_general():
         assert (g - s).norm() <= 1e-13
 
 
+def _random_lift(tag, n, rng):
+    terms = {tuple(int(m) for m in rng.integers(0, 4, n)): rng.standard_normal(tag.dim) for _ in range(5)}
+    return sf.lift(stm.stem_polynomial(tag, n, terms))
+
+
+@pytest.mark.parametrize("tag", [alg.QUATERNION, alg.OCTONION], ids=lambda t: t.name)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lift_evaluate_batch_rows_match_lift_evaluate(n, tag):
+    rng = np.random.default_rng(30 + n)
+    f = _random_lift(tag, n, rng)
+    alpha, beta = rng.uniform(-0.8, 0.8, (40, n)), rng.uniform(-0.8, 0.8, (40, n))
+    units = alg.sample_unit_imaginaries(tag, 40, rng)
+    rows = sf.lift_evaluate_batch(f, alpha + 1j * beta, units)
+    assert rows.shape == (40, tag.dim)
+    for k in range(40):
+        value = sf.lift_evaluate(f, sf.slice_point(alpha[k], beta[k], alg.ImaginaryUnit(element(tag, units[k]))))
+        assert np.linalg.norm(rows[k] - value.coeffs) <= 1e-15 * (1.0 + value.norm())
+    # (beta, I) and (-beta, -I) are the same point, bit for bit, with no canonical sign
+    np.testing.assert_array_equal(sf.lift_evaluate_batch(f, alpha - 1j * beta, -units), rows)
+
+
+@pytest.mark.parametrize("tag", [alg.QUATERNION, alg.OCTONION], ids=lambda t: t.name)
+def test_lift_evaluate_batch_broadcasts_one_row(tag):
+    rng = np.random.default_rng(33)
+    f = _random_lift(tag, 2, rng)
+    Z = rng.uniform(-0.8, 0.8, (25, 2)) + 1j * rng.uniform(-0.8, 0.8, (25, 2))
+    units = alg.sample_unit_imaginaries(tag, 25, rng)
+    # one z against many units, and many z against one unit
+    for Zb, Ub in ((Z[:1], units), (Z, units[:1])):
+        rows = sf.lift_evaluate_batch(f, Zb, Ub)
+        assert rows.shape == (25, tag.dim)
+        full = sf.lift_evaluate_batch(f, np.broadcast_to(Zb, Z.shape), np.broadcast_to(Ub, units.shape))
+        np.testing.assert_allclose(rows, full, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("tag", [alg.QUATERNION, alg.OCTONION], ids=lambda t: t.name)
+def test_sphere_values_is_one_product_batch(tag):
+    # the right-factor gemm of multiply_batch, the call perfbench times as algebra.multiply_batch
+    rng = np.random.default_rng(34)
+    f = _random_lift(tag, 2, rng)
+    x = sf.slice_point(rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.8, 0.8, 2), alg.sample_unit_imaginary(tag, rng))
+    U = alg.sample_unit_imaginaries(tag, 1000, rng)
+    w = stm.evaluate_stem(f.stem, x.z)
+    F1, F2 = w.re.coeffs, w.im.coeffs
+    np.testing.assert_array_equal(sf.sphere_values(f, x, U), F1 + alg.multiply_batch(tag, U, F2[None]))
+
+
+@pytest.mark.parametrize("tag", [alg.QUATERNION, alg.OCTONION], ids=lambda t: t.name)
+def test_representation_batch_rows_match_element_calls(tag):
+    rng = np.random.default_rng(35)
+    f = _random_lift(tag, 2, rng)
+    N = 30
+    Z = rng.uniform(-0.8, 0.8, (N, 2)) + 1j * rng.uniform(-0.8, 0.8, (N, 2))
+    I, J, K = (alg.sample_unit_imaginaries(tag, N, rng) for _ in range(3))
+    keep = np.linalg.norm(J - K, axis=1) >= 0.2
+    Z, I, J, K = Z[keep], I[keep], J[keep], K[keep]
+    fJ, fK, fmJ = (sf.lift_evaluate_batch(f, Z, u) for u in (J, K, -J))
+    general = sf.representation_batch(tag, fJ, fK, I, J, K)
+    symmetric = sf.representation_symmetric_batch(tag, fJ, fmJ, I, J)
+    assert general.shape == symmetric.shape == (int(keep.sum()), tag.dim)
+    for k in range(general.shape[0]):
+        el = [element(tag, v[k]) for v in (fJ, fK, fmJ)]
+        Ik, Jk, Kk = (alg.ImaginaryUnit(element(tag, u[k])) for u in (I, J, K))
+        want = sf.representation(el[0], el[1], Ik, Jk, Kk)
+        assert np.linalg.norm(general[k] - want.coeffs) <= 1e-14 * (1.0 + want.norm())
+        want = sf.representation_symmetric(el[0], el[2], Ik, Jk)
+        assert np.linalg.norm(symmetric[k] - want.coeffs) <= 1e-14 * (1.0 + want.norm())
+    # one degenerate row fails the whole batch
+    K[3] = J[3]
+    with pytest.raises(sf.DegenerateUnitsError):
+        sf.representation_batch(tag, fJ, fK, I, J, K)
+
+
+def test_representation_rejects_mixed_algebras():
+    Jq = alg.unit_from_vector(alg.QUATERNION, [1.0, 0.0, 0.0])
+    J, K = _unit([1, 0, 0, 0, 0, 0, 0]), _unit([0, 1, 0, 0, 0, 0, 0])
+    with pytest.raises(alg.AlgebraMismatchError):
+        sf.representation(E0, E0, Jq, J, K)
+    with pytest.raises(alg.AlgebraMismatchError):
+        sf.representation_symmetric(one(alg.QUATERNION), E0, J, J)
+
+
 # --- spherical operators -------------------------------------------------
 
 

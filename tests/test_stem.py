@@ -1,6 +1,8 @@
 """Stem functions: evaluation, intrinsicity, Wirtinger calculus, products, restriction, JSON."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -640,3 +642,32 @@ def test_scalar_hooks_become_row_loops():
     F1, F2 = evaluate_stem_batch(F, Z[:0])
     (dz1, dz2), (db1, db2) = wirtinger_batch(F, Z[:0], 0)
     assert all(a.shape == (0, TAG.dim) for a in (F1, F2, dz1, dz2, db1, db2))
+
+
+EMPTY_DOMAIN_CHECKS = """
+import numpy as np
+import hyperslice.slicefun as sf
+import hyperslice.stem as st
+from hyperslice.algebra import OCTONION
+
+def zeros(Z):
+    return np.zeros((len(Z), 8)), np.zeros((len(Z), 8))
+
+F = st.StemFunction(arity=1, tag=OCTONION, batch_evaluator=zeros,
+                    domain=st.Domain(np.zeros(1), np.ones(1), predicate=lambda z: False))
+for check in (st.check_intrinsic, st.is_holomorphic, sf.lift, lambda F: sf.check_slice_regular(sf.SliceFunction(F))):
+    try:
+        check(F)
+    except ValueError as exc:
+        assert "symmetric sample points" in str(exc), exc
+    else:
+        raise AssertionError(f"{check} passed on an empty domain")
+print("raised")
+"""
+
+
+def test_empty_domain_sampling_raises():
+    # in a child process with a timeout, so a sampler that never stops fails the test instead of hanging it
+    out = subprocess.run([sys.executable, "-c", EMPTY_DOMAIN_CHECKS], capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"]
