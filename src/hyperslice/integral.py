@@ -42,25 +42,29 @@ coefficients.  Both rules sum the moments in chunk order and finish them once
 per call, contracting A once; a call is held to NODE_BUDGET nodes (all faces).
 
 Nodes are streamed along the grid's tensor structure.  A grid is only its
-per-factor tables (one per disc, or the volume rule's pyramid table and
-per-disc angles); each node value is np.add or np.multiply folded left over
-its factors' columns in factor order: coordinates as a sum of one-hot rows,
-the volume rule's xi - x as a product of pyramid points and ray rows.  A
-chunk is a few outer nodes, folded once per chunk, and the last factor's
-table or a slice of its columns; a rule spreads the two into node values
-where it needs them.  A StemPolynomial's face needs no node values: its
-monomial sums factor over the discs (sum factorisation; Orszag, J. Comput.
-Phys. 37, 1980), so a chunk spreads only the kernel factor (sum_l d_l)^-n and
-is reduced by one gemm against the last disc's weighted power table.  Each
+per-factor tables, and a chunk is a few outer nodes, folded once per chunk,
+against the last factor's table or a slice of its columns (_blocks).  Each
 chunk is reduced before the next one starts, so memory is O(CHUNK_DOUBLES)
-whatever the grid size: no per-node array of a chunk holds more than
-CHUNK_DOUBLES doubles (128 KiB), and each rule takes as many rows as its
-widest per-node array allows.  Stem-valued chunks (generic faces and the
-volume rule) hold F1 and F2 at up to 8 doubles a row, so they take 2048 rows
-in either algebra.  A polynomial chunk holds its kernel factor, formed in
-place from the distances at 1 double a node, and its outer nodes' fold at 4T
-doubles an outer node for T terms, so it takes 16384 nodes, or fewer outer
-nodes once 4T exceeds the last factor's columns.
+plus per-call tables whatever the grid size: no per-node array of a chunk
+holds more than CHUNK_DOUBLES doubles (128 KiB), and each rule takes as many
+rows as its widest per-node array allows.
+
+A boundary call builds every disc's columns once, for both face kinds: the
+circle and interior nodes of all n discs, with their weights and distances,
+as (n, M + R M) arrays (_boundary_columns); the tables that depend on the
+spec alone are cached.  A StemPolynomial's face needs no node values: its
+monomial sums factor over the discs (sum factorisation; Orszag, J. Comput.
+Phys. 37, 1980), so a chunk forms only the kernel factor (sum_l d_l)^-n and
+is reduced by one gemm against the last disc's weighted power table; it
+takes 16384 nodes, or fewer outer nodes once its fold's 4T doubles an outer
+node for T terms exceed the last factor's columns.  Any other stem's faces
+are folded over conjugation: the grid is closed under it and an intrinsic
+stem has F(conj xi) = conj F(xi), so each face evaluates the stem at half of
+its circle angles and reduces each node against its own and its mirror's
+coefficient (_pair_sums).  Stem-valued chunks (generic faces and the volume
+rule) hold F1 and F2 at up to 8 doubles a row, so they take 2048 rows in
+either algebra, and write their nodes, kernel factors and coefficients into
+buffers allocated once per call, long axes innermost.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from .algebra import (
     units_close,
 )
 from .complexified import ComplexifiedElement
-from .slicefun import SliceFunction, SlicePoint, lift_evaluate, lift_value, slice_point
+from .slicefun import IntrinsicityError, SliceFunction, SlicePoint, lift_evaluate, lift_value, slice_point
 from .stem import Smoothness, StemPolynomial, _box, dbar_batch, evaluate_stem_batch
 
 __all__ = [
@@ -223,11 +227,21 @@ def _finish(moments: np.ndarray, A: np.ndarray, LJT: np.ndarray):
 
 
 def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Moments (2, 2 dim) of one chunk of nodes: [Re c; Im c] @ [F1 | F2], for c (rows,) and F1, F2 (rows, dim)."""
+    """Moments (2, 2 dim) of one chunk of nodes: [Re c; Im c] @ [F1 | F2], for c (rows, 2), each node's Re c and Im c, and F1, F2 (rows, dim)."""
     F1, F2 = F
-    # [Re c; Im c] as a strided view of c, which BLAS reads without a copy
-    C = np.ascontiguousarray(c).view(np.float64).reshape(-1, 2).T
-    return np.hstack((C @ F1, C @ F2))
+    return np.hstack((c.T @ F1, c.T @ F2))
+
+
+def _pair_sums(C: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Moments (2, 2 dim) of one folded chunk: C (2, 2, rows) is [Re c; Im c] of each evaluated node xi and of its mirror conj(xi).
+
+    An intrinsic stem has F(conj xi) = F1(xi) - i F2(xi), so the pair
+    contributes (c + c') F1 + i (c - c') F2: F1 is reduced against c + c'
+    and F2 against c - c', both from one gemm per component over the four rows.
+    """
+    # (dim, 4) products: numpy's gemm for F^T C^T is faster than for C F at these shapes
+    G1, G2 = (part.T @ C.reshape(4, -1).T for part in F)
+    return np.vstack((G1[:, :2] + G1[:, 2:], G2[:, :2] - G2[:, 2:])).T
 
 
 # rows Re(c) Re(m), Re(c) Im(m), Im(c) Re(m), Im(c) Im(m) from rows Re X, Im X, Re Y, Im Y of
@@ -268,7 +282,8 @@ def _agreed(direct: AlgebraElement, comp: AlgebraElement) -> AlgebraElement:
     return direct
 
 
-def _check_point(dom: PolydiscDomain, x: SlicePoint) -> None:
+def _check_point(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint) -> None:
+    _check_intrinsic(f)
     if x.tag != dom.j.tag:
         raise SliceMismatchError(f"point algebra {x.tag} does not match domain {dom.j.tag}")
     if not x.is_real and not units_close(x.j, dom.j, 1e-12):
@@ -279,6 +294,12 @@ def _check_point(dom: PolydiscDomain, x: SlicePoint) -> None:
         raise PointTooCloseToBoundaryError(
             f"each coordinate must stay {INTERIOR_MARGIN:.2f}*radius away from its circle"
         )
+
+
+def _check_intrinsic(f: SliceFunction) -> None:
+    """Refuse a stem flagged non-intrinsic: the rules read F(conj xi) as conj F(xi), which only an intrinsic stem gives."""
+    if not f.stem.intrinsic:
+        raise IntrinsicityError("BM quadrature needs an intrinsic stem; this one is flagged intrinsic=False")
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,115 +318,204 @@ def _check_budget(count: int) -> int:
     return count
 
 
-def _axis_rows(op, n: int, l: int, v: np.ndarray) -> np.ndarray:
-    """Table (n, len(v)) of v in row l and op's identity elsewhere: an op fold over discs keeps disc l in row l."""
-    return np.where(np.arange(n)[:, None] == l, v, op.identity)
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) entries of a flat per-call buffer, as a C-ordered view of that shape."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _spread(op, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Values (width, k b) of k outer nodes (width, k) op b last-factor columns (width, b), in C order."""
-    return op(outer[:, :, None], inner[:, None, :]).reshape(len(inner), outer.shape[1] * inner.shape[1])
+def _blocks(shape: tuple, rows: int):
+    """Chunks of at most rows nodes of a product grid, in C order of its factor indices.
 
-
-def _product_grid(shape: tuple, groups: list, rows: int):
-    """Tensor-product rule streamed in chunks of at most rows nodes, in C order of the factor indices.
-
-    A group (op, tables) has one table (width, shape[f]) per factor f, and
-    op is np.add or np.multiply; a node's value is op folded left over the
-    columns its indices pick, ((t_0 op t_1) op t_2) ..., in factor order.
-    The last factor is the inner block: a chunk is a few outer nodes against
-    the last factor's table (or a rows-column slice of it, when it alone
-    exceeds rows).  The caller picks rows to fit its widest per-node array
-    in CHUNK_DOUBLES.  Yields per chunk one (op, outer, last) per group: the
-    outer nodes' fold (width, k), made once per chunk, and the last factor's
-    columns (width, b), a view of its table; _spread(op, outer, last) is the
-    chunk's node values (width, k b).
+    A chunk is whole blocks of the last factor, as many outer nodes as rows
+    allows, or one outer node against a rows-wide slice of a last factor that
+    alone exceeds rows.  Yields per chunk the outer nodes' factor indices (a
+    tuple of index arrays, empty for a one-factor grid) and the last factor's
+    slice.
     """
     *head, last = shape
     count, per = math.prod(head), max(1, rows // last)
     for o in range(0, count, per):
         idx = np.unravel_index(np.arange(o, min(o + per, count)), head) if head else ()
-        # zip stops at the outer factors; a one-factor grid's one outer node is op's identity
-        outer = [functools.reduce(op, [t[:, i] for t, i in zip(tables, idx)]) if head else
-                 np.full((1, 1), op.identity) for op, tables in groups]
         for a in range(0, last, rows):
-            yield [(op, out, tables[-1][:, a : a + rows]) for (op, tables), out in zip(groups, outer)]
+            yield idx, slice(a, min(a + rows, last))
 
 
-def _kernel_factor(d_outer: np.ndarray, d_last: np.ndarray, n: int) -> np.ndarray:
-    """K (k, b) = (d_outer[i] + d_last[j])^-n from a chunk's distance folds (1, k) and (1, b), in place.
+def _fold(op, tables: list, idx: tuple) -> np.ndarray:
+    """Outer nodes' values (width, k): op folded left over the columns idx picks from the outer factors' tables (width, len).
 
-    Both face kinds form their kernel factor here; it is a polynomial chunk's
-    only per-node array.  The sum is spread by a rank-2 gemm, [d_outer; 1]^T [1; d_last], which rounds each entry once, as
-    a broadcast np.add does, and writes K directly, where the np.add would
-    also allocate iterator buffers as large as K.
+    With one table (width, shape[f]) per factor f of a grid, and op np.add or
+    np.multiply, a node's value is ((t_0 op t_1) op t_2) ... over the columns
+    its indices pick, so op(outer[:, :, None], t_last[:, None, sl]) would be a
+    chunk's node values.  A one-factor grid's one outer node is op's identity,
+    (1, 1).
     """
-    A, B = np.ones((2, d_outer.shape[1])), np.ones((2, d_last.shape[1]))
-    A[0], B[1] = d_outer, d_last
-    K = A.T @ B
-    K **= n
+    return functools.reduce(op, [t[:, i] for t, i in zip(tables, idx)]) if idx else np.full((1, 1), op.identity)
+
+
+def _kernel_buffers(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat buffers (S, K) of size doubles for _kernel_factor: one array serves both unless n >= 3."""
+    K = np.empty(size)
+    return (K if n < 3 else np.empty(size)), K
+
+
+def _kernel_factor(A: np.ndarray, B: np.ndarray, n: int, S: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """K = (A^T B)^-n for rank-2 factors A (..., 2, k) and B (..., 2, b), written into the caller's S and K (..., k, b).
+
+    A^T B is a chunk's squared distance |xi - x|^2 spread over its k outer
+    nodes and b last-factor columns by one gemm.  On a boundary face it is
+    [d_outer; 1]^T [1; d_last] (_distance_factors), which rounds each entry
+    once, as a broadcast np.add does, without the add's iterator buffers.
+    The power is n - 1 multiplies in place (np.power has a fast path for
+    squares only), then one reciprocal; below n = 3 S may be K itself.
+    """
+    np.matmul(np.swapaxes(A, -1, -2), B, out=S)
+    if n == 1:
+        return np.divide(1.0, S, out=K)
+    np.multiply(S, S, out=K)
+    for _ in range(n - 2):
+        K *= S
     return np.divide(1.0, K, out=K)
 
 
-def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: int, stem=None):
-    """Boundary face k per chunk: its nodes and complete complex coefficients, or a polynomial stem's monomial factors.
+def _distance_factors(d_outer: np.ndarray, d_last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-2 factors [d_outer; 1] (..., 2, k) and [1; d_last] (..., 2, b), whose product is d_outer[i] + d_last[j]."""
+    A = np.ones(d_outer.shape[:-1] + (2, d_outer.shape[-1]))
+    B = np.ones(d_last.shape[:-1] + (2, d_last.shape[-1]))
+    A[..., 0, :], B[..., 1, :] = d_outer, d_last
+    return A, B
 
-    A node's coefficient is c = coeff g_k(xi), coeff being the kernel
-    constant, Jacobians and product weights.  Disc l has tables xi_l,
-    d_l = |xi_l - x_l|^2 and w_l, with conj(xi_k - x_k) and the constant
-    folded into w_k, so c = prod_l w_l K with K = (sum_l d_l)^-n, and xi - x
-    is never formed.  Yields (Z, c) per chunk: Z complex (n, rows), the sum
-    of the discs' one-hot rows, xi_l in row l.  For a StemPolynomial stem a
-    disc's weights and power table (from power_columns) are one table
-    Q_l = w_l [P_l; conj P_l] (2T, len), and it yields (Q_outer, Q_last, K)
-    per chunk, the pieces _monomial_sums reduces: no node, monomial or
-    coefficient is formed.
+
+@functools.lru_cache(maxsize=None)
+def _boundary_units(M: int, R: int):
+    """Spec-only tables of the boundary rule; cached, so read-only.
+
+    A call's columns are disc l's M circle nodes c_l + r_l e^{i phi_m}, then
+    its R M interior nodes c_l + (r_l t_r) e^{i phi_m} at column M + r M + m
+    (t_r the Gauss-Legendre nodes on [0, 1]).  Returns the ring
+    e^{i phi_m} (M,); each column's mirror, the column of its conjugate node
+    (angle -phi_m, same t_r); and the folded circle's weights (M // 2 + 1,),
+    1/2 at the self-conjugate angles 0 and pi.
     """
-    n = dom.n
-    M, R = spec.angular_nodes, spec.radial_nodes
-    cn = math.factorial(n - 1) / (2j * math.pi) ** n
-
-    vals: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
     ring = np.exp(1j * (2.0 * math.pi * np.arange(M) / M))
-    w_ang = 2.0 * math.pi / M
-    t01, w01 = _gauss_legendre_01(R)
-    for l in range(n):
-        if l == k:
-            v = dom.centers[l] + dom.radii[l] * ring
-            w = (cn * w_ang) * (1j * dom.radii[l] * ring) * np.conj(v - x_z[l])
-        else:
-            rho = dom.radii[l] * t01
-            wr = dom.radii[l] * w01
-            v = (dom.centers[l] + rho[:, None] * ring[None, :]).ravel()
-            # dxi-bar_l ^ dxi_l pulls back to 2i rho drho dphi
-            w = (wr[:, None] * np.full(M, w_ang)[None, :]).ravel() * (2j * np.repeat(rho, M))
-        vals.append(v)
-        weights.append(w)
-    shape = tuple(len(v) for v in vals)
-    dists = (np.add, [((v - x).real ** 2 + (v - x).imag ** 2)[None] for v, x in zip(vals, x_z)])
+    back = -np.arange(M) % M
+    mirror = np.concatenate([back, (M + M * np.arange(R)[:, None] + back).ravel()])
+    m = np.arange(M // 2 + 1)
+    half = np.where((m == 0) | (2 * m == M), 0.5, 1.0)
+    for a in (ring, mirror, half):
+        a.setflags(write=False)
+    return ring, mirror, half
+
+
+def _boundary_columns(dom: PolydiscDomain, x_z: np.ndarray, spec: QuadratureSpec):
+    """One call's columns of every disc at once, (n, M + R M) each: nodes V, weights W and distances D = |xi - x|^2.
+
+    A circle column's weight holds the kernel constant, the trapezoid weight,
+    the Jacobian i r e^{i phi} and conj(xi - x); an interior column's is
+    r w_r dphi 2i rho for rho = r t_r, since dxi-bar ^ dxi pulls back to
+    2i rho drho dphi.  So face k's node coefficient c = coeff g_k(xi) is the
+    product of its discs' weights times K = (sum_l D_l)^-n, and xi - x is
+    never formed.
+    """
+    M, R, n = spec.angular_nodes, spec.radial_nodes, dom.n
+    ring = _boundary_units(M, R)[0]
+    t, w = _gauss_legendre_01(R)
+    c, r = dom.centers[:, None], dom.radii[:, None]
+    rho, w_ang = r * t, 2.0 * math.pi / M
+    V = np.empty((n, M + R * M), dtype=np.complex128)
+    V[:, :M] = c + r * ring
+    V[:, M:] = (c[:, :, None] + rho[:, :, None] * ring).reshape(n, -1)
+    diff = V - x_z[:, None]
+    D = diff.real**2 + diff.imag**2
+    W = np.empty_like(V)
+    cn = math.factorial(n - 1) / (2j * math.pi) ** n
+    W[:, :M] = (cn * w_ang) * (1j * r * ring) * np.conj(diff[:, :M])
+    W[:, M:] = np.repeat((r * w) * w_ang * (2j * rho), M, axis=1)
+    return V, W, D
+
+
+def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem=None):
+    """Every boundary face's chunks, face 0 first, from one build of the discs' columns (_boundary_columns).
+
+    Face k is the circle of disc k times the other discs' interiors.  A
+    StemPolynomial's faces are laid out in disc order: disc l's weights and
+    power table over all its columns (from power_columns) are one table
+    Q_l = w_l [P_l; conj P_l] (2T, M + R M), which each face slices, and it
+    yields (Q_outer, Q_last, K) per chunk, the pieces _monomial_sums reduces:
+    no node, monomial or coefficient is formed.
+
+    Any other stem's faces are folded over conjugation.  The grid is closed
+    under it (real centers), so face k takes only the circle angles
+    m = 0 .. M // 2, as its first factor, against the other discs' interiors
+    in disc order, and at each node xi forms the coefficient c' of its mirror
+    conj(xi) from the mirrored columns too; both are halved at the
+    self-conjugate angles 0 and pi.  It yields (Z, C) per chunk: the nodes,
+    complex (n, rows), and C (2, 2, rows), [Re c; Im c] and [Re c'; Im c'],
+    which _pair_sums reduces against the stem values at Z alone.
+
+    A chunk's arrays are views of buffers made once per call, so each chunk
+    must be reduced before the next is drawn.
+    """
+    n, M = dom.n, spec.angular_nodes
+    V, W, D = _boundary_columns(dom, x_z, spec)
     if isinstance(stem, StemPolynomial):
+        T = len(stem.exponents)
         Q = []
-        for l, (v, w) in enumerate(zip(vals, weights)):
-            P = stem.power_columns(l, v)
+        for l in range(n):
             # the last disc's in Fortran order, so a chunk's columns of it transpose to C order
-            Q.append(np.empty((2 * len(P), len(v)), dtype=np.complex128, order="F" if l == n - 1 else "C"))
-            np.multiply(w, P, out=Q[l][: len(P)])
-            np.multiply(w, np.conj(P, out=Q[l][len(P) :]), out=Q[l][len(P) :])
-        groups = [(np.multiply, Q), dists]
-        # K holds 1 double a node and Q_outer 4T an outer node of b nodes, so
-        # CHUNK_DOUBLES // max(b, 4T) outer nodes keep both within CHUNK_DOUBLES
-        b = min(shape[-1], CHUNK_DOUBLES)
-        rows = CHUNK_DOUBLES * b // max(b, 4 * len(stem.exponents))
-        for (_, Q_outer, Q_last), (_, d_outer, d_last) in _product_grid(shape, groups, rows):
-            yield Q_outer, Q_last, _kernel_factor(d_outer, d_last, n)
+            Q.append(np.empty((2 * T, V.shape[1]), dtype=np.complex128, order="F" if l == n - 1 else "C"))
+            # row by row: numpy 2.4 buffers a broadcast product, slowly on the Fortran-ordered table
+            for t, p in enumerate(stem.power_columns(l, V[l])):
+                np.multiply(W[l], p, out=Q[l][t])
+                np.multiply(W[l], np.conj(p), out=Q[l][T + t])
+        S, K = _kernel_buffers(n, CHUNK_DOUBLES)
+        for k in range(n):
+            cols = [slice(None, M) if l == k else slice(M, None) for l in range(n)]
+            shape = tuple(len(V[l, c]) for l, c in enumerate(cols))
+            tables, dists = [q[:, c] for q, c in zip(Q, cols)], [D[l : l + 1, c] for l, c in enumerate(cols)]
+            # K holds 1 double a node and Q_outer 4T an outer node of b nodes, so
+            # CHUNK_DOUBLES // max(b, 4T) outer nodes keep both within CHUNK_DOUBLES
+            b = min(shape[-1], CHUNK_DOUBLES)
+            rows = CHUNK_DOUBLES * b // max(b, 4 * T)
+            for idx, sl in _blocks(shape, rows):
+                d_outer, d_last = _fold(np.add, dists, idx), dists[-1][:, sl]
+                size = (d_outer.shape[1], d_last.shape[1])
+                K_chunk = _kernel_factor(*_distance_factors(d_outer, d_last), n, _view(S, size), _view(K, size))
+                yield _fold(np.multiply, tables, idx), tables[-1][:, sl], K_chunk
         return
-    nodes = (np.add, [_axis_rows(np.add, n, l, v) for l, v in enumerate(vals)])
-    groups = [nodes, (np.multiply, [w[None] for w in weights]), dists]
-    for Z, W, D in _product_grid(shape, groups, CHUNK_DOUBLES // STEM_ROW_DOUBLES):
-        c = _spread(*W)[0]
-        c *= _kernel_factor(D[1], D[2], n).ravel()
-        yield _spread(*Z), c
+    _, mirror, half = _boundary_units(M, spec.radial_nodes)
+    H, RM = len(half), V.shape[1] - M
+    # each column's distance and its mirror's, (2, n, M + R M); an interior
+    # column's weight does not depend on its angle, so only the circle's is mirrored
+    DD = np.stack((D, D[:, mirror]))
+    rows = CHUNK_DOUBLES // STEM_ROW_DOUBLES
+    Zb = np.empty(n * rows, dtype=np.complex128)
+    Sb, Kb = _kernel_buffers(n, 2 * rows)
+    Cb = np.empty(4 * rows)
+    for k in range(n):
+        discs = [k] + [l for l in range(n) if l != k]
+        cols = [slice(None, H)] + [slice(M, None)] * (n - 1)
+        nodes = [V[l, c] for l, c in zip(discs, cols)]
+        weights = [np.stack((W[k, :H], W[k, mirror[:H]])) * half] + [np.broadcast_to(W[l, M:], (2, RM)) for l in discs[1:]]
+        dists = [DD[:, l, c] for l, c in zip(discs, cols)]
+        # the last factor's weight pair as [Re; Im] rows (2, 2, len), the right factor of the coefficient gemm
+        last_w = np.stack((weights[-1].real, weights[-1].imag), axis=1)
+        for idx, sl in _blocks(tuple(len(v) for v in nodes), rows):
+            a, d = _fold(np.multiply, weights, idx), _fold(np.add, dists, idx)
+            size = (a.shape[1], sl.stop - sl.start)
+            Z = _view(Zb, (n,) + size)
+            for l, v, i in zip(discs, nodes, idx):
+                Z[l] = v[i][:, None]
+            Z[discs[-1]] = nodes[-1][sl]
+            K = _kernel_factor(*_distance_factors(d, dists[-1][:, sl]), n, _view(Sb, (2,) + size), _view(Kb, (2,) + size))
+            # [Re; Im] of a_i w_j for each pair row as one real gemm: [[Re a, -Im a]; [Im a, Re a]] [Re w; Im w]
+            L = np.empty((2, 2, size[0], 2))
+            L[:, 0, :, 0] = L[:, 1, :, 1] = a.real
+            L[:, 0, :, 1] = -a.imag
+            L[:, 1, :, 0] = a.imag
+            C = _view(Cb, (2, 2) + size)
+            np.matmul(L.reshape(2, 2 * size[0], 2), last_w[:, :, sl], out=C.reshape(2, 2 * size[0], size[1]))
+            C *= K[:, None]
+            yield Z.reshape(n, -1), C.reshape(2, 2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +523,13 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, k: i
 
 
 def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
-    _check_point(dom, x)
-    n = dom.n
-    count = _check_budget(_boundary_count(n, spec))
-    # chain and starmap keep no reference to a reduced chunk, so a polynomial chunk's K is freed before the next
-    chunks = itertools.chain.from_iterable(_face_nodes(dom, spec, x.z, k, f.stem) for k in range(n))
+    _check_point(f, dom, x)
+    count = _check_budget(_boundary_count(dom.n, spec))
+    # a chunk is reduced before the generator refills the call's buffers with the next
+    chunks = _face_nodes(dom, spec, x.z, f.stem)
     if isinstance(f.stem, StemPolynomial):
         return (*_reduce(dom.j, itertools.starmap(_monomial_sums, chunks), f.stem.coefficients), count)
-    return (*_reduce(dom.j, (_node_sums(c, evaluate_stem_batch(f.stem, Z.T)) for Z, c in chunks)), count)
+    return (*_reduce(dom.j, (_pair_sums(C, evaluate_stem_batch(f.stem, Z.T)) for Z, C in chunks)), count)
 
 
 def bm_boundary_dual(
@@ -461,6 +570,22 @@ def _pyramid_table(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return U, np.tile(wt, n) * np.prod(U, axis=1)
 
 
+@functools.lru_cache(maxsize=None)
+def _volume_units(n: int, q: int, M: int):
+    """Spec-only tables of the volume rule; cached, so read-only.
+
+    The pyramid table of _pyramid_table(n, q), and the unit rays
+    e^{i phi} (n, M) of each disc's M angles, offset by a fixed jitter, the
+    draws of default_rng(0).
+    """
+    U, w = _pyramid_table(n, q)
+    offset = np.random.default_rng(0).uniform(0.05, 0.45, n)
+    rays = np.exp(1j * (2.0 * math.pi * (np.arange(M) + offset[:, None]) / M))
+    for a in (U, w, rays):
+        a.setflags(write=False)
+    return U, w, rays
+
+
 def _volume_sizes(spec: QuadratureSpec) -> tuple[int, int]:
     """(q, M_v) of the volume rule: its Gauss-Legendre order and its angles per disc (see _volume_nodes)."""
     return 2 * spec.volume_refinement + 2, max(8, spec.angular_nodes // 2)
@@ -489,46 +614,65 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
 
     Gauss-Legendre of order q = 2V+2 runs in tau and in each v, and
     M_v = max(8, M//2) trapezoid angles per disc, so the rule has
-    n q^n M_v^n nodes: the pyramid table is the grid's first factor, the
-    angles of discs 1..n the others; xi - x is u times a ray row per disc,
-    S_l e^{i phi_l} in row l and ones elsewhere.  Each disc's angles are offset
-    by a fixed jitter, the draws of default_rng(0); every u_l is positive, so
-    no node lands on x.
-    Yields (Z, C) per chunk, both (n, rows): row j of C is the weights times
-    g_j(xi).
+    n q^n M_v^n nodes in C order of (pyramid point, angle of disc 0, ...,
+    angle of disc n-1), streamed in the chunks of _blocks.  The spec-only
+    tables are cached (_volume_units); x and the domain enter only through
+    the rays S_l e^{i phi_l}, so xi_l - x_l is a pyramid coordinate times a
+    ray, and |xi - x|^2 = sum_l u_l^2 S_l^2.  Every u_l is positive, so no
+    node lands on x.  Yields (Z, C) per chunk: the nodes, complex (n, rows),
+    and C (n, 2, rows), row j the weights times g_j(xi) as [Re; Im], views of
+    buffers made once per call.
     """
     n = dom.n
     q, M = _volume_sizes(spec)
-    rng = np.random.default_rng(0)
+    U, w_pyr, rays = _volume_units(n, q, M)
     x_z = x.z
-    U, w_pyr = _pyramid_table(n, q)
-
-    rays: list[np.ndarray] = [U.T]
-    weights: list[np.ndarray] = [w_pyr[None]]
-    for l in range(n):
-        e = complex(x_z[l] - dom.centers[l])
-        offset = rng.uniform(0.05, 0.45)
-        phi = 2.0 * math.pi * (np.arange(M) + offset) / M
-        ray = np.exp(1j * phi)
-        edotr = np.real(np.conj(e) * ray)
-        smax = -edotr + np.sqrt(edotr**2 + dom.radii[l] ** 2 - abs(e) ** 2)
-        rays.append(_axis_rows(np.multiply, n, l, smax * ray))
-        weights.append((smax**2 * (2.0 * math.pi / M))[None])
-    groups = [(np.multiply, rays), (np.multiply, weights)]
-    for R, W in _product_grid((len(w_pyr),) + (M,) * n, groups, CHUNK_DOUBLES // STEM_ROW_DOUBLES):
-        diff, W = _spread(*R), _spread(*W)
-        W *= 1.0 / np.sum(diff.real**2 + diff.imag**2, axis=0) ** n
-        yield x_z[:, None] + diff, np.conj(diff) * W
+    e = x_z - dom.centers
+    edotr = (np.conj(e)[:, None] * rays).real
+    smax = -edotr + np.sqrt(edotr**2 + dom.radii[:, None] ** 2 - np.abs(e)[:, None] ** 2)
+    ray = smax * rays
+    s2 = smax**2
+    w_ang = s2 * (2.0 * math.pi / M)
+    # the last disc's factors of |xi - x|^2 and of each row of C, over its angles
+    B = np.stack((np.ones(M), s2[-1]))
+    beta = np.empty((n, 2, M))
+    beta[:-1] = w_ang[-1]
+    beta[-1] = w_ang[-1] * ray[-1].real, -w_ang[-1] * ray[-1].imag
+    rows = CHUNK_DOUBLES // STEM_ROW_DOUBLES
+    Zb = np.empty(n * rows, dtype=np.complex128)
+    Sb, Kb = _kernel_buffers(n, rows)
+    Cb = np.empty(2 * n * rows)
+    for idx, sl in _blocks((len(w_pyr),) + (M,) * n, rows):
+        p, k, b = idx[0], len(idx[0]), sl.stop - sl.start
+        # the outer nodes' angles of discs 0..n-2, and their rays and weights
+        ang = (np.arange(n - 1)[:, None], np.array(idx[1:], dtype=np.intp).reshape(n - 1, k))
+        u = U[p].T
+        d_outer = u[:-1] * ray[ang]
+        w_outer = w_pyr[p] * np.prod(w_ang[ang], axis=0)
+        Z = _view(Zb, (n, k, b))
+        Z[:-1] = (x_z[:-1, None] + d_outer)[:, :, None]
+        np.multiply(u[-1, :, None], ray[-1, sl], out=Z[-1])
+        Z[-1] += x_z[-1]
+        A = np.stack((np.sum(u[:-1] ** 2 * s2[ang], axis=0), u[-1] ** 2))
+        K = _kernel_factor(A, B[:, sl], n, _view(Sb, (k, b)), _view(Kb, (k, b)))
+        # row j of C is conj(xi_j - x_j) times the weights: an outer factor times a last-disc factor, times K
+        alpha = np.empty((n, 2, k))
+        alpha[:-1, 0], alpha[:-1, 1] = w_outer * d_outer.real, -w_outer * d_outer.imag
+        alpha[-1] = w_outer * u[-1]
+        C = _view(Cb, (n, 2, k, b))
+        np.multiply(alpha[..., None], beta[:, :, None, sl], out=C)
+        C *= K
+        yield Z.reshape(n, -1), C.reshape(n, 2, -1)
 
 
 def _bm_volume_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
-    _check_point(dom, x)
+    _check_point(f, dom, x)
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
     count = _check_budget(_volume_count(n, spec))
     chunks = _volume_nodes(dom, x, spec)
-    parts = (_node_sums(c, dbar_batch(f.stem, Z.T, jx)) for Z, C in chunks for jx, c in enumerate(C))
+    parts = (_node_sums(c.T, dbar_batch(f.stem, Z.T, jx)) for Z, C in chunks for jx, c in enumerate(C))
     return (*_reduce(dom.j, parts, scale=math.factorial(n - 1) / math.pi**n), count)
 
 
@@ -596,6 +740,7 @@ def hartogs_extend(
     Needs n >= 2: the one-variable Cauchy integral over the outer circle does
     not reproduce functions with singularities inside the hole.
     """
+    _check_intrinsic(f)
     if dom.n < 2:
         raise HartogsRequiresSeveralVariablesError("extension requires at least two variables")
     if not 0.0 < hole_radius_fraction < 0.8:

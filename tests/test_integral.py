@@ -652,8 +652,102 @@ def test_polynomial_boundary_evaluates_no_nodes(monkeypatch):
     assert calls == []
     generic = sf.SliceFunction(stm.StemFunction(arity=2, tag=TAG, batch_evaluator=p.batch_evaluator))
     itg.bm_boundary_integral(generic, _bidisc(), _x2(), spec)
-    # every node of both 16 x 128 faces, evaluated once
-    assert calls and sum(calls) == 2 * 16 * 128
+    # each face folded over conjugation: its circle angles 0..8 of 16 against
+    # the other disc's 128 nodes, each evaluated once
+    assert calls and sum(calls) == 2 * 9 * 128
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("M", [8, 9, 16, 33])
+def test_folded_faces_match_unfolded_reference(n, M):
+    # a generic face evaluates its stem on half the circle angles and reduces
+    # each node against its own coefficient and its mirror's; an intrinsic
+    # stem makes that the plain sum of c F over every node of every face
+    rng = np.random.default_rng(70 + 10 * n + M)
+    spec = itg.QuadratureSpec(M, 4, 1)
+    for tag in (OCTONION, QUATERNION):
+        Jt = alg.sample_unit_imaginary(tag, rng)
+        dom, x = _ragged(n, Jt)
+        F = _recip_sum_stem(tag, n, element(tag, rng.standard_normal(tag.dim)))
+        w = itg._bm_boundary_both(sf.SliceFunction(F), dom, x, spec)[2]
+        got = w.re.coeffs + 1j * w.im.coeffs
+        want = np.zeros(tag.dim, dtype=complex)
+        for k in range(n):
+            rules = _disc_rules(dom, spec, k)
+            others = [np.arange(len(rules[l][0])) for l in range(n) if l != k]
+            # one circle angle at a time, so the n = 3 reference stays small
+            for m in range(M):
+                mesh = iter(g.ravel() for g in np.meshgrid(*others, indexing="ij"))
+                grids = [np.array([m]) if l == k else next(mesh) for l in range(n)]
+                size = max(len(g) for g in grids)
+                Z, c = _face_coefficients(dom, x, k, rules, [np.broadcast_to(g, size) for g in grids])
+                F1, F2 = stm.evaluate_stem_batch(F, Z)
+                want += c @ (F1 + 1j * F2)
+        assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.linalg.norm(want)), (tag.name, n, M)
+
+
+@pytest.mark.parametrize("n, M", [(1, 8), (1, 9), (2, 16), (2, 9), (3, 8), (3, 9)])
+def test_generic_call_evaluates_half_the_circle_angles(monkeypatch, n, M):
+    # face k reads its stem at the circle angles 0..M//2 only, against every
+    # node of the other discs: n (M//2 + 1) (R M)^(n-1) rows in all
+    calls = []
+    evaluate = itg.evaluate_stem_batch
+
+    def counted(F, Z):
+        calls.append(Z.shape[0])
+        return evaluate(F, Z)
+
+    monkeypatch.setattr(itg, "evaluate_stem_batch", counted)
+    R = 5
+    dom, x = _ragged(n)
+    F = _recip_sum_stem(TAG, n, E1 + 0.5 * E3)
+    itg.bm_boundary_dual(sf.SliceFunction(F), dom, x, itg.QuadratureSpec(M, R, 1))
+    assert sum(calls) == n * (M // 2 + 1) * (R * M) ** (n - 1)
+    assert max(calls) <= itg.CHUNK_DOUBLES // itg.STEM_ROW_DOUBLES
+
+
+def test_bm_quadrature_refuses_non_intrinsic_stems(monkeypatch):
+    # every rule reads F(conj xi) as conj F(xi), so a stem flagged
+    # non-intrinsic is refused before any node is built or evaluated
+    def unreachable(*args):
+        raise AssertionError("quadrature work started")
+
+    monkeypatch.setattr(itg, "_face_nodes", unreachable)
+    monkeypatch.setattr(itg, "_volume_nodes", unreachable)
+    dom, x = _bidisc(), _x2()
+    spec = itg.QuadratureSpec(16, 8, 1)
+    q = sf.slice_point(x.alpha, x.beta, alg.sample_unit_imaginary(TAG, 5))
+    p = stm.stem_polynomial(TAG, 2, {(1, 2): E0, (1, 0): E3})
+    flagged = stm.StemFunction(arity=2, tag=TAG, batch_evaluator=unreachable, smoothness=stm.Smoothness.C1,
+                               intrinsic=False)
+    # restrict_stem flags a restriction at an anchor off the real axis
+    restricted = stm.restrict_stem(p, 0, [0.0, 0.5 + 0.5j])
+    assert not restricted.intrinsic
+    dom1 = itg.PolydiscDomain(np.zeros(1), np.ones(1), J)
+    x1 = sf.point_from_z(np.array([0.3 + 0.2j]), J)
+    for F, d, point in ((flagged, dom, x), (restricted, dom1, x1)):
+        f = sf.SliceFunction(F)
+        qf = sf.slice_point(point.alpha, point.beta, q.j)
+        for call in (lambda: itg.bm_boundary_integral(f, d, point, spec),
+                     lambda: itg.bm_boundary_dual(f, d, point, spec),
+                     lambda: itg.bm_volume_integral(f, d, point, spec),
+                     lambda: itg.off_slice_evaluate(f, d, qf, spec),
+                     lambda: itg.hartogs_extend(f, d, 0.5, spec),
+                     lambda: itg.reproduce_check(f, d, point, spec),
+                     lambda: itg.correction_check(f, d, point, spec)):
+            with pytest.raises(sf.IntrinsicityError):
+                call()
+
+
+def test_kernel_factor_powers_match_np_power():
+    # K = (d_outer + d_last)^-n by n - 1 products in place, within rounding of np.power
+    rng = np.random.default_rng(11)
+    d_outer, d_last = rng.random((1, 64)), rng.random((1, 256))
+    S, K = np.empty((2, 1, 64, 256))
+    for n in (1, 2, 3, 4):
+        want = 1.0 / np.power(d_outer.T + d_last, n)
+        itg._kernel_factor(*itg._distance_factors(d_outer, d_last), n, S, K)
+        np.testing.assert_allclose(K[0], want, rtol=2e-15, atol=0)
 
 
 def _counting(monkeypatch, name):
@@ -674,7 +768,7 @@ def test_polynomial_chunks_fill_the_bound(monkeypatch):
     # nodes; a stem-valued chunk holds F1 and F2, and takes 2048 rows
     assert (itg.CHUNK_DOUBLES, itg.CHUNK_DOUBLES // itg.STEM_ROW_DOUBLES) == (16384, 2048)
     monomial = _counting(monkeypatch, "_monomial_sums")
-    node = _counting(monkeypatch, "_node_sums")
+    pair = _counting(monkeypatch, "_pair_sums")
     cases = [
         # n = 2, (32,16): two faces of 16,384 nodes, one chunk each
         (OCTONION, 2, (32, 16, 1), 2),
@@ -689,14 +783,15 @@ def test_polynomial_chunks_fill_the_bound(monkeypatch):
         monomial.clear()
         f = sf.lift(_random_cubic(np.random.default_rng(5), tag, n))
         itg.bm_boundary_dual(f, dom, x, itg.QuadratureSpec(*spec))
-        assert (len(monomial), len(node)) == (chunks, 0), (tag, n, spec)
-    # a generic stem's (32,16) faces are still 8 stem-valued chunks each
+        assert (len(monomial), len(pair)) == (chunks, 0), (tag, n, spec)
+    # a generic stem's folded (32,16) faces are 17 circle angles against a
+    # 512-node disc: 5 stem-valued chunks each, four of 2048 rows and one of 512
     dom, x = _ragged(2)
     p = _random_cubic(np.random.default_rng(5), TAG, 2)
     generic = sf.SliceFunction(stm.StemFunction(arity=2, tag=TAG, batch_evaluator=p.batch_evaluator))
     monomial.clear()
     itg.bm_boundary_dual(generic, dom, x, itg.QuadratureSpec(32, 16, 1))
-    assert (len(monomial), len(node)) == (0, 16)
+    assert (len(monomial), len(pair)) == (0, 10)
 
 
 @pytest.mark.parametrize("terms", [4, 20])
@@ -734,8 +829,9 @@ def test_polynomial_chunks_bound_the_outer_fold(monkeypatch, terms):
 def test_chunk_sum_fault_passes_the_gate_and_fails_reproduction(monkeypatch, path):
     # both routes are finished from the same summed moments, so a fault in
     # the chunk sums, here negated Im(c) Im(m) moments (the II block), moves
-    # them alike: the route gate passes and the comparison with the lift fails
-    name = "_monomial_sums" if path == "polynomial" else "_node_sums"
+    # them alike: the route gate passes and the comparison with the lift fails.
+    # A generic face's chunks are reduced by _pair_sums, the folded reduction
+    name = "_monomial_sums" if path == "polynomial" else "_pair_sums"
     sums = getattr(itg, name)
 
     def faulty(*args):
@@ -751,6 +847,11 @@ def test_chunk_sum_fault_passes_the_gate_and_fails_reproduction(monkeypatch, pat
     assert itg.reproduce_check(f, dom, x, spec).abs_error <= 1e-8
     monkeypatch.setattr(itg, name, faulty)
     assert itg.reproduce_check(f, dom, x, spec).abs_error > 1e-3
+
+
+def _spread(op, outer, inner):
+    """Values (width, k b) of k outer nodes (width, k) op b last-factor columns (width, b), in C order."""
+    return op(outer[:, :, None], inner[:, None, :]).reshape(len(inner), outer.shape[1] * inner.shape[1])
 
 
 def test_streamed_grid_matches_meshgrid():
@@ -774,10 +875,12 @@ def test_streamed_grid_matches_meshgrid():
     # of all 15 outer nodes; 64: nine outer nodes to a chunk; 20: two to a
     # chunk; 5: the last factor alone exceeds the rows and is sliced
     for chunk in (2048, 64, 20, 5):
-        chunks = list(itg._product_grid(sizes, groups, chunk))
+        # per chunk and group: (op, the outer nodes' fold, the last factor's columns)
+        chunks = [[(op, itg._fold(op, tables, idx), tables[-1][:, sl]) for op, tables in groups]
+                  for idx, sl in itg._blocks(sizes, chunk)]
         # each chunk's outer fold holds its own outer nodes only
         assert all(outer.shape[1] * last.shape[1] <= chunk for part in chunks for _, outer, last in part), chunk
-        parts = [[itg._spread(*group) for group in part] for part in chunks]
+        parts = [[_spread(*group) for group in part] for part in chunks]
         assert all(Z.shape[1] == W.shape[1] <= chunk for Z, W, *_ in parts), chunk
         np.testing.assert_array_equal(np.concatenate([Z for Z, *_ in parts], axis=1).T, Z_ref)
         np.testing.assert_array_equal(np.concatenate([W[0] for _, W, *_ in parts]), W_ref)
@@ -808,26 +911,61 @@ def test_face_signs_cancel():
             assert (-1.0) ** (n * (n - 1) // 2) * (-1.0) ** k * _face_permutation_sign(n, k) == 1.0, (n, k)
 
 
-def _face_reference(dom, x, spec, k):
-    """Face k's nodes and coeff * g_k(xi) over the whole grid, from per-disc rules and a meshgrid."""
-    n, M, R = dom.n, spec.angular_nodes, spec.radial_nodes
+def _disc_rules(dom, spec, k):
+    """Face k's per-disc rules: nodes, product weights and each node's mirror, the index of the node at the conjugate angle."""
+    M, R = spec.angular_nodes, spec.radial_nodes
     ring = np.exp(2j * np.pi * np.arange(M) / M)
     t, w = np.polynomial.legendre.leggauss(R)
     rho, w_rho = 0.5 * (t + 1.0), 0.5 * w
-    discs = []
+    back = -np.arange(M) % M
+    rules = []
     for l, (c, r) in enumerate(zip(dom.centers, dom.radii)):
         if l == k:
-            discs.append((c + r * ring, (2 * np.pi / M) * 1j * r * ring))
+            rules.append((c + r * ring, (2 * np.pi / M) * 1j * r * ring, back))
         else:
             xi = c + r * np.outer(rho, ring).ravel()
-            discs.append((xi, np.repeat(r * w_rho * 2j * r * rho, M) * (2 * np.pi / M)))
-    grids = [g.ravel() for g in np.meshgrid(*[np.arange(len(d[0])) for d in discs], indexing="ij")]
-    Z = np.stack([d[0][g] for d, g in zip(discs, grids)], axis=1)
-    coeff = np.prod([d[1][g] for d, g in zip(discs, grids)], axis=0)
+            rules.append((xi, np.repeat(r * w_rho * 2j * r * rho, M) * (2 * np.pi / M), (M * np.arange(R)[:, None] + back).ravel()))
+    return rules
+
+
+def _face_coefficients(dom, x, k, rules, grids):
+    """Nodes (N, n) and coeff * g_k(xi) at the nodes whose per-disc indices are grids."""
+    n = dom.n
+    Z = np.stack([d[0][g] for d, g in zip(rules, grids)], axis=1)
+    coeff = np.prod([d[1][g] for d, g in zip(rules, grids)], axis=0)
     coeff *= math.factorial(n - 1) / (2j * np.pi) ** n * (-1.0) ** (n * (n - 1) // 2)
     coeff *= (-1.0) ** k * _face_permutation_sign(n, k)
     diff = Z - x.z
     return Z, coeff * np.conj(diff[:, k]) / np.sum(np.abs(diff) ** 2, axis=1) ** n
+
+
+def _face_reference(dom, x, spec, k):
+    """Face k's nodes and coeff * g_k(xi) over the whole grid, from per-disc rules and a meshgrid in disc order."""
+    rules = _disc_rules(dom, spec, k)
+    grids = [g.ravel() for g in np.meshgrid(*[np.arange(len(d[0])) for d in rules], indexing="ij")]
+    return _face_coefficients(dom, x, k, rules, grids)
+
+
+def _folded_face_reference(dom, x, spec, k):
+    """Face k folded over conjugation, from per-disc rules and a meshgrid.
+
+    The nodes (N, n) are the circle angles 0..M//2 of disc k against the
+    other discs' nodes, in C order of (angle, other discs in disc order);
+    the coefficients (2, N) are coeff * g_k at each node and at its mirror,
+    both halved at the self-conjugate angles 0 and pi.
+    """
+    M = spec.angular_nodes
+    rules = _disc_rules(dom, spec, k)
+    order = [k] + [l for l in range(dom.n) if l != k]
+    sizes = [M // 2 + 1 if l == k else len(rules[l][0]) for l in order]
+    mesh = [g.ravel() for g in np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")]
+    grids = [mesh[order.index(l)] for l in range(dom.n)]
+    Z, c = _face_coefficients(dom, x, k, rules, grids)
+    Z_mirror, c_mirror = _face_coefficients(dom, x, k, rules, [d[2][g] for d, g in zip(rules, grids)])
+    # the mirror node is the conjugate node, up to the rounding of e^{i phi}
+    np.testing.assert_allclose(Z_mirror, np.conj(Z), rtol=0, atol=1e-14)
+    half = np.where((grids[k] == 0) | (2 * grids[k] == M), 0.5, 1.0)
+    return Z, half * np.stack((c, c_mirror))
 
 
 def _volume_reference(dom, x, spec, seed):
@@ -851,10 +989,14 @@ def _volume_reference(dom, x, spec, seed):
 
 
 def _streamed(chunks):
-    """A rule's chunks joined: Z (count, n), the coefficients (..., count) and each chunk's row count."""
-    parts = list(chunks)
+    """A stem-valued rule's chunks joined: Z (count, n), the coefficients (..., 2, count) and each chunk's row count.
+
+    Each chunk is copied as it is drawn: its arrays are views of buffers the
+    rule refills for the next chunk.
+    """
+    parts = [(Z.copy(), C.copy()) for Z, C in chunks]
     Z = np.concatenate([Z for Z, _ in parts], axis=1).T
-    return Z, np.concatenate([c for _, c in parts], axis=-1), [c.shape[-1] for _, c in parts]
+    return Z, np.concatenate([C for _, C in parts], axis=-1), [C.shape[-1] for _, C in parts]
 
 
 def _random_cubic(rng, tag, n):
@@ -867,46 +1009,64 @@ def _random_cubic(rng, tag, n):
 
 
 def _check_rules_against_meshgrid(dom, x, spec):
-    """Both rules visit every node of their grids once, in C order, each chunk within its rule's cap.
+    """Every rule visits each node of its grid once, in C order, each chunk within its rule's cap.
 
     A stem-valued chunk has at most CHUNK_DOUBLES / STEM_ROW_DOUBLES rows.
-    A polynomial's factors on a face are checked too, for T = 0, 1 and 4
-    terms: spread, Q_outer Q_last K is c [w^mu; conj(w^mu)] at every node,
-    and its chunks are laid out as the face's stem-valued chunks would be at
-    STEM_ROW_DOUBLES times the bound, their outer nodes cut to
-    CHUNK_DOUBLES // max(b, 4T) for b last-factor columns a chunk: neither K
-    (1 double a node) nor Q_outer (4T an outer node) exceeds CHUNK_DOUBLES.
+    Generic faces are folded over conjugation: face k's chunks are its
+    circle angles 0..M//2 against the other discs in disc order, with the
+    coefficients of each node and of its mirror (_folded_face_reference).
+    A polynomial's faces are checked for T = 0, 1 and 4 terms, in disc
+    order: spread, Q_outer Q_last K is c [w^mu; conj(w^mu)] at every node,
+    and a face's chunks are whole blocks of its last factor, as many outer
+    nodes as cap = CHUNK_DOUBLES * b // max(b, 4T) nodes allow for
+    b = min(last, CHUNK_DOUBLES), or, when the last factor alone exceeds
+    cap, one outer node against cap-wide slices of it: neither K (1 double
+    a node) nor Q_outer (4T an outer node) exceeds CHUNK_DOUBLES.
     """
     stem_rows = itg.CHUNK_DOUBLES // itg.STEM_ROW_DOUBLES
-    cubic = _random_cubic(np.random.default_rng(dom.n), TAG, dom.n)
-    polys = [cubic - cubic, stm.coordinate(TAG, dom.n, dom.n - 1), cubic]
-    for k in range(dom.n):
-        Z, c, sizes = _streamed(itg._face_nodes(dom, spec, x.z, k))
-        Z_ref, c_ref = _face_reference(dom, x, spec, k)
-        assert Z.shape == Z_ref.shape and max(sizes) <= stem_rows
-        np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
-        assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) <= 1e-14, k
-        b = min(spec.angular_nodes * (1 if k == dom.n - 1 else spec.radial_nodes), itg.CHUNK_DOUBLES)
-        for p in polys:
-            four_t = 4 * len(p.exponents)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(itg, "CHUNK_DOUBLES", itg.CHUNK_DOUBLES * b // max(b, four_t) * itg.STEM_ROW_DOUBLES)
-                wide = _streamed(itg._face_nodes(dom, spec, x.z, k))[2]
-            assert max(wide) <= itg.CHUNK_DOUBLES
-            parts = list(itg._face_nodes(dom, spec, x.z, k, p))
-            assert [K.size for *_, K in parts] == wide
-            assert max(four_t * Q_outer.shape[1] for Q_outer, *_ in parts) <= itg.CHUNK_DOUBLES
-            V = np.concatenate([itg._spread(np.multiply, Q_outer, Q_last) * K.ravel() for Q_outer, Q_last, K in parts],
-                               axis=1)
-            m_ref = np.prod(Z_ref[:, None, :] ** p.exponents[None], axis=2).T
-            V_ref = c_ref * np.vstack((m_ref, np.conj(m_ref)))
-            assert V.shape == V_ref.shape == (2 * len(p.exponents), Z.shape[0])
-            np.testing.assert_allclose(V, V_ref, rtol=1e-14, atol=0)
+    n, M, R = dom.n, spec.angular_nodes, spec.radial_nodes
+    Z, C, sizes = _streamed(itg._face_nodes(dom, spec, x.z))
+    refs = [_folded_face_reference(dom, x, spec, k) for k in range(n)]
+    Z_ref, C_ref = np.concatenate([Z for Z, _ in refs]), np.concatenate([C for _, C in refs], axis=1)
+    assert Z.shape == Z_ref.shape and max(sizes) <= stem_rows
+    np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
+    assert np.max(np.abs(C[:, 0] + 1j * C[:, 1] - C_ref) / np.abs(C_ref)) <= 1e-14
+    cubic = _random_cubic(np.random.default_rng(n), TAG, n)
+    faces = [_face_reference(dom, x, spec, k) for k in range(n)]
+    for p in [cubic - cubic, stm.coordinate(TAG, n, n - 1), cubic]:
+        four_t = 4 * len(p.exponents)
+        V, shapes = [], []
+        for Q_outer, Q_last, K in itg._face_nodes(dom, spec, x.z, p):
+            assert four_t * Q_outer.shape[1] <= itg.CHUNK_DOUBLES and K.size <= itg.CHUNK_DOUBLES
+            # formed before the next chunk is drawn, which overwrites K
+            V.append(_spread(np.multiply, Q_outer, Q_last) * K.ravel())
+            shapes.append(K.shape)
+        for k in range(n):
+            grid = [M if l == k else R * M for l in range(n)]
+            b = min(grid[-1], itg.CHUNK_DOUBLES)
+            cap = itg.CHUNK_DOUBLES * b // max(b, four_t)
+            outer = math.prod(grid[:-1])
+            if grid[-1] <= cap:
+                per = cap // grid[-1]
+                want = [(min(per, outer - o), grid[-1]) for o in range(0, outer, per)]
+            else:
+                want = [(1, min(cap, grid[-1] - a)) for _ in range(outer) for a in range(0, grid[-1], cap)]
+            assert shapes[: len(want)] == want, (k, four_t)
+            shapes = shapes[len(want) :]
+        assert shapes == []
+        V = np.concatenate(V, axis=1)
+        V_ref = []
+        for Z_face, c_face in faces:
+            m_ref = np.prod(Z_face[:, None, :] ** p.exponents[None], axis=2).T
+            V_ref.append(c_face * np.vstack((m_ref, np.conj(m_ref))))
+        V_ref = np.concatenate(V_ref, axis=1)
+        assert V.shape == V_ref.shape == (2 * len(p.exponents), sum(len(Z_face) for Z_face, _ in faces))
+        np.testing.assert_allclose(V, V_ref, rtol=1e-14, atol=0)
     Z, C, sizes = _streamed(itg._volume_nodes(dom, x, spec))
     Z_ref, C_ref = _volume_reference(dom, x, spec, 0)
     assert Z.shape == Z_ref.shape and max(sizes) <= stem_rows
     np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
-    assert np.max(np.abs(C - C_ref) / np.abs(C_ref)) <= 1e-14
+    assert np.max(np.abs(C[:, 0] + 1j * C[:, 1] - C_ref) / np.abs(C_ref)) <= 1e-14
 
 
 def _ragged(n, j=J):
@@ -928,21 +1088,24 @@ def test_chunk_kernel_weights_match_meshgrid(n):
         # STEM_ROW_DOUBLES = 8 times as many nodes, but half as many outer
         # nodes for the 4-term cubic on a face whose last factor is the
         # 8-angle circle, where Q_outer's 16 doubles an outer node set the
-        # cap.  Last factors that
-        # divide 64 rows: 8 rows (face 1, volume); face 0's 40-row disc does not
+        # cap.  A folded generic face is its 5 circle angles (of 8) against
+        # the other disc's 40 nodes: one angle to a 64-row chunk; the volume
+        # rule's last factor, 8 angles, divides 64 rows
         (2, (8, 5, 1), 64),
-        # M = 24, R = 12: face 0's last factor is a 288-row disc, seven to a
-        # stem-valued chunk and all 24 (the whole face) to a polynomial one;
-        # face 1's is 24 angles and the volume rule's 12
+        # M = 24, R = 12: a folded generic face is 13 angles against a
+        # 288-node disc, seven to a stem-valued chunk; a polynomial face 0 is
+        # all 24 angles (the whole face) in one chunk, face 1's last factor
+        # is 24 angles and the volume rule's 12
         (2, (24, 12, 1), 2048),
-        # a last factor larger than the rows is sliced: face 0's 40-row disc
-        # at n = 2, and every last factor at n = 3
+        # a last factor larger than the rows is sliced: the 40-node disc at
+        # n = 2, and every last factor at n = 3
         (2, (8, 5, 1), 32),
         (3, (8, 5, 1), 7),
-        # n = 1: the circle is the face's only factor, one chunk or sliced
+        # n = 1: the circle (its 5 folded angles for a generic stem) is the
+        # face's only factor, one chunk or sliced
         (1, (8, 5, 1), 2048),
         (1, (8, 5, 1), 3),
-        # 32 nodes to a polynomial chunk: it slices face 0's 40-row disc too
+        # 32 nodes to a polynomial chunk: it slices face 0's 40-node disc too
         (2, (8, 5, 1), 4),
     ],
 )
@@ -978,16 +1141,19 @@ def test_quadrature_memory_stays_chunk_sized():
 
 
 def test_polynomial_chunks_hold_one_kernel_factor():
-    # a polynomial chunk's K is written once and raised to -n in place: no
-    # broadcast buffers or copies besides it, and the same bits as np.add
+    # a chunk's K is written into the call's buffers, the distance sum S and
+    # K, and raised to -n in place by repeated products: no broadcast buffers
+    # or copies besides them, and the sum has the same bits as np.add
     rng = np.random.default_rng(6)
     d_outer, d_last = rng.random((1, 128)), rng.random((1, 128))
+    S, K = np.empty((2, 1, 128, 128))
     for n in (1, 2, 3):
-        want = 1.0 / (d_outer.T + d_last) ** n
+        want = 1.0 / functools.reduce(np.multiply, [d_outer.T + d_last] * n)
         got = []
-        peak = _traced_peak_mb(lambda: got.append(itg._kernel_factor(d_outer, d_last, n)))
-        np.testing.assert_array_equal(got[0], want)
-        assert peak * 2**20 <= want.nbytes + 8192, n
+        peak = _traced_peak_mb(lambda: got.append(itg._kernel_factor(*itg._distance_factors(d_outer, d_last), n, S, K)))
+        assert got[0] is K
+        np.testing.assert_array_equal(K[0], want)
+        assert peak * 2**20 <= 8192, n
     # whole polynomial calls of 2, 16 and 48 chunks stay within 1.5 MB
     for n, spec in [(2, (32, 16, 1)), (2, (64, 32, 1)), (3, (16, 8, 1))]:
         dom, x = _ragged(n)
