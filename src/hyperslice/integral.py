@@ -36,10 +36,11 @@ the F_J^k, a stem value F1 + i F2 that must agree with the direct route to
 Both routes are linear in the stem's values, so a chunk contributes only its
 four real moments [Re c; Im c] @ [B1 | B2], a (2, 2 width) array, where
 F1 = B1 A and F2 = B2 A for a (width, dim) matrix A: a generic stem's values
-and the volume rule's dbar F are B = F with A the identity, a StemPolynomial's
-are the real and imaginary parts of its monomials w^mu with A its
-coefficients.  Both rules sum the moments in chunk order and finish them once
-per call, contracting A once; a call is held to NODE_BUDGET nodes (all faces).
+and the volume rule's dbar F are B = F with A the identity (with no dbar
+hook, the moments of F's stencil evaluations are differenced), a
+StemPolynomial's are the real and imaginary parts of its monomials w^mu with
+A its coefficients.  Both rules sum the moments in chunk order and finish
+them once per call, contracting A once; a call is held to NODE_BUDGET nodes.
 
 Nodes are streamed along the grid's tensor structure.  A grid is only its
 per-factor tables, and a chunk is a few outer nodes, folded once per chunk,
@@ -87,7 +88,7 @@ from .algebra import (
 )
 from .complexified import ComplexifiedElement
 from .slicefun import IntrinsicityError, SliceFunction, SlicePoint, lift_evaluate, lift_value, slice_point
-from .stem import Smoothness, StemPolynomial, _box, dbar_batch, evaluate_stem_batch
+from .stem import DEFAULT_FD_STEP, Smoothness, StemPolynomial, _box, _reduced_dbar, evaluate_stem_batch
 
 __all__ = [
     "SliceMismatchError",
@@ -226,10 +227,10 @@ def _finish(moments: np.ndarray, A: np.ndarray, LJT: np.ndarray):
     return RR + RI @ LJT + (IR + II @ LJT) @ LJT, (RR - II) + 1j * (IR + RI)
 
 
-def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Moments (2, 2 dim) of one chunk of nodes: [Re c; Im c] @ [F1 | F2], for c (rows, 2), each node's Re c and Im c, and F1, F2 (rows, dim)."""
+def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of one chunk of nodes, the halves (2, dim) of [Re c; Im c] @ [F1 | F2], for c (rows, 2), each node's Re c and Im c, and F1, F2 (rows, dim)."""
     F1, F2 = F
-    return np.hstack((c.T @ F1, c.T @ F2))
+    return c.T @ F1, c.T @ F2
 
 
 def _pair_sums(C: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -666,13 +667,15 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
 
 
 def _bm_volume_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
+    """Routes, stem value and node count of the volume term: moments of c_j against dbar_j F, per stencil evaluation if no hook."""
     _check_point(f, dom, x)
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
     count = _check_budget(_volume_count(n, spec))
     chunks = _volume_nodes(dom, x, spec)
-    parts = (_node_sums(c.T, dbar_batch(f.stem, Z.T, jx)) for Z, C in chunks for jx, c in enumerate(C))
+    parts = (np.hstack(_reduced_dbar(f.stem, Z.T, jx, DEFAULT_FD_STEP, functools.partial(_node_sums, c.T)))
+             for Z, C in chunks for jx, c in enumerate(C))
     return (*_reduce(dom.j, parts, scale=math.factorial(n - 1) / math.pi**n), count)
 
 

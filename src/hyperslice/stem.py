@@ -18,9 +18,9 @@ containers implement it:
     batch hook, a loop over rows; given with it, the batch hook wins.
 
 A scalar evaluation is row 0 of a batch of one.  Without an exact hook,
-Wirtinger derivatives come from central differences with step DEFAULT_FD_STEP,
-one stencil pair at a time, each point a copy of Z with one column moved;
-dbar_batch forms dF/dzbar alone.
+derivatives are central differences (step DEFAULT_FD_STEP), one stencil pair
+at a time, each point a copy of Z with one column moved; dbar_batch forms
+dF/dzbar alone, and the volume rule reduces each evaluation to moments first.
 """
 
 from __future__ import annotations
@@ -441,20 +441,27 @@ def _stencil_input(F, Z, t: int, h: float) -> np.ndarray:
     return np.asarray(Z, dtype=np.complex128)
 
 
-def _difference(F, Z: np.ndarray, t: int, step: complex, s: float):
-    """(F(Z + step e_t) - F(Z - step e_t)) * s per component, each point a C-ordered copy of Z with column t moved."""
-    Zp, Zm = np.array(Z, order="C"), np.array(Z, order="C")
-    Zp[:, t] += step
-    Zm[:, t] -= step
-    (p1, p2), (m1, m2) = evaluate_stem_batch(F, Zp), evaluate_stem_batch(F, Zm)
-    # the differences are fresh, so scaling them in place never writes a stem's own arrays
-    return tuple(np.multiply(d, s, out=d) for d in (p1 - m1, p2 - m2))
+def _difference(F, Z: np.ndarray, t: int, h: float, reduce=tuple):
+    """((dR1/dalpha_t, dR2/dalpha_t), (dR1/dbeta_t, dR2/dbeta_t)) for a linear R = reduce((F1, F2)), F itself by default."""
+
+    def at(shift):
+        # a C-ordered copy of Z with column t moved (Z + (-step) is Z - step to the bit), evaluated and
+        # reduced before the next, so one stem output is alive at a time
+        W = np.array(Z, order="C")
+        W[:, t] += shift
+        return reduce(evaluate_stem_batch(F, W))
+
+    def along(step):
+        (p1, p2), (m1, m2) = at(step), at(-step)
+        # the differences are fresh, so scaling them in place never writes a stem's own arrays
+        return tuple(np.multiply(d, 0.5 / h, out=d) for d in (p1 - m1, p2 - m2))
+
+    return along(h), along(1j * h)
 
 
 def central_differences(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
     """((dF1/dalpha_t, dF2/dalpha_t), (dF1/dbeta_t, dF2/dbeta_t)) at every row of Z = alpha + i beta."""
-    Z = _stencil_input(F, Z, t, h)
-    return _difference(F, Z, t, h, 0.5 / h), _difference(F, Z, t, 1j * h, 0.5 / h)
+    return _difference(F, _stencil_input(F, Z, t, h), t, h)
 
 
 def _dbar(da1: np.ndarray, da2: np.ndarray, db1: np.ndarray, db2: np.ndarray):
@@ -484,11 +491,16 @@ def wirtinger_batch(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
 
 def dbar_batch(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
     """dF/dzbar_t alone as (F1, F2) arrays (N, dim): the exact hook if given, else central differences, no dz half."""
+    return _reduced_dbar(F, Z, t, h)
+
+
+def _reduced_dbar(F, Z: np.ndarray, t: int, h: float, reduce=tuple):
+    """reduce((F1, F2)) of dF/dzbar_t for a linear reduce: of the exact hook's, else the dbar step on reduced differences."""
     Z = _stencil_input(F, Z, t, h)
     if F.batch_wirtinger is not None:
-        return F.batch_wirtinger(Z, t)[1]
-    (da1, da2), (db1, db2) = central_differences(F, Z, t, h)
-    return _dbar(da1, da2, db1, db2)
+        return reduce(F.batch_wirtinger(Z, t)[1])
+    da, db = _difference(F, Z, t, h, reduce)
+    return _dbar(*da, *db)
 
 
 class HolomorphyReport(NamedTuple):

@@ -163,8 +163,8 @@ class ExperimentConfig:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         for name, tol in self.tolerances.items():
-            if not tol > 0.0:
-                raise ValueError(f"tolerance override {name!r} must be positive")
+            if not (np.isfinite(tol) and tol > 0.0):
+                raise ValueError(f"tolerance override {name!r} must be positive and finite, got {tol!r}")
         # every grid the configured suite integrates, before any suite runs: all on two discs (or one, a smaller
         # grid), and monotone_angular also runs M = 32 (its largest grid) and volume_vanishes_regular V = 1
         spec = self.quadrature

@@ -156,38 +156,83 @@ def test_volume_correction_reconstructs_antiholomorphic():
     assert (b - sf.lift_evaluate(f, x)).norm() > 0.05
 
 
-def _conj_z1_z2_stem(c):
-    """F(z) = conj(z_1) z_2 c with no derivative hook, so dbar comes from finite differences."""
+def _conj_z1_zn_stem(c, n=2):
+    """F(z) = conj(z_1) z_n c with no derivative hook, so dbar comes from finite differences."""
 
     def _batch(Z):
-        w = np.conj(Z[:, 0]) * Z[:, 1]
+        w = np.conj(Z[:, 0]) * Z[:, n - 1]
         return np.real(w)[:, None] * c.coeffs, np.imag(w)[:, None] * c.coeffs
 
-    return stm.StemFunction(arity=2, tag=TAG, batch_evaluator=_batch, smoothness=stm.Smoothness.C1)
+    return stm.StemFunction(arity=n, tag=c.tag, batch_evaluator=_batch, smoothness=stm.Smoothness.C1)
+
+
+UNITS = {OCTONION: J, QUATERNION: alg.unit_from_vector(QUATERNION, [0.6, 0.0, 0.8])}
+
+
+def _fd_case(tag, n):
+    """conj(z_1) z_n c without a hook, on the unit polydisc of the algebra's unit, and a point inside it."""
+    c = element(tag, np.linspace(0.5, -0.75, tag.dim))
+    dom = itg.PolydiscDomain(np.zeros(n), np.ones(n), UNITS[tag])
+    return _conj_z1_zn_stem(c, n), dom, sf.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j, 0.15 - 0.2j])[:n], dom.j)
 
 
 def test_volume_fd_path_is_bitwise_the_explicit_formula():
-    # the same stem given a hook that writes the central-difference formula out from its four stencil points
+    # without a hook, each stencil evaluation is reduced to its chunk moments
+    # [Re c; Im c] @ [F1 | F2] first, and the central differences and dbar
+    # are taken on those: here that formula is written out over the rule's chunks
     c = element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])
-    F = _conj_z1_z2_stem(c)
-
-    def _explicit(Z, t, h=stm.DEFAULT_FD_STEP):
-        step = np.zeros(2, dtype=complex)
-        step[t] = h
-        (ap1, ap2), (am1, am2) = stm.evaluate_stem_batch(F, Z + step), stm.evaluate_stem_batch(F, Z - step)
-        (bp1, bp2), (bm1, bm2) = stm.evaluate_stem_batch(F, Z + 1j * step), stm.evaluate_stem_batch(F, Z - 1j * step)
-        s = 0.5 / h
-        dz = (0.5 * ((ap1 - am1) * s + (bp2 - bm2) * s), 0.5 * ((ap2 - am2) * s - (bp1 - bm1) * s))
-        return dz, (0.5 * ((ap1 - am1) * s - (bp2 - bm2) * s), 0.5 * ((ap2 - am2) * s + (bp1 - bm1) * s))
-
-    hooked = stm.StemFunction(arity=2, tag=TAG, batch_evaluator=F.batch_evaluator, batch_wirtinger=_explicit,
-                              smoothness=stm.Smoothness.C1)
+    F = _conj_z1_zn_stem(c)
     dom, x, spec = _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1)
+    h = stm.DEFAULT_FD_STEP
+    s = 0.5 / h
+
+    def moments(Z, t, step, ct):
+        plus, minus = np.array(Z.T, order="C"), np.array(Z.T, order="C")
+        plus[:, t] += step
+        minus[:, t] -= step
+        (p1, p2), (m1, m2) = stm.evaluate_stem_batch(F, plus), stm.evaluate_stem_batch(F, minus)
+        return (ct @ p1 - ct @ m1) * s, (ct @ p2 - ct @ m2) * s
+
+    parts = []
+    for Z, C in itg._volume_nodes(dom, x, spec):
+        for t, ct in enumerate(C):
+            (da1, da2), (db1, db2) = moments(Z, t, h, ct), moments(Z, t, 1j * h, ct)
+            parts.append(np.hstack((0.5 * (da1 - db2), 0.5 * (da2 + db1))))
+    want = itg._reduce(dom.j, parts, scale=1.0 / math.pi**2)[:2]
     got = itg._bm_volume_both(sf.SliceFunction(stem=F), dom, x, spec)[:2]
-    want = itg._bm_volume_both(sf.SliceFunction(stem=hooked), dom, x, spec)[:2]
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
     assert got[0].norm() > 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tag", [OCTONION, QUATERNION], ids=["octonion", "quaternion"])
+def test_volume_fd_moments_agree_with_per_node_differences(tag, n):
+    # the same stem with the per-node central differences as its hook: the
+    # two differ only by the rounding of differencing sums rather than values
+    F, dom, x = _fd_case(tag, n)
+    per_node = stm.StemFunction(arity=n, tag=tag, batch_evaluator=F.batch_evaluator,
+                                batch_wirtinger=lambda Z, t: stm.wirtinger_batch(F, Z, t), smoothness=stm.Smoothness.C1)
+    spec = itg.QuadratureSpec(16, 8, 1)
+    got = itg._bm_volume_both(sf.SliceFunction(stem=F), dom, x, spec)[:2]
+    want = itg._bm_volume_both(sf.SliceFunction(stem=per_node), dom, x, spec)[:2]
+    for a, b in zip(got, want):
+        assert (a - b).norm() <= 1e-9 * (1.0 + b.norm())
+    assert want[0].norm() > 1e-3
+
+
+@pytest.mark.parametrize("tag, bound_kib", [(OCTONION, 800), (QUATERNION, 640)], ids=["octonion", "quaternion"])
+def test_fd_volume_call_holds_one_stencil_evaluation(tag, bound_kib):
+    # an n = 2, (32,16,1) call without a hook reduces each stencil evaluation
+    # to its chunk moments before it makes the next: traced peaks 652 KiB
+    # (octonion) and 523 KiB (quaternion); differencing per node, with a
+    # direction's two evaluations and their (rows, dim) differences alive,
+    # took 1,322 and 842 KiB
+    F, dom, x = _fd_case(tag, 2)
+    f, spec = sf.SliceFunction(stem=F), itg.QuadratureSpec(32, 16, 1)
+    itg.bm_volume_integral(f, dom, x, spec)  # the rule's cached tables are built once, outside the trace
+    peak = _traced_peak_mb(lambda: itg.bm_volume_integral(f, dom, x, spec)) * 1024
+    assert peak <= bound_kib, f"{peak:.0f} KiB"
 
 
 def test_volume_error_falls_with_refinement():
@@ -195,7 +240,7 @@ def test_volume_error_falls_with_refinement():
 
     dom, x = _bidisc(), _x2()
     c = element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])
-    for stem in (_conj_z1_stem(TAG, 2, c), _conj_z1_z2_stem(c)):
+    for stem in (_conj_z1_stem(TAG, 2, c), _conj_z1_zn_stem(c)):
         f = sf.SliceFunction(stem=stem)
         b = itg.bm_boundary_integral(f, dom, x, itg.QuadratureSpec(64, 32, 1))
         errs = []

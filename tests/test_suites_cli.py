@@ -188,10 +188,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("tolerances: {leibniz: null}\n", "leibniz"),
         ("functions: [1]\n", "functions must be a list"),
         ("seed: -5\n", "seed must be >= 0"),
+        # YAML reads .inf as a float, and 1e999 (no dot) as a string that float() turns into inf
+        ("tolerances: {alternativity: .inf}\n", "'alternativity' must be positive and finite"),
+        ("tolerances: {alternativity: \"inf\"}\n", "'alternativity' must be positive and finite"),
+        ("tolerances: {alternativity: 1e999}\n", "'alternativity' must be positive and finite"),
     ],
     ids=[
         "tolerance_name", "quadrature_key", "tolerances_list", "samples_float", "n_float", "quadrature_float",
         "samples_bool", "seed_null", "n_list", "tolerance_null", "functions_int", "seed_negative",
+        "tolerance_inf", "tolerance_inf_string", "tolerance_overflow",
     ],
 )
 def test_cli_rejects_misspelled_config(tmp_path, capsys, body, message):
