@@ -223,9 +223,6 @@ class AlgebraElement:
         """Coefficients on e_1..e_{dim-1}."""
         return self.coeffs[1:].copy()
 
-    def is_real(self, tol: float = TOL_UNIT) -> bool:
-        return bool(np.max(np.abs(self.coeffs[1:]), initial=0.0) <= tol)
-
     def __repr__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -412,11 +409,11 @@ def sample_unit_imaginary(tag: AlgebraTag, seed_or_rng=0) -> ImaginaryUnit:
     return ImaginaryUnit(AlgebraElement(tag, row))
 
 
-def random_element(tag: AlgebraTag, seed_or_rng=0, scale: float = 1.0) -> AlgebraElement:
+def random_element(tag: AlgebraTag, seed_or_rng=0) -> AlgebraElement:
     """Gaussian element with norm clamped to [1e-3, 1e3] so inverses stay well conditioned."""
     rng = np.random.default_rng(seed_or_rng)
     while True:
-        c = rng.standard_normal(tag.dim) * scale
+        c = rng.standard_normal(tag.dim)
         nrm = float(np.linalg.norm(c))
         if 1e-3 <= nrm <= 1e3:
             return AlgebraElement(tag, c)

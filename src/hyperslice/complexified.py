@@ -18,7 +18,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraMismatchError,
     AlgebraTag,
-    multiply,
+    _check_same_tag,
     multiply_batch,
 )
 
@@ -77,9 +77,10 @@ class ComplexifiedElement:
 
 
 def c_multiply(w: ComplexifiedElement, v: ComplexifiedElement) -> ComplexifiedElement:
-    re = multiply(w.re, v.re) - multiply(w.im, v.im)
-    im = multiply(w.re, v.im) + multiply(w.im, v.re)
-    return ComplexifiedElement(re, im)
+    """(x + iy)(u + iv): row 0 of c_multiply_batch on the coefficient vectors."""
+    _check_same_tag(w.re, v.re)
+    re, im = c_multiply_batch(w.tag, (w.re.coeffs, w.im.coeffs), (v.re.coeffs, v.im.coeffs))
+    return ComplexifiedElement(AlgebraElement(w.tag, re), AlgebraElement(w.tag, im))
 
 
 def c_multiply_batch(

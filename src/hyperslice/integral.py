@@ -88,7 +88,7 @@ from .algebra import (
 )
 from .complexified import ComplexifiedElement
 from .slicefun import IntrinsicityError, SliceFunction, SlicePoint, lift_evaluate, lift_value, slice_point
-from .stem import DEFAULT_FD_STEP, Smoothness, StemPolynomial, _box, _reduced_dbar, evaluate_stem_batch
+from .stem import Smoothness, StemPolynomial, _box, dbar_batch, evaluate_stem_batch
 
 __all__ = [
     "SliceMismatchError",
@@ -674,7 +674,7 @@ def _bm_volume_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: 
     n = dom.n
     count = _check_budget(_volume_count(n, spec))
     chunks = _volume_nodes(dom, x, spec)
-    parts = (np.hstack(_reduced_dbar(f.stem, Z.T, jx, DEFAULT_FD_STEP, functools.partial(_node_sums, c.T)))
+    parts = (np.hstack(dbar_batch(f.stem, Z.T, jx, reduce=functools.partial(_node_sums, c.T)))
              for Z, C in chunks for jx, c in enumerate(C))
     return (*_reduce(dom.j, parts, scale=math.factorial(n - 1) / math.pi**n), count)
 
@@ -742,6 +742,8 @@ def hartogs_extend(
 
     Needs n >= 2: the one-variable Cauchy integral over the outer circle does
     not reproduce functions with singularities inside the hole.
+    hole_radius_fraction is validated to lie in (0, 0.8) and otherwise
+    unused: the extension integrates over the scaled outer boundary alone.
     """
     _check_intrinsic(f)
     if dom.n < 2:

@@ -43,13 +43,14 @@ from .complexified import ComplexifiedElement
 from .stem import (
     StemFunction,
     StemPolynomial,
+    _dbar,
     _nonempty,
+    _row_norms,
     _stem_samples,
     central_differences,
     check_intrinsic,
     evaluate_stem,
     evaluate_stem_batch,
-    is_holomorphic,
     restrict_stem,
     stem_product,
 )
@@ -110,6 +111,8 @@ class IntrinsicityError(ValueError):
 
 
 PARALLEL_RTOL = 1e-10
+# stem-value norms at or below this count as zero in classify_sphere_zeros
+ZERO_TOL = 1e-9
 
 
 def _shared_tag(*xs) -> AlgebraTag:
@@ -241,19 +244,17 @@ class SliceFunction:
         return lift_evaluate(self, x)
 
 
-def lift(F, validate: bool = True, samples=None, tol: float = 1e-10) -> SliceFunction:
-    """Wrap a stem as a slice function, verifying intrinsicity on a sample grid."""
+def lift(F, validate: bool = True) -> SliceFunction:
+    """Wrap a stem as a slice function, verifying intrinsicity on check_intrinsic's default samples and tolerance."""
     if isinstance(F, StemPolynomial):
         # algebra-coefficient polynomials are intrinsic identically
         return SliceFunction(F)
     if not F.intrinsic:
         raise IntrinsicityError("stem is flagged non-intrinsic")
     if validate:
-        report = check_intrinsic(F, samples=samples, tol=tol)
+        report = check_intrinsic(F)
         if not report.passed:
-            raise IntrinsicityError(
-                f"stem violates intrinsicity by {report.max_violation:.3e} (tol {tol:.1e})"
-            )
+            raise IntrinsicityError(f"stem violates intrinsicity by {report.max_violation:.3e}")
     return SliceFunction(F)
 
 
@@ -389,38 +390,31 @@ class RegularityReport(NamedTuple):
     passed: bool
 
 
-def check_slice_regular(
-    f: SliceFunction,
-    units: Sequence[ImaginaryUnit] | None = None,
-    samples=None,
-    tol: float = 1e-6,
-    h: float = 1e-5,
-    rng=None,
-) -> RegularityReport:
+def check_slice_regular(f: SliceFunction, samples=None, tol: float = 1e-6, rng=None) -> RegularityReport:
     """Per-slice Cauchy-Riemann residual |df_J/dalpha_t + J df_J/dbeta_t| by central differences.
 
-    Also cross-checks holomorphy of the stem itself; both residuals must clear
-    the tolerance to pass.
+    The stem residual |dF/dzbar_t| comes from the same differences, so each
+    axis costs four stem calls; both residuals must clear the tolerance to pass.
     """
     gen = np.random.default_rng(17 if rng is None else rng)
-    if units is None:
-        units = [sample_unit_imaginary(f.tag, gen) for _ in range(2)]
+    units = [sample_unit_imaginary(f.tag, gen) for _ in range(2)]
     if samples is None:
         samples = _stem_samples(f.stem, gen, 8)
     samples = _nonempty(samples, f.arity)
 
-    residuals = []
+    residuals, stem_residuals = [], []
     for t in range(f.arity):
-        (da1, da2), (db1, db2) = central_differences(f.stem, samples, t, h)
+        (da1, da2), (db1, db2) = central_differences(f.stem, samples, t)
         for J in units:
             # the J-slice's derivatives are da1 + J da2 and db1 + J db2, one gemm per product
             dbeta = db1 + multiply_batch(f.tag, J.coeffs, db2)
             res = da1 + multiply_batch(f.tag, J.coeffs, da2) + multiply_batch(f.tag, J.coeffs, dbeta)
             residuals.append(np.linalg.norm(res, axis=1))
+        # _dbar overwrites da1, da2, so it runs after the slices have read them
+        stem_residuals.append(_row_norms(*_dbar(da1, da2, db1, db2)))
     # np.max propagates NaN, so a NaN residual fails the report
-    worst = float(np.max(residuals))
-    stem_rep = is_holomorphic(f.stem, samples=samples, tol=tol, h=h)
-    return RegularityReport(worst, stem_rep.max_residual, worst <= tol and stem_rep.passed)
+    worst, stem_worst = float(np.max(residuals)), float(np.max(stem_residuals))
+    return RegularityReport(worst, stem_worst, worst <= tol and stem_worst <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -445,29 +439,29 @@ class SphereZeroResult:
     unit_residual: float | None = None
 
 
-def classify_sphere_zeros(f: SliceFunction, x: SlicePoint, tol: float = 1e-9) -> SphereZeroResult:
+def classify_sphere_zeros(f: SliceFunction, x: SlicePoint) -> SphereZeroResult:
     """Classify the zero set of f on the sphere through x.
 
     Mutually exclusive outcomes: no zero on the sphere, a real zero (degenerate
     sphere), the whole sphere, or exactly one point alpha + beta I.  The point
     case solves I = (-F1) F2^{-1} by right division, which two-generator
     associativity makes valid, and accepts the candidate only when it is a
-    genuine imaginary unit within tol.
+    genuine imaginary unit within ZERO_TOL.
     """
     w = evaluate_stem(f.stem, x.z)
     n1, n2 = w.re.norm(), w.im.norm()
     if x.is_real:
-        if n1 <= tol:
+        if n1 <= ZERO_TOL:
             return SphereZeroResult(ZeroKind.REAL_ZERO, None, x, n1, n2)
         return SphereZeroResult(ZeroKind.EMPTY, None, None, n1, n2)
-    if n1 <= tol and n2 <= tol:
+    if n1 <= ZERO_TOL and n2 <= ZERO_TOL:
         return SphereZeroResult(ZeroKind.SPHERICAL, None, None, n1, n2)
-    if n2 <= tol:
+    if n2 <= ZERO_TOL:
         return SphereZeroResult(ZeroKind.EMPTY, None, None, n1, n2)
     cand = multiply(-w.re, inverse(w.im))
     re_res = abs(cand.real)
     unit_res = abs(cand.norm() - 1.0)
-    if re_res <= tol and unit_res <= tol:
+    if re_res <= ZERO_TOL and unit_res <= ZERO_TOL:
         unit = unit_from_vector(f.tag, cand.coeffs[1:])
         pt = slice_point(x.alpha, x.beta, unit)
         return SphereZeroResult(ZeroKind.POINT, unit, pt, n1, n2, re_res, unit_res)

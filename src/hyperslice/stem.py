@@ -13,14 +13,15 @@ containers implement it:
     held as an exponent array and a coefficient array.  They are intrinsic,
     have exact Wirtinger derivatives and evaluate as one matrix product;
     products and restrictions treat them like any other stem.
-  * StemFunction: user-supplied hooks, a smoothness grade, and a sampling domain.
-    A scalar hook given at construction without its batch hook becomes that
-    batch hook, a loop over rows; given with it, the batch hook wins.
+  * StemFunction: user-supplied batch hooks, a smoothness grade, and a
+    sampling domain.  A batch_evaluator is required; scalar hooks are
+    accepted beside their batch hooks and never called.
 
 A scalar evaluation is row 0 of a batch of one.  Without an exact hook,
-derivatives are central differences (step DEFAULT_FD_STEP), one stencil pair
-at a time, each point a copy of Z with one column moved; dbar_batch forms
-dF/dzbar alone, and the volume rule reduces each evaluation to moments first.
+derivatives are central differences at the one step DEFAULT_FD_STEP, one
+stencil pair at a time, each point a copy of Z with one column moved;
+dbar_batch forms dF/dzbar alone, reducing each evaluation first (the volume
+rule's chunk moments) when given a linear reduce.
 """
 
 from __future__ import annotations
@@ -176,19 +177,19 @@ def _default_domain(arity: int) -> Domain:
 
 @dataclass(frozen=True, eq=False)
 class StemFunction:
-    """A stem function given by hooks; a batch_evaluator or a scalar evaluator is required.
+    """A stem function given by batch hooks; batch_evaluator is required.
 
     Hooks:
       batch_evaluator(Z) -> (F1, F2) arrays of shape (N, dim) for Z of shape (N, n)
-      batch_wirtinger(Z, t) -> ((dz_F1, dz_F2), (dzbar_F1, dzbar_F2)) arrays
-    Construction-only scalar hooks, each turned into its missing batch hook:
-      evaluator(z) -> ComplexifiedElement for z of shape (n,)
-      wirtinger_evaluator(z, t) -> (dF/dz_t, dF/dzbar_t) as ComplexifiedElements
+      batch_wirtinger(Z, t) -> ((dz_F1, dz_F2), (dzbar_F1, dzbar_F2)) arrays, optional
+    The construction-only scalar hooks evaluator and wirtinger_evaluator are
+    accepted beside their batch hooks and never called; one given without
+    its batch hook raises ValueError.
     """
 
     arity: int
     tag: AlgebraTag
-    evaluator: InitVar[Callable[[np.ndarray], ComplexifiedElement] | None] = None
+    evaluator: InitVar[Callable | None] = None
     smoothness: Smoothness = Smoothness.C1
     wirtinger_evaluator: InitVar[Callable | None] = None
     batch_evaluator: Callable | None = None
@@ -200,29 +201,12 @@ class StemFunction:
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
         if self.batch_evaluator is None:
-            if evaluator is None:
-                raise ValueError("a stem needs an evaluator or a batch_evaluator")
-            object.__setattr__(self, "batch_evaluator", _row_loop(evaluator, self.tag.dim, 1))
-        if self.batch_wirtinger is None and wirtinger_evaluator is not None:
-            object.__setattr__(self, "batch_wirtinger", _row_loop(wirtinger_evaluator, self.tag.dim, 2))
+            raise ValueError("a stem needs a batch_evaluator; a scalar evaluator alone is not read")
+        if wirtinger_evaluator is not None and self.batch_wirtinger is None:
+            raise ValueError("a wirtinger_evaluator needs its batch_wirtinger; a scalar hook alone is not read")
 
     def __call__(self, z) -> ComplexifiedElement:
         return evaluate_stem(self, z)
-
-
-def _row_loop(hook: Callable, dim: int, parts: int) -> Callable:
-    """A batch hook from a scalar one: hook(z, *args) at each row z of Z, its parts elements as (F1, F2) pairs (N, dim)."""
-
-    def batch(Z, *args):
-        out = np.empty((parts, 2, Z.shape[0], dim))
-        for k, z in enumerate(Z):
-            values = hook(z, *args)
-            for p, w in enumerate(values if parts > 1 else (values,)):
-                out[p, 0, k], out[p, 1, k] = w.re.coeffs, w.im.coeffs
-        pairs = tuple((o[0], o[1]) for o in out)
-        return pairs if parts > 1 else pairs[0]
-
-    return batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,15 +418,16 @@ class WirtingerPair(NamedTuple):
     dzbar: ComplexifiedElement
 
 
-def _stencil_input(F, Z, t: int, h: float) -> np.ndarray:
-    """Z as a complex array, after refusing an axis outside [0, arity) or a step that is not positive and finite."""
-    if not (0 <= t < F.arity and np.isfinite(h) and h > 0.0):
-        raise ValueError(f"need an axis in [0, {F.arity}) and a positive finite step, got axis {t} and step {h}")
+def _stencil_input(F, Z, t: int) -> np.ndarray:
+    """Z as a complex array, after refusing an axis outside [0, arity)."""
+    if not 0 <= t < F.arity:
+        raise ValueError(f"need an axis in [0, {F.arity}), got axis {t}")
     return np.asarray(Z, dtype=np.complex128)
 
 
-def _difference(F, Z: np.ndarray, t: int, h: float, reduce=tuple):
+def _difference(F, Z: np.ndarray, t: int, reduce=tuple):
     """((dR1/dalpha_t, dR2/dalpha_t), (dR1/dbeta_t, dR2/dbeta_t)) for a linear R = reduce((F1, F2)), F itself by default."""
+    h = DEFAULT_FD_STEP
 
     def at(shift):
         # a C-ordered copy of Z with column t moved (Z + (-step) is Z - step to the bit), evaluated and
@@ -459,9 +444,9 @@ def _difference(F, Z: np.ndarray, t: int, h: float, reduce=tuple):
     return along(h), along(1j * h)
 
 
-def central_differences(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
+def central_differences(F, Z: np.ndarray, t: int):
     """((dF1/dalpha_t, dF2/dalpha_t), (dF1/dbeta_t, dF2/dbeta_t)) at every row of Z = alpha + i beta."""
-    return _difference(F, _stencil_input(F, Z, t, h), t, h)
+    return _difference(F, _stencil_input(F, Z, t), t)
 
 
 def _dbar(da1: np.ndarray, da2: np.ndarray, db1: np.ndarray, db2: np.ndarray):
@@ -473,33 +458,28 @@ def _dbar(da1: np.ndarray, da2: np.ndarray, db1: np.ndarray, db2: np.ndarray):
     return da1, da2
 
 
-def wirtinger(F, z, t: int, h: float = DEFAULT_FD_STEP) -> WirtingerPair:
+def wirtinger(F, z, t: int) -> WirtingerPair:
     """(dF/dz_t, dF/dzbar_t) at one point: row 0 of a batch of one."""
-    dz, dzbar = wirtinger_batch(F, np.asarray(z, dtype=np.complex128).reshape(1, F.arity), t, h)
+    dz, dzbar = wirtinger_batch(F, np.asarray(z, dtype=np.complex128).reshape(1, F.arity), t)
     return WirtingerPair(_row0(F.tag, dz), _row0(F.tag, dzbar))
 
 
-def wirtinger_batch(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
+def wirtinger_batch(F, Z: np.ndarray, t: int):
     """Batched derivatives: ((dz_F1, dz_F2), (dzbar_F1, dzbar_F2)) of shape (N, dim) each."""
-    Z = _stencil_input(F, Z, t, h)
+    Z = _stencil_input(F, Z, t)
     if F.batch_wirtinger is not None:
         return F.batch_wirtinger(Z, t)
-    (da1, da2), (db1, db2) = central_differences(F, Z, t, h)
+    (da1, da2), (db1, db2) = _difference(F, Z, t)
     # d/dz = (d/dalpha - i d/dbeta)/2, formed (left to right) before _dbar overwrites da1, da2
     return (0.5 * (da1 + db2), 0.5 * (da2 - db1)), _dbar(da1, da2, db1, db2)
 
 
-def dbar_batch(F, Z: np.ndarray, t: int, h: float = DEFAULT_FD_STEP):
-    """dF/dzbar_t alone as (F1, F2) arrays (N, dim): the exact hook if given, else central differences, no dz half."""
-    return _reduced_dbar(F, Z, t, h)
-
-
-def _reduced_dbar(F, Z: np.ndarray, t: int, h: float, reduce=tuple):
-    """reduce((F1, F2)) of dF/dzbar_t for a linear reduce: of the exact hook's, else the dbar step on reduced differences."""
-    Z = _stencil_input(F, Z, t, h)
+def dbar_batch(F, Z: np.ndarray, t: int, *, reduce=tuple):
+    """reduce((F1, F2)) of dF/dzbar_t for a linear reduce: the exact hook's, else the dbar step on reduced differences."""
+    Z = _stencil_input(F, Z, t)
     if F.batch_wirtinger is not None:
         return reduce(F.batch_wirtinger(Z, t)[1])
-    da, db = _difference(F, Z, t, h, reduce)
+    da, db = _difference(F, Z, t, reduce)
     return _dbar(*da, *db)
 
 
@@ -509,12 +489,12 @@ class HolomorphyReport(NamedTuple):
     samples_checked: int
 
 
-def is_holomorphic(F, samples=None, tol: float = 1e-6, rng=None, h: float = DEFAULT_FD_STEP) -> HolomorphyReport:
+def is_holomorphic(F, samples=None, tol: float = 1e-6, rng=None) -> HolomorphyReport:
     """Max |dF/dzbar_t| over all axes and samples by dbar_batch: per axis one exact hook call or four stem calls."""
     if samples is None:
         samples = _stem_samples(F, np.random.default_rng(0 if rng is None else rng), 16)
     Z = _nonempty(samples, F.arity)
-    residuals = [_row_norms(*dbar_batch(F, Z, t, h)) for t in range(F.arity)]
+    residuals = [_row_norms(*dbar_batch(F, Z, t)) for t in range(F.arity)]
     # np.max propagates NaN, so a NaN residual fails the report
     worst = float(np.max(residuals))
     return HolomorphyReport(worst, worst <= tol, Z.shape[0])

@@ -255,13 +255,12 @@ def random_polynomial(
     return st.stem_polynomial(tag, arity, out)
 
 
-def random_nonreal_point(
-    tag: AlgebraTag, arity: int, rng: np.random.Generator, box: float = 0.8
-) -> sf.SlicePoint:
-    alpha = rng.uniform(-box, box, arity)
-    beta = rng.uniform(-box, box, arity)
+def random_nonreal_point(tag: AlgebraTag, arity: int, rng: np.random.Generator) -> sf.SlicePoint:
+    """alpha + beta J with alpha, beta uniform in [-0.8, 0.8]^n, |beta| >= 0.1, and a uniform unit J."""
+    alpha = rng.uniform(-0.8, 0.8, arity)
+    beta = rng.uniform(-0.8, 0.8, arity)
     while np.linalg.norm(beta) < 0.1:
-        beta = rng.uniform(-box, box, arity)
+        beta = rng.uniform(-0.8, 0.8, arity)
     return sf.slice_point(alpha, beta, alg.sample_unit_imaginary(tag, rng))
 
 

@@ -103,6 +103,18 @@ def test_batch_matches_scalar():
         np.testing.assert_allclose(im[k], w.im.coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("tag", [QUATERNION, OCTONION], ids=lambda t: t.name)
+def test_scalar_product_is_row_zero_of_a_batch_of_one(tag):
+    # one product path in A (x) C: c_multiply is c_multiply_batch on one row, bit for bit
+    rng = np.random.default_rng(tag.dim)
+    for _ in range(10):
+        a, b = (ComplexifiedElement(*(element(tag, rng.standard_normal(tag.dim)) for _ in "ri")) for _ in "ab")
+        w = c_multiply(a, b)
+        re, im = c_multiply_batch(tag, (a.re.coeffs[None], a.im.coeffs[None]), (b.re.coeffs[None], b.im.coeffs[None]))
+        np.testing.assert_array_equal(w.re.coeffs, re[0])
+        np.testing.assert_array_equal(w.im.coeffs, im[0])
+
+
 def test_constants_and_norm():
     z = ComplexifiedElement(zero(OCTONION), zero(OCTONION))
     o = ComplexifiedElement(one(OCTONION), zero(OCTONION))

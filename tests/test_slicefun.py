@@ -9,7 +9,6 @@ import hyperslice.algebra as alg
 import hyperslice.slicefun as sf
 import hyperslice.stem as stm
 from hyperslice.algebra import OCTONION, basis, element, one
-from hyperslice.complexified import ComplexifiedElement
 
 TAG = OCTONION
 E0, E1, E2, E3 = one(TAG), basis(TAG, 1), basis(TAG, 2), basis(TAG, 3)
@@ -17,6 +16,15 @@ E0, E1, E2, E3 = one(TAG), basis(TAG, 1), basis(TAG, 2), basis(TAG, 3)
 
 def _unit(vec):
     return alg.unit_from_vector(TAG, vec)
+
+
+def _conj_times(c):
+    """The batch hook of conj(z_1) c: the component pair (Re(z_1) c, -Im(z_1) c)."""
+
+    def batch(Z):
+        return np.real(Z[:, :1]) * c.coeffs, -np.imag(Z[:, :1]) * c.coeffs
+
+    return batch
 
 
 # --- points -------------------------------------------------------------------
@@ -91,7 +99,7 @@ def test_lift_rejects_non_intrinsic_stem():
     broken = stm.StemFunction(
         arity=1,
         tag=TAG,
-        evaluator=lambda z: ComplexifiedElement(E0 * float(np.imag(z[0])), alg.zero(TAG)),
+        batch_evaluator=lambda Z: (np.imag(Z[:, :1]) * E0.coeffs, np.zeros((len(Z), TAG.dim))),
     )
     with pytest.raises(sf.IntrinsicityError):
         sf.lift(broken)
@@ -323,13 +331,7 @@ def test_polynomials_are_slice_regular():
 
 def test_antiholomorphic_residual_is_two_norms():
     a = element(TAG, [0.5, -1.0, 0, 0.25, 0, 0, 2.0, 0])
-    F = stm.StemFunction(
-        arity=1,
-        tag=TAG,
-        evaluator=lambda z: ComplexifiedElement(
-            a * float(np.real(z[0])), a * (-float(np.imag(z[0])))
-        ),
-    )
+    F = stm.StemFunction(arity=1, tag=TAG, batch_evaluator=_conj_times(a))
     rep = sf.check_slice_regular(sf.SliceFunction(stem=F))
     assert not rep.passed
     assert abs(rep.max_residual - 2.0 * a.norm()) <= 1e-6
@@ -337,15 +339,43 @@ def test_antiholomorphic_residual_is_two_norms():
 
 def test_check_slice_regular_rejects_empty_samples():
     # conj(z) e_1 fails at residual 1.0 on the default samples; no samples is no evidence
-    F = stm.StemFunction(
-        arity=1,
-        tag=TAG,
-        evaluator=lambda z: ComplexifiedElement(E1 * float(np.real(z[0])), E1 * (-float(np.imag(z[0])))),
-    )
+    F = stm.StemFunction(arity=1, tag=TAG, batch_evaluator=_conj_times(E1))
     rep = sf.check_slice_regular(sf.SliceFunction(stem=F))
     assert not rep.passed and abs(rep.stem_residual - 1.0) <= 1e-6
     with pytest.raises(ValueError, match="at least one sample"):
         sf.check_slice_regular(sf.SliceFunction(stem=F), samples=np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_slice_regular_makes_four_stem_calls_per_axis(n):
+    # z_1 ... z_n e1 with no derivative hook: both residuals come from one stencil per axis,
+    # and the stem residual is the one is_holomorphic measures on the same samples
+    calls = []
+
+    def _batch(Z):
+        calls.append(len(Z))
+        w = np.prod(Z, axis=1)
+        return np.real(w)[:, None] * E1.coeffs, np.imag(w)[:, None] * E1.coeffs
+
+    F = stm.StemFunction(arity=n, tag=TAG, batch_evaluator=_batch)
+    samples = np.random.default_rng(n).uniform(-0.8, 0.8, (8, n, 2)) @ np.array([1.0, 1j])
+    rep = sf.check_slice_regular(sf.SliceFunction(F), samples=samples)
+    assert calls == [8] * (4 * n)
+    assert rep.passed and rep.stem_residual == stm.is_holomorphic(F, samples=samples).max_residual
+
+
+def test_check_slice_regular_measures_the_stem_residual():
+    # conj(z_1) c whose derivative hook claims dbar = 0: the measured residual is |dbar_1| = |c|
+    c = element(TAG, [0.5, -1.0, 0, 0.25, 0, 0, 2.0, 0])
+
+    def _wrong_hook(Z, t):
+        zeros = np.zeros((len(Z), TAG.dim))
+        return (zeros, zeros), (zeros, zeros)
+
+    F = stm.StemFunction(arity=2, tag=TAG, batch_evaluator=_conj_times(c), batch_wirtinger=_wrong_hook)
+    assert stm.is_holomorphic(F).max_residual == 0.0
+    rep = sf.check_slice_regular(sf.SliceFunction(F))
+    assert not rep.passed and abs(rep.stem_residual - c.norm()) <= 1e-6
 
 
 def test_nan_residual_fails_holomorphy_and_regularity():

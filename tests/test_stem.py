@@ -130,6 +130,15 @@ def test_poly_product_matches_pointwise_c_multiply():
         assert (lhs.im - rhs.im).norm() <= 1e-12
 
 
+def _conj_times(c):
+    """The batch hook of conj(z_1) c: the component pair (Re(z_1) c, -Im(z_1) c)."""
+
+    def batch(Z):
+        return np.real(Z[:, :1]) * c.coeffs, -np.imag(Z[:, :1]) * c.coeffs
+
+    return batch
+
+
 def test_intrinsicity_of_polynomials_and_violation():
     p = stem_polynomial(TAG, 2, {(1, 2): element(TAG, np.arange(8.0)), (0, 0): E1})
     report = check_intrinsic(p)
@@ -139,7 +148,7 @@ def test_intrinsicity_of_polynomials_and_violation():
     broken = StemFunction(
         arity=1,
         tag=TAG,
-        evaluator=lambda z: ComplexifiedElement(zero(TAG), E0 * float(np.real(z[0]))),
+        batch_evaluator=lambda Z: (np.zeros((len(Z), TAG.dim)), np.real(Z[:, :1]) * E0.coeffs),
         smoothness=Smoothness.ANALYTIC,
     )
     report = check_intrinsic(broken)
@@ -161,7 +170,7 @@ def test_wirtinger_exact_for_polynomials():
 def test_wirtinger_fd_matches_exact():
     p = stem_polynomial(TAG, 2, {(2, 2): E3, (0, 1): E1})
     # route the same function through finite differences only
-    fd = StemFunction(arity=2, tag=TAG, evaluator=lambda z: evaluate_stem(p, z))
+    fd = StemFunction(arity=2, tag=TAG, batch_evaluator=p.batch_evaluator)
     z = np.array([0.3 + 0.1j, -0.5 - 0.4j])
     for t in (0, 1):
         dz_p, dzbar_p = wirtinger(p, z, t)
@@ -173,13 +182,7 @@ def test_wirtinger_fd_matches_exact():
 
 def test_wirtinger_batch_antiholomorphic():
     # F(z) = conj(z) e0 has dz = 0, dzbar = e0
-    F = StemFunction(
-        arity=1,
-        tag=TAG,
-        evaluator=lambda z: ComplexifiedElement(
-            E0 * float(np.real(z[0])), E0 * (-float(np.imag(z[0])))
-        ),
-    )
+    F = StemFunction(arity=1, tag=TAG, batch_evaluator=_conj_times(E0))
     Z = np.array([[0.2 + 0.3j], [-0.4 + 0.1j], [0.0 - 0.6j]])
     (dz1, dz2), (db1, db2) = wirtinger_batch(F, Z, 0)
     assert np.abs(dz1).max() <= 1e-9 and np.abs(dz2).max() <= 1e-9
@@ -318,12 +321,18 @@ def _counting_stem(hook: bool):
 @pytest.mark.parametrize("hook", [False, True])
 @pytest.mark.parametrize("t, h", [(-1, 1e-5), (2, 1e-5), (0, 0.0), (0, -1e-5), (1, float("nan")), (1, float("inf"))])
 def test_derivatives_reject_bad_axis_or_step_before_any_stem_call(fn, hook, t, h):
+    # an axis outside [0, 2) raises ValueError; the step is fixed at DEFAULT_FD_STEP, so no step
+    # argument is accepted, whatever its value
     F, calls = _counting_stem(hook)
     Z = np.array([[0.2 + 0.1j, -0.3 + 0.4j]])
-    with pytest.raises(ValueError, match="axis .* step"):
-        fn(F, Z, t, h)
+    if 0 <= t < F.arity:
+        with pytest.raises(TypeError):
+            fn(F, Z, t, h)
+    else:
+        with pytest.raises(ValueError, match="axis"):
+            fn(F, Z, t)
     assert calls == []
-    fn(F, Z, 1, 1e-5)
+    fn(F, Z, 1)
     assert calls == (["hook"] if hook and fn is not central_differences else ["eval"] * 4)
 
 
@@ -338,24 +347,14 @@ def test_is_holomorphic_makes_four_stem_calls_per_axis():
 def test_is_holomorphic_flags():
     p = stem_polynomial(TAG, 2, {(1, 1): E0})
     assert is_holomorphic(p).passed
-    F = StemFunction(
-        arity=1,
-        tag=TAG,
-        evaluator=lambda z: ComplexifiedElement(
-            E0 * float(np.real(z[0])), E0 * (-float(np.imag(z[0])))
-        ),
-    )
+    F = StemFunction(arity=1, tag=TAG, batch_evaluator=_conj_times(E0))
     rep = is_holomorphic(F)
     assert not rep.passed and abs(rep.max_residual - 1.0) <= 1e-6
 
 
 def _conj_z_e1():
     """conj(z) e_1: intrinsic, and its dzbar is e_1 everywhere."""
-    return StemFunction(
-        arity=1,
-        tag=TAG,
-        evaluator=lambda z: ComplexifiedElement(E1 * float(np.real(z[0])), E1 * (-float(np.imag(z[0])))),
-    )
+    return StemFunction(arity=1, tag=TAG, batch_evaluator=_conj_times(E1))
 
 
 def test_is_holomorphic_rejects_empty_samples():
@@ -404,7 +403,7 @@ def test_wirtinger_poly_built_once_per_axis():
 
 def test_stem_product_general():
     p = stem_polynomial(TAG, 1, {(1,): E1})
-    F = StemFunction(arity=1, tag=TAG, evaluator=lambda z: evaluate_stem(p, z))
+    F = StemFunction(arity=1, tag=TAG, batch_evaluator=p.batch_evaluator)
     G = stem_polynomial(TAG, 1, {(2,): E3})
     H = stem_product(F, G)
     z = np.array([0.7 - 0.2j])
@@ -494,18 +493,15 @@ def _batch_of_one_stems():
         w = np.exp(Z[:, 0]) * Z[:, 1]
         return np.real(w)[:, None] * E3.coeffs[None, :], np.imag(w)[:, None] * E3.coeffs[None, :]
 
-    def scalar(z):
-        w = complex(np.exp(z[0]) * z[1])
-        return ComplexifiedElement(E3 * w.real, E3 * w.imag)
-
     return {
         "polynomial": p,
         "batch_only": StemFunction(arity=2, tag=TAG, batch_evaluator=batch),
-        "scalar_only": StemFunction(arity=2, tag=TAG, evaluator=scalar),
+        # a scalar hook beside the batch hook, as the benchmark's stems pass one; it is never called
+        "scalar_beside_batch": StemFunction(arity=2, tag=TAG, evaluator=_raise, batch_evaluator=batch),
     }
 
 
-@pytest.mark.parametrize("kind", ["polynomial", "batch_only", "scalar_only"])
+@pytest.mark.parametrize("kind", ["polynomial", "batch_only", "scalar_beside_batch"])
 def test_scalar_evaluation_is_batch_of_one(kind):
     F = _batch_of_one_stems()[kind]
     z = np.array([0.3 - 0.7j, -1.1 + 0.2j])
@@ -544,7 +540,7 @@ def test_scalar_evaluation_matches_batch_rows(n, tag):
 
 
 def test_stem_function_needs_an_evaluator():
-    with pytest.raises(ValueError, match="evaluator"):
+    with pytest.raises(ValueError, match="batch_evaluator"):
         StemFunction(arity=1, tag=TAG)
 
 
@@ -617,31 +613,44 @@ def test_stems_are_read_through_the_batch_hooks_only():
     assert (value - lift_evaluate(f, x)).norm() <= 5e-3
 
 
-def test_scalar_hooks_become_row_loops():
-    # a scalar-only stem's batch hooks are its scalar hooks row by row, bit for
-    # bit; the Wirtinger hook is deliberately not F's derivative, so a finite
-    # difference could not reproduce it
+def test_scalar_hook_without_its_batch_hook_is_refused():
     def scalar(z):
-        return ComplexifiedElement(E1 * float(np.real(z[0]) * np.imag(z[1])), E3 * float(np.abs(z[0])))
+        return ComplexifiedElement(E1 * float(np.real(z[0])), zero(TAG))
 
     def scalar_wirtinger(z, t):
-        return ComplexifiedElement(E3 * float(t + 1), zero(TAG)), ComplexifiedElement(E1 * np.exp(z[t].real), E3 * z[t].imag)
+        return ComplexifiedElement(zero(TAG), zero(TAG)), ComplexifiedElement(E1 * float(t == 0), zero(TAG))
 
-    F = StemFunction(arity=2, tag=TAG, evaluator=scalar, wirtinger_evaluator=scalar_wirtinger)
-    rng = np.random.default_rng(9)
-    Z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-    F1, F2 = evaluate_stem_batch(F, Z)
-    for t in (0, 1):
-        (dz1, dz2), (db1, db2) = wirtinger_batch(F, Z, t)
-        d1, d2 = dbar_batch(F, Z, t)
-        for k, z in enumerate(Z):
-            w, (dz, dzbar) = scalar(z), scalar_wirtinger(z, t)
-            for got, want in ((F1, w.re), (F2, w.im), (dz1, dz.re), (dz2, dz.im), (db1, dzbar.re), (db2, dzbar.im),
-                              (d1, dzbar.re), (d2, dzbar.im)):
-                np.testing.assert_array_equal(got[k], want.coeffs)
-    F1, F2 = evaluate_stem_batch(F, Z[:0])
-    (dz1, dz2), (db1, db2) = wirtinger_batch(F, Z[:0], 0)
-    assert all(a.shape == (0, TAG.dim) for a in (F1, F2, dz1, dz2, db1, db2))
+    with pytest.raises(ValueError, match="batch_evaluator"):
+        StemFunction(arity=2, tag=TAG, evaluator=scalar)
+    with pytest.raises(ValueError, match="batch_evaluator"):
+        StemFunction(arity=2, tag=TAG, evaluator=scalar, wirtinger_evaluator=scalar_wirtinger)
+    with pytest.raises(ValueError, match="batch_wirtinger"):
+        StemFunction(arity=2, tag=TAG, batch_evaluator=_conj_times(E1), wirtinger_evaluator=scalar_wirtinger)
+
+
+def test_scalar_evaluator_beside_batch_evaluator_is_never_called():
+    # conj(z_1) z_2 e1 built like the benchmark's finite-difference stem: a scalar evaluator beside
+    # the batch one and no derivative hook, so every derivative comes from central differences
+    import hyperslice.integral as itg
+    from hyperslice.algebra import unit_from_vector
+    from hyperslice.slicefun import check_slice_regular, lift, lift_evaluate, point_from_z
+
+    def batch(Z):
+        w = np.conj(Z[:, 0]) * Z[:, 1]
+        return np.real(w)[:, None] * E1.coeffs[None, :], np.imag(w)[:, None] * E1.coeffs[None, :]
+
+    F = StemFunction(arity=2, tag=TAG, evaluator=_raise, smoothness=Smoothness.C1, batch_evaluator=batch)
+    z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
+    np.testing.assert_array_equal(evaluate_stem(F, z).re.coeffs, batch(z[None])[0][0])
+    # dbar_1 of conj(z_1) z_2 e1 is z_2 e1, and dbar_2 is 0
+    np.testing.assert_allclose(wirtinger(F, z, 0).dzbar.re.coeffs, -0.1 * E1.coeffs, atol=1e-9)
+    np.testing.assert_allclose(dbar_batch(F, z[None], 1)[0], 0.0, atol=1e-9)
+    assert not is_holomorphic(F).passed and check_intrinsic(F).passed
+    assert not check_slice_regular(lift(F)).passed
+    J = unit_from_vector(TAG, [0.0, 0.6, 0.0, 0.8, 0, 0, 0])
+    dom, x, spec, f = itg.PolydiscDomain(np.zeros(2), np.ones(2), J), point_from_z(z, J), itg.QuadratureSpec(16, 8, 1), lift(F)
+    value = itg.bm_boundary_integral(f, dom, x, spec) - itg.bm_volume_integral(f, dom, x, spec)
+    assert (value - lift_evaluate(f, x)).norm() <= 5e-3
 
 
 EMPTY_DOMAIN_CHECKS = """
