@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Convergence of the boundary integral and of the volume term on the unit bidisc.
+"""Convergence of the boundary integral and of the volume term on the unit bidisc or tridisc.
 
 The boundary table reproduces a fixed degree-3 polynomial at an interior
 point for doubling M.  The volume table reproduces the non-regular stem
 conj(z_1) c as boundary - volume at (M, R) = (32, R) for V = 0..5, with the
-volume rule's node count.  One row per run is printed, and both tables go to
-the standard convergence CSV (M,R,V,abs_error,wall_ms) with two more columns:
-table (boundary or volume) and nodes.
+volume rule's node count.  With --n 3 the domain is the unit tridisc and
+only the boundary table is made, for a fixed cubic at M = 16, 24, 32 and 64
+with R = M/2; its node count is the rule's, 3 M (R M)^2, up to 805,306,368.
+One row per run is printed, and the tables go to the standard convergence
+CSV (M,R,V,abs_error,wall_ms) with two more columns: table (boundary or
+volume) and nodes.
 
 Usage:
     python scripts/convergence_study.py --out convergence.csv
     python scripts/convergence_study.py --algebra quaternion --radial 16
+    python scripts/convergence_study.py --n 3
 """
 
 import argparse
@@ -48,22 +52,28 @@ def main(argv=None) -> int:
     ap.add_argument("--radial", type=int, default=32)
     ap.add_argument("--volume", type=int, default=3)
     ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--n", type=int, choices=(2, 3), default=2, help="number of variables")
     ap.add_argument("--out", default="convergence.csv")
     args = ap.parse_args(argv)
 
     tag = hs.parse_algebra(args.algebra)
     rng = np.random.default_rng(args.seed)
     J = hs.sample_unit_imaginary(tag, rng)
-    dom = hs.PolydiscDomain(np.zeros(2), np.ones(2), J)
-    x = hs.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j]), J)
-    f = hs.lift(
-        hs.stem_polynomial(tag, 2, {(1, 2): hs.one(tag), (1, 0): hs.basis(tag, 3)})
-    )
-    g = hs.lift(_conj_z1_stem(tag, 2, hs.element(tag, rng.standard_normal(tag.dim))))
-
-    runs = [("boundary", hs.reproduce_check, f, hs.QuadratureSpec(M, args.radial, args.volume))
-            for M in (8, 16, 32, 64, 128)]
-    runs += [("volume", hs.correction_check, g, hs.QuadratureSpec(32, args.radial, V)) for V in range(6)]
+    n = args.n
+    dom = hs.PolydiscDomain(np.zeros(n), np.ones(n), J)
+    x = hs.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j, 0.2 - 0.3j][:n]), J)
+    if n == 3:
+        f = hs.lift(hs.stem_polynomial(tag, 3, {(1, 1, 1): hs.one(tag), (1, 0, 0): hs.basis(tag, 3)}))
+        runs = [("boundary", hs.reproduce_check, f, hs.QuadratureSpec(M, M // 2, args.volume))
+                for M in (16, 24, 32, 64)]
+    else:
+        f = hs.lift(
+            hs.stem_polynomial(tag, 2, {(1, 2): hs.one(tag), (1, 0): hs.basis(tag, 3)})
+        )
+        g = hs.lift(_conj_z1_stem(tag, 2, hs.element(tag, rng.standard_normal(tag.dim))))
+        runs = [("boundary", hs.reproduce_check, f, hs.QuadratureSpec(M, args.radial, args.volume))
+                for M in (8, 16, 32, 64, 128)]
+        runs += [("volume", hs.correction_check, g, hs.QuadratureSpec(32, args.radial, V)) for V in range(6)]
     rows = []
     print(f"{'table':>8} {'M':>4} {'R':>4} {'V':>2} {'abs_error':>14} {'nodes':>9} {'wall_ms':>9}")
     for table, check, fn, spec in runs:

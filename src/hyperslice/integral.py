@@ -55,17 +55,20 @@ circle and interior nodes of all n discs, with their weights and distances,
 as (n, M + R M) arrays (_boundary_columns); the tables that depend on the
 spec alone are cached.  A StemPolynomial's face needs no node values: its
 monomial sums factor over the discs (sum factorisation; Orszag, J. Comput.
-Phys. 37, 1980), so a chunk forms only the kernel factor (sum_l d_l)^-n and
-is reduced by one gemm against the last disc's weighted power table; it
-takes 16384 nodes, or fewer outer nodes once its fold's 4T doubles an outer
-node for T terms exceed the last factor's columns.  Any other stem's faces
-are folded over conjugation: the grid is closed under it and an intrinsic
-stem has F(conj xi) = conj F(xi), so each face evaluates the stem at half of
-its circle angles and reduces each node against its own and its mirror's
-coefficient (_pair_sums).  Stem-valued chunks (generic faces and the volume
-rule) hold F1 and F2 at up to 8 doubles a row, so they take 2048 rows in
-either algebra, and write their nodes, kernel factors and coefficients into
-buffers allocated once per call, long axes innermost.
+Phys. 37, 1980) but for the kernel factor K = (sum_l d_l)^-n.  Up to n = 2 a
+chunk forms only K and is reduced by one gemm against the last disc's
+weighted power table; it takes 16384 nodes, or fewer outer nodes once its
+fold's 4T doubles an outer node for T terms exceed the last factor's
+columns.  From n = 3 K is an exponential sum (Beylkin & Monzon, ACHA 28,
+2010), so the faces factor too: one exponential table a disc and no node
+(_separable_faces).  Any other stem's faces are folded over conjugation: the
+grid is closed under it and an intrinsic stem has F(conj xi) = conj F(xi),
+so each face evaluates the stem at half of its circle angles and reduces
+each node against its own and its mirror's coefficient (_pair_sums).
+Stem-valued chunks (generic faces and the volume rule) hold F1 and F2 at up
+to 8 doubles a row, so they take 2048 rows in either algebra, and write
+their nodes, kernel factors and coefficients into buffers allocated once
+per call, long axes innermost.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ class BMReport:
     reproduced: AlgebraElement
     reference: AlgebraElement
     abs_error: float
-    nodes_used: int
+    nodes_used: int  #: the rule's node count, not the values a call forms (n >= 3 polynomial faces form fewer)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +258,20 @@ _CONJUGATE_PAIR = 0.5 * np.array(
 def _monomial_sums(Q_outer: np.ndarray, Q_last: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Moments (2, 2T) of one polynomial chunk: B1 and B2 are the real and imaginary parts of the monomials m = w^mu.
 
-    Disc l's table is Q_l = w_l [P_l; conj P_l] (2T, len), so a node's
-    coefficient times [m; conj m] is the product of its discs' columns times
-    the kernel factor K.  Q_outer (2T, k) is the chunk's outer nodes' fold,
-    Q_last (2T, b) the last disc's columns, which transpose to C order, and K
-    (k, b): G = K Q_last^T sums each outer node's nodes of the chunk, one
-    real gemm through a float view, and summing Q_outer[:, i] G[i] over the
-    outer nodes gives X = sum c m and Y = sum c conj(m).
+    A node's coefficient times [m; conj m] is its discs' columns of
+    _power_tables times the kernel factor K.  Q_outer (2T, k) is the chunk's
+    outer nodes' fold, Q_last (2T, b) the last disc's columns, which transpose
+    to C order, and K (k, b): G = K Q_last^T sums each outer node's nodes of
+    the chunk, one real gemm through a float view, and summing Q_outer[:, i]
+    G[i] over the outer nodes gives X = sum c m and Y = sum c conj(m).
     """
-    T = Q_last.shape[0] // 2
     G = (K @ Q_last.T.view(np.float64)).view(np.complex128)
-    S = np.einsum("ti,it->t", Q_outer, G)
+    return _conjugate_pair(np.einsum("ti,it->t", Q_outer, G))
+
+
+def _conjugate_pair(S: np.ndarray) -> np.ndarray:
+    """Moments (2, 2T), rows Re(c) [Re m | Im m] and Im(c) [Re m | Im m], from S = [X; Y] (2T,) complex, X = sum c m and Y = sum c conj(m)."""
+    T = S.shape[0] // 2
     return (_CONJUGATE_PAIR @ S.view(np.float64).reshape(2, T, 2).transpose(0, 2, 1).reshape(4, T)).reshape(2, 2 * T)
 
 
@@ -434,15 +440,59 @@ def _boundary_columns(dom: PolydiscDomain, x_z: np.ndarray, spec: QuadratureSpec
     return V, W, D
 
 
+def _power_tables(stem: StemPolynomial, V: np.ndarray, W: np.ndarray, fortran_from: int) -> list:
+    """Each disc's weights times its power table, Q_l = w_l [P_l; conj P_l] (2T, M + R M); from disc fortran_from on Fortran-ordered, so column slices transpose to C order."""
+    T, Q = len(stem.exponents), []
+    for l in range(V.shape[0]):
+        Q.append(np.empty((2 * T, V.shape[1]), dtype=np.complex128, order="F" if l >= fortran_from else "C"))
+        # row by row: numpy 2.4 buffers a broadcast product, slowly on a Fortran-ordered table
+        for t, p in enumerate(stem.power_columns(l, V[l])):
+            np.multiply(W[l], p, out=Q[l][t])
+            np.multiply(W[l], np.conj(p), out=Q[l][T + t])
+    return Q
+
+
+def _exponential_sum(n: int, s_min: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights a and rates b (Q,): sum_q a_q exp(-b_q s) is s^-n to about 1e-15 relative on [s_min, s_max].
+
+    The trapezoid rule in u on s^-n = 1/(n-1)! integral exp(n u - s e^u) du (Trefethen & Weideman, SIAM Rev. 56,
+    2014), cut where either tail is below 1e-17; step 0.2 up to n = 4 (0.25 errs 5.7e-14 at n = 3), 0.8/n beyond.
+    """
+    h = 0.8 / max(n, 4)
+    lo = math.log(1e-17 * math.factorial(n)) / n - math.log(s_max)
+    b = np.exp(lo + h * np.arange(math.ceil((math.log(n) + 4.0 - math.log(s_min) - lo) / h) + 1))
+    return h / math.factorial(n - 1) * b**n, b
+
+
+def _separable_faces(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem: StemPolynomial) -> list:
+    """Moments (2, 2T) of a StemPolynomial's faces, face 0 first, forming n Q (M + R M) exponentials within NODE_BUDGET.
+
+    A node's s = sum_l D_l lies in [min_k (r_k - e_k)^2, sum_l (r_l + e_l)^2] for e = |x - c|, positive
+    by INTERIOR_MARGIN, where K = s^-n = sum_q a_q prod_l exp(-b_q D_l) (_exponential_sum).  So disc l's
+    E_l = exp(-b D_l) (Q, M + R M) serves every face: one real gemm each gives its circle and interior sums
+    P_l = Q_l E_l^T (2T, Q), and face k's X = sum c m, Y = sum c conj(m) are (P_k^circle prod_{l!=k} P_l^interior) a.
+    """
+    n, M, circle, interior = dom.n, spec.angular_nodes, [], []
+    e = np.abs(x_z - dom.centers)
+    a, b = _exponential_sum(n, np.min((dom.radii - e) ** 2), np.sum((dom.radii + e) ** 2))
+    _check_budget(n * len(b) * M * (1 + spec.radial_nodes))
+    V, W, D = _boundary_columns(dom, x_z, spec)
+    E = np.empty((len(b), V.shape[1]))
+    for Q, D_l in zip(_power_tables(stem, V, W, 0), D):
+        np.exp(np.multiply.outer(-b, D_l, out=E), out=E)
+        QT = Q.T.view(np.float64)
+        circle.append((E[:, :M] @ QT[:M]).view(np.complex128))
+        interior.append((E[:, M:] @ QT[M:]).view(np.complex128))
+    return [_conjugate_pair(a @ functools.reduce(np.multiply, [circle[k]] + interior[:k] + interior[k + 1 :])) for k in range(n)]
+
+
 def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem=None):
     """Every boundary face's chunks, face 0 first, from one build of the discs' columns (_boundary_columns).
 
     Face k is the circle of disc k times the other discs' interiors.  A
-    StemPolynomial's faces are laid out in disc order: disc l's weights and
-    power table over all its columns (from power_columns) are one table
-    Q_l = w_l [P_l; conj P_l] (2T, M + R M), which each face slices, and it
-    yields (Q_outer, Q_last, K) per chunk, the pieces _monomial_sums reduces:
-    no node, monomial or coefficient is formed.
+    StemPolynomial's faces (up to n = 2) are laid out in disc order, each
+    slicing the discs' _power_tables, and it yields (Q_outer, Q_last, K) per
+    chunk, the pieces _monomial_sums reduces: no node or monomial is formed.
 
     Any other stem's faces are folded over conjugation.  The grid is closed
     under it (real centers), so face k takes only the circle angles
@@ -459,15 +509,7 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
     n, M = dom.n, spec.angular_nodes
     V, W, D = _boundary_columns(dom, x_z, spec)
     if isinstance(stem, StemPolynomial):
-        T = len(stem.exponents)
-        Q = []
-        for l in range(n):
-            # the last disc's in Fortran order, so a chunk's columns of it transpose to C order
-            Q.append(np.empty((2 * T, V.shape[1]), dtype=np.complex128, order="F" if l == n - 1 else "C"))
-            # row by row: numpy 2.4 buffers a broadcast product, slowly on the Fortran-ordered table
-            for t, p in enumerate(stem.power_columns(l, V[l])):
-                np.multiply(W[l], p, out=Q[l][t])
-                np.multiply(W[l], np.conj(p), out=Q[l][T + t])
+        T, Q = len(stem.exponents), _power_tables(stem, V, W, n - 1)
         S, K = _kernel_buffers(n, CHUNK_DOUBLES)
         for k in range(n):
             cols = [slice(None, M) if l == k else slice(M, None) for l in range(n)]
@@ -525,7 +567,10 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
 
 def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     _check_point(f, dom, x)
-    count = _check_budget(_boundary_count(dom.n, spec))
+    count = _boundary_count(dom.n, spec)
+    if isinstance(f.stem, StemPolynomial) and dom.n >= 3:
+        return (*_reduce(dom.j, _separable_faces(dom, spec, x.z, f.stem), f.stem.coefficients), count)
+    _check_budget(count)
     # a chunk is reduced before the generator refills the call's buffers with the next
     chunks = _face_nodes(dom, spec, x.z, f.stem)
     if isinstance(f.stem, StemPolynomial):

@@ -1,6 +1,7 @@
 """Boundary and volume quadrature on polydiscs in a slice plane."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -523,20 +524,43 @@ def test_node_budget_rejects_n3_volume_before_allocating():
         itg.bm_volume_integral(f, dom, x, SPEC)
 
 
+def _unreachable(*args):
+    raise AssertionError("a face's nodes or tables were built")
+
+
 def test_node_budget_counts_every_boundary_face(monkeypatch):
     # each face of an n = 3, (32,16) call has 32 x 512^2 = 8,388,608 nodes,
-    # under the budget alone; the call's three faces together are over it
-    # a polynomial's boundary rule evaluates no nodes one by one, so the
-    # guard is on building a face's chunks at all
-    def unreachable(*args):
-        raise AssertionError("a face's nodes were built")
-
-    monkeypatch.setattr(itg, "_face_nodes", unreachable)
+    # under the budget alone; the call's three faces together are over it.
+    # A generic stem's faces are streamed node by node, so the guard is on
+    # building a face's chunks at all
+    monkeypatch.setattr(itg, "_face_nodes", _unreachable)
     dom = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
     x = sf.point_from_z(np.full(3, 0.2 + 0.1j), J)
-    f = sf.lift(stm.constant_poly(TAG, 3, E0))
+    p = stm.constant_poly(TAG, 3, E0)
+    generic = sf.SliceFunction(stm.StemFunction(arity=3, tag=TAG, batch_evaluator=p.batch_evaluator))
     with pytest.raises(ValueError, match=str(3 * 32 * 512**2)):
-        itg.bm_boundary_integral(f, dom, x, itg.QuadratureSpec(32, 16, 1))
+        itg.bm_boundary_integral(generic, dom, x, itg.QuadratureSpec(32, 16, 1))
+
+
+def test_node_budget_counts_separable_exponentials(monkeypatch):
+    # a polynomial's n >= 3 faces form n Q (M + R M) exponentials, Q the
+    # exponential sum's terms; at (512,256) they are over the budget, and the
+    # call raises before any disc's tables are built
+    monkeypatch.setattr(itg, "_boundary_columns", _unreachable)
+    rates = []
+    exponential_sum = itg._exponential_sum
+
+    def recorded(*args):
+        a, b = exponential_sum(*args)
+        rates.append(len(b))
+        return a, b
+
+    monkeypatch.setattr(itg, "_exponential_sum", recorded)
+    dom, x = _tridisc_bm()
+    with pytest.raises(ValueError, match="exceeds the budget") as raised:
+        itg.bm_boundary_integral(sf.lift(stm.constant_poly(TAG, 3, E0)), dom, x, itg.QuadratureSpec(512, 256, 1))
+    assert len(rates) == 1 and 50 < rates[0] < 200
+    assert str(3 * rates[0] * 512 * 257) in str(raised.value)
 
 
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
@@ -571,11 +595,14 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
     # 32 pyramid points x 8 x 8 angles: 125 outer nodes of 8 angles to a
     # chunk, and each chunk is reduced once per axis
     assert spans == [1000, 1000, 1000, 1000, 48, 48]
+    # a polynomial's n = 3 faces are separable and form no chunks, so the
+    # n = 3 case takes its stem as a generic one, whose faces are chunked
     p3 = stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3})
+    generic3 = sf.SliceFunction(stm.StemFunction(arity=3, tag=TAG, batch_evaluator=p3.batch_evaluator))
     cases = [
         (itg.bm_boundary_dual, sf.lift(stm.stem_polynomial(TAG, 2, {(1, 2): E0, (2, 0): E3})),
          _bidisc(), _x2(), itg.QuadratureSpec(32, 16, 1)),
-        (itg.bm_boundary_dual, sf.lift(p3), itg.PolydiscDomain(np.zeros(3), np.ones(3), J),
+        (itg.bm_boundary_dual, generic3, itg.PolydiscDomain(np.zeros(3), np.ones(3), J),
          sf.point_from_z(np.array([0.2 + 0.1j, -0.3j, 0.15]), J), itg.QuadratureSpec(8, 4, 1)),
         (lambda *args: itg._bm_volume_both(*args)[:2], sf.lift(_conj_z1_stem(TAG, 2, E1 + 0.5 * E3)),
          _bidisc(), _x2(), itg.QuadratureSpec(16, 8, 1)),
@@ -626,10 +653,11 @@ def test_polynomial_boundary_matches_generic_stem(monkeypatch, chunk, arities):
     # stem, the same polynomial is evaluated at every chunk's nodes.  The two
     # agree to rounding whatever the chunk layouts.  chunk is a stem-valued
     # chunk's rows, and a polynomial chunk takes 8x as many nodes: at 2048
-    # every face here is one polynomial chunk, an n <= 2 face one generic
-    # chunk and an n = 3 generic chunk 51 outer nodes against the last disc;
-    # at 30 the generic rule slices the n = 1 circle and every last disc; at
-    # 4 the polynomial rule does too
+    # every n <= 2 face here is one polynomial chunk and one generic chunk,
+    # and an n = 3 generic chunk 51 outer nodes against the last disc (n = 3
+    # polynomial faces are separable and not chunked); at 30 the generic rule
+    # slices the n = 1 circle and every last disc; at 4 the polynomial rule
+    # does too
     monkeypatch.setattr(itg, "CHUNK_DOUBLES", chunk * itg.STEM_ROW_DOUBLES)
     rng = np.random.default_rng(17)
     specs = {1: itg.QuadratureSpec(64, 8, 1), 2: itg.QuadratureSpec(16, 8, 1), 3: itg.QuadratureSpec(8, 5, 1)}
@@ -820,8 +848,6 @@ def test_polynomial_chunks_fill_the_bound(monkeypatch):
         (QUATERNION, 2, (32, 16, 1), 2),
         # (64,32): two faces of 131,072 nodes, 8 chunks of 8 outer nodes each
         (OCTONION, 2, (64, 32, 1), 16),
-        # n = 3, (16,8): three faces of 262,144 nodes, 16 chunks each
-        (OCTONION, 3, (16, 8, 1), 48),
     ]
     for tag, n, spec, chunks in cases:
         dom, x = _ragged(n, alg.sample_unit_imaginary(tag, np.random.default_rng(3)))
@@ -843,8 +869,8 @@ def test_polynomial_chunks_fill_the_bound(monkeypatch):
 def test_polynomial_chunks_bound_the_outer_fold(monkeypatch, terms):
     # Q_outer holds 4T doubles an outer node and K one a node, so a chunk's
     # outer nodes are cut until both fit CHUNK_DOUBLES; uncut, a 20-term
-    # stem's Q_outer held 40,960 doubles at n = 2 (32,16) and 81,920 at
-    # n = 3 (16,8).  The result still matches the generic path
+    # stem's Q_outer held 40,960 doubles at n = 2 (32,16).  The result still
+    # matches the generic path.  n >= 3 faces are separable and form no chunks
     seen = []
     sums = itg._monomial_sums
 
@@ -854,20 +880,15 @@ def test_polynomial_chunks_bound_the_outer_fold(monkeypatch, terms):
 
     monkeypatch.setattr(itg, "_monomial_sums", recorded)
     rng = np.random.default_rng(terms)
-    for n, spec in ((2, itg.QuadratureSpec(32, 16, 1)), (3, itg.QuadratureSpec(16, 8, 1))):
-        dom, x = _ragged(n)
-        mus = set()
-        while len(mus) < terms:
-            mus.add(tuple(int(m) for m in rng.integers(0, 5 if n == 2 else 3, n)))
-        p = stm.stem_polynomial(TAG, n, {mu: rng.standard_normal(TAG.dim) for mu in sorted(mus)})
-        seen.clear()
-        got = itg.bm_boundary_dual(sf.lift(p), dom, x, spec)
-        assert seen and all(shape[0] == 2 * terms for shape, _ in seen)
-        assert max(4 * terms * shape[1] for shape, _ in seen) <= itg.CHUNK_DOUBLES
-        assert max(size for _, size in seen) <= itg.CHUNK_DOUBLES
-        generic = sf.SliceFunction(stm.StemFunction(arity=n, tag=TAG, batch_evaluator=p.batch_evaluator))
-        for a, b in zip(got, itg.bm_boundary_dual(generic, dom, x, spec)):
-            assert (a - b).norm() <= 1e-14 * (1.0 + b.norm()), (n, terms)
+    dom, x = _ragged(2)
+    p = _many_terms(rng, TAG, 2, terms)
+    got = itg.bm_boundary_dual(sf.lift(p), dom, x, itg.QuadratureSpec(32, 16, 1))
+    assert seen and all(shape[0] == 2 * terms for shape, _ in seen)
+    assert max(4 * terms * shape[1] for shape, _ in seen) <= itg.CHUNK_DOUBLES
+    assert max(size for _, size in seen) <= itg.CHUNK_DOUBLES
+    generic = sf.SliceFunction(stm.StemFunction(arity=2, tag=TAG, batch_evaluator=p.batch_evaluator))
+    for a, b in zip(got, itg.bm_boundary_dual(generic, dom, x, itg.QuadratureSpec(32, 16, 1))):
+        assert (a - b).norm() <= 1e-14 * (1.0 + b.norm()), terms
 
 
 @pytest.mark.parametrize("path", ["polynomial", "generic"])
@@ -1044,6 +1065,14 @@ def _streamed(chunks):
     return Z, np.concatenate([C for _, C in parts], axis=-1), [C.shape[-1] for _, C in parts]
 
 
+def _many_terms(rng, tag, n, terms):
+    """terms distinct monomials, each exponent below 5 at n = 2 and below 3 otherwise, with random coefficients."""
+    mus = set()
+    while len(mus) < terms:
+        mus.add(tuple(int(m) for m in rng.integers(0, 5 if n == 2 else 3, n)))
+    return stm.stem_polynomial(tag, n, {mu: rng.standard_normal(tag.dim) for mu in sorted(mus)})
+
+
 def _random_cubic(rng, tag, n):
     """Four terms of degree at most 3, one of them with every exponent 1."""
     terms = {(1,) * n: element(tag, rng.standard_normal(tag.dim))}
@@ -1061,12 +1090,15 @@ def _check_rules_against_meshgrid(dom, x, spec):
     circle angles 0..M//2 against the other discs in disc order, with the
     coefficients of each node and of its mirror (_folded_face_reference).
     A polynomial's faces are checked for T = 0, 1 and 4 terms, in disc
-    order: spread, Q_outer Q_last K is c [w^mu; conj(w^mu)] at every node,
-    and a face's chunks are whole blocks of its last factor, as many outer
-    nodes as cap = CHUNK_DOUBLES * b // max(b, 4T) nodes allow for
+    order, against c [w^mu; conj(w^mu)] at every node.  Up to n = 2 they
+    are chunked: spread, Q_outer Q_last K is that table, and a face's
+    chunks are whole blocks of its last factor, as many outer nodes as
+    cap = CHUNK_DOUBLES * b // max(b, 4T) nodes allow for
     b = min(last, CHUNK_DOUBLES), or, when the last factor alone exceeds
     cap, one outer node against cap-wide slices of it: neither K (1 double
-    a node) nor Q_outer (4T an outer node) exceeds CHUNK_DOUBLES.
+    a node) nor Q_outer (4T an outer node) exceeds CHUNK_DOUBLES.  From
+    n = 3 they are separable, and face k's moments are the table's sum
+    over the face, to 1e-14 of the sum of its magnitudes.
     """
     stem_rows = itg.CHUNK_DOUBLES // itg.STEM_ROW_DOUBLES
     n, M, R = dom.n, spec.angular_nodes, spec.radial_nodes
@@ -1079,6 +1111,18 @@ def _check_rules_against_meshgrid(dom, x, spec):
     cubic = _random_cubic(np.random.default_rng(n), TAG, n)
     faces = [_face_reference(dom, x, spec, k) for k in range(n)]
     for p in [cubic - cubic, stm.coordinate(TAG, n, n - 1), cubic]:
+        V_ref = []
+        for Z_face, c_face in faces:
+            m_ref = np.prod(Z_face[:, None, :] ** p.exponents[None], axis=2).T
+            V_ref.append(c_face * np.vstack((m_ref, np.conj(m_ref))))
+        if n >= 3:
+            parts = itg._separable_faces(dom, spec, x.z, p)
+            assert len(parts) == n
+            for got, V_face in zip(parts, V_ref):
+                assert got.shape == (2, 2 * len(p.exponents))
+                scale = np.abs(V_face).sum(axis=1).max(initial=0.0)
+                np.testing.assert_allclose(got, itg._conjugate_pair(V_face.sum(axis=1)), rtol=0, atol=1e-14 * scale)
+            continue
         four_t = 4 * len(p.exponents)
         V, shapes = [], []
         for Q_outer, Q_last, K in itg._face_nodes(dom, spec, x.z, p):
@@ -1100,10 +1144,6 @@ def _check_rules_against_meshgrid(dom, x, spec):
             shapes = shapes[len(want) :]
         assert shapes == []
         V = np.concatenate(V, axis=1)
-        V_ref = []
-        for Z_face, c_face in faces:
-            m_ref = np.prod(Z_face[:, None, :] ** p.exponents[None], axis=2).T
-            V_ref.append(c_face * np.vstack((m_ref, np.conj(m_ref))))
         V_ref = np.concatenate(V_ref, axis=1)
         assert V.shape == V_ref.shape == (2 * len(p.exponents), sum(len(Z_face) for Z_face, _ in faces))
         np.testing.assert_allclose(V, V_ref, rtol=1e-14, atol=0)
@@ -1174,10 +1214,13 @@ def test_quadrature_memory_stays_chunk_sized():
     from hyperslice.suites import _conj_z1_stem
 
     # 786,432 boundary nodes at n = 3 and 131,072 volume nodes at n = 2;
-    # building either grid whole takes 52 MB and 18 MB
+    # building either grid whole takes 52 MB and 18 MB.  A polynomial's
+    # n = 3 faces are separable (test_separable_call_reaches_the_default_spec),
+    # so the boundary grid is streamed for its stem taken as a generic one
     dom3 = itg.PolydiscDomain(np.zeros(3), np.ones(3), J)
     x3 = sf.point_from_z(np.array([0.2 + 0.1j, -0.3j, 0.15]), J)
-    f3 = sf.lift(stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3}))
+    p3 = stm.stem_polynomial(TAG, 3, {(1, 0, 2): E1, (0, 1, 0): E0, (2, 1, 1): E3})
+    f3 = sf.SliceFunction(stm.StemFunction(arity=3, tag=TAG, batch_evaluator=p3.batch_evaluator))
     peak = _traced_peak_mb(lambda: itg.bm_boundary_integral(f3, dom3, x3, itg.QuadratureSpec(16, 8, 1)))
     assert peak <= 8.0, f"n=3 boundary peak {peak:.1f} MB"
     g = sf.lift(_conj_z1_stem(TAG, 2, E1))
@@ -1199,12 +1242,115 @@ def test_polynomial_chunks_hold_one_kernel_factor():
         assert got[0] is K
         np.testing.assert_array_equal(K[0], want)
         assert peak * 2**20 <= 8192, n
-    # whole polynomial calls of 2, 16 and 48 chunks stay within 1.5 MB
-    for n, spec in [(2, (32, 16, 1)), (2, (64, 32, 1)), (3, (16, 8, 1))]:
+    # whole polynomial calls of 2 and 16 chunks stay within 1.5 MB
+    for n, spec in [(2, (32, 16, 1)), (2, (64, 32, 1))]:
         dom, x = _ragged(n)
         f = sf.lift(_random_cubic(np.random.default_rng(5), TAG, n))
         peak = _traced_peak_mb(lambda: itg.bm_boundary_integral(f, dom, x, itg.QuadratureSpec(*spec)))
         assert peak <= 1.5, f"n={n} {spec} peak {peak:.2f} MB"
+
+
+def _tridisc_bm(j=J):
+    """The unit tridisc and the bm suite's point with a third coordinate, 0.2 - 0.3i."""
+    dom = itg.PolydiscDomain(np.zeros(3), np.ones(3), j)
+    return dom, sf.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j, 0.2 - 0.3j]), j)
+
+
+def _tridisc_cubic():
+    """The octonion 4-term cubic of the convergence baseline, lifted."""
+    from hyperslice.suites import random_polynomial
+
+    return sf.lift(random_polynomial(TAG, 3, 3, np.random.default_rng(0), terms=4))
+
+
+def _chunked_boundary(p, dom, x, spec):
+    """Both routes of a polynomial's boundary rule from its chunked faces, at any n."""
+    chunks = itertools.starmap(itg._monomial_sums, itg._face_nodes(dom, spec, x.z, p))
+    return itg._reduce(dom.j, chunks, p.coefficients)[:2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("s_range", [(0.0025, 20.0), (0.01, 3.0), (0.3, 5.0)])
+def test_exponential_sum_is_accurate(n, s_range):
+    # sum_q a_q exp(-b_q s) against s^-n in extended precision over the
+    # range; a step of 0.25 reaches only 5.7e-14 at n = 3 and 4.8e-13 at n = 4
+    a, b = itg._exponential_sum(n, *s_range)
+    s = np.geomspace(*s_range, 2001)
+    want = 1.0 / np.power(s.astype(np.longdouble), n)
+    err = float(np.max(np.abs((np.exp(-np.outer(s, b)) @ a - want) / want)))
+    assert err <= (1e-15 if n <= 4 else 2e-15), err
+
+
+@pytest.mark.parametrize("spec", [(16, 8, 1), (24, 12, 1)])
+def test_separable_faces_match_chunked_faces(spec):
+    # from n = 3 a polynomial's faces are per-disc sums against the
+    # exponential sum of K; the chunked faces spread K itself.  They agree
+    # to 1e-14 (1 + |v|) for T = 1, 4 and 20 terms and a constant, at the
+    # bm point and at a point on the interior margin
+    spec = itg.QuadratureSpec(*spec)
+    rng = np.random.default_rng(28)
+    for tag in (OCTONION, QUATERNION):
+        Jt = alg.sample_unit_imaginary(tag, rng)
+        dom, bm = _tridisc_bm(Jt)
+        margin = sf.point_from_z(np.array([1.0 - itg.INTERIOR_MARGIN, 0.3j, -0.2 + 0.1j]), Jt)
+        constant = stm.constant_poly(tag, 3, one(tag))
+        polys = [constant, _many_terms(rng, tag, 3, 1), _random_cubic(rng, tag, 3), _many_terms(rng, tag, 3, 20)]
+        for x, p in itertools.product((bm, margin), polys):
+            got = itg.bm_boundary_dual(sf.lift(p), dom, x, spec)
+            for a, b in zip(got, _chunked_boundary(p, dom, x, spec)):
+                assert (a - b).norm() <= 1e-14 * (1.0 + b.norm()), (tag, x.z, len(p.exponents))
+        # f = 1 calibrates to 1
+        assert (itg.bm_boundary_integral(sf.lift(constant), dom, bm, spec) - one(tag)).norm() <= 1e-5
+
+
+def test_separable_faces_build_each_table_once(monkeypatch):
+    # an n = 3 polynomial call reduces no chunk: one build of the discs'
+    # columns, power tables and exponential sum, and one moment array a face
+    counts = {name: _counting(monkeypatch, name) for name in (
+        "_boundary_columns", "_power_tables", "_exponential_sum", "_conjugate_pair",
+        "_monomial_sums", "_pair_sums", "_kernel_factor")}
+    dom, x = _tridisc_bm()
+    itg.bm_boundary_dual(_tridisc_cubic(), dom, x, itg.QuadratureSpec(16, 8, 1))
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "_boundary_columns": 1, "_power_tables": 1, "_exponential_sum": 1, "_conjugate_pair": 3,
+        "_monomial_sums": 0, "_pair_sums": 0, "_kernel_factor": 0}
+
+
+def test_separable_faces_reproduce_the_lift(monkeypatch):
+    # n = 3 at (32,16), 25,165,824 rule nodes: the chunked faces could not
+    # reach it within the budget.  One weight of the exponential sum scaled
+    # by 1 + 1e-8, the one that weighs most at s = 1, fails the bound
+    dom, x = _tridisc_bm()
+    f = _tridisc_cubic()
+    spec = itg.QuadratureSpec(32, 16, 1)
+    assert itg.reproduce_check(f, dom, x, spec).abs_error <= 1e-11
+    exponential_sum = itg._exponential_sum
+
+    def perturbed(*args):
+        a, b = exponential_sum(*args)
+        a[np.argmax(a * np.exp(-b))] *= 1.0 + 1e-8
+        return a, b
+
+    monkeypatch.setattr(itg, "_exponential_sum", perturbed)
+    assert itg.reproduce_check(f, dom, x, spec).abs_error > 1e-11
+
+
+def test_separable_call_reaches_the_default_spec(monkeypatch):
+    # n = 3 at the default (64,32) has 805,306,368 rule nodes, which
+    # nodes_used still reports; the call builds no chunk and one (Q, 2,112)
+    # exponential table, refilled for each disc, and stays within the 8 MB
+    # bound of test_quadrature_memory_stays_chunk_sized.  At (16,8) it stays
+    # within 1.5 MB
+    monkeypatch.setattr(itg, "_face_nodes", _unreachable)
+    dom, x = _tridisc_bm()
+    f = _tridisc_cubic()
+    reports = []
+    peak = _traced_peak_mb(lambda: reports.append(itg.reproduce_check(f, dom, x, SPEC)))
+    assert reports[0].nodes_used == 3 * 64 * 2048**2
+    assert reports[0].abs_error <= 1e-12
+    assert peak <= 8.0, f"(64,32) peak {peak:.2f} MB"
+    peak = _traced_peak_mb(lambda: itg.bm_boundary_integral(f, dom, x, itg.QuadratureSpec(16, 8, 1)))
+    assert peak <= 1.5, f"(16,8) peak {peak:.2f} MB"
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():

@@ -29,6 +29,21 @@ def test_convergence_study_volume_table(tmp_path, capsys):
     assert all(a < b for a, b in zip(nodes, nodes[1:])), nodes
 
 
+def test_convergence_study_tridisc_table(tmp_path, capsys):
+    # n = 3 reaches the default (64,32) spec, 805,306,368 rule nodes
+    out = tmp_path / "conv3.csv"
+    assert _load("convergence_study").main(["--n", "3", "--out", str(out)]) == 0
+    assert "volume" not in capsys.readouterr().out
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["M"]), int(r["R"])) for r in rows] == [(16, 8), (24, 12), (32, 16), (64, 32)]
+    assert {r["table"] for r in rows} == {"boundary"}
+    assert [int(r["nodes"]) for r in rows] == [3 * M * (M * M // 2) ** 2 for M in (16, 24, 32, 64)]
+    errs = [float(r["abs_error"]) for r in rows]
+    assert all(a > b for a, b in zip(errs, errs[1:])), errs
+    assert errs[-1] <= 1e-12, errs
+
+
 def test_convergence_csv_schema(tmp_path):
     rows = [
         {"M": 16, "R": 32, "V": 3, "abs_error": 1e-7, "wall_ms": 12.5},
