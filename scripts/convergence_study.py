@@ -4,12 +4,14 @@
 The boundary table reproduces a fixed degree-3 polynomial at an interior
 point for doubling M.  The volume table reproduces the non-regular stem
 conj(z_1) c as boundary - volume at (M, R) = (32, R) for V = 0..5, with the
-volume rule's node count.  With --n 3 the domain is the unit tridisc and
+volume rule's node count, once with the stem's exact dbar hook (rows
+"volume") and once with it dropped (rows "volume_fd"), where the volume rule
+differences the stem along each node's direction.  With --n 3 the domain is the unit tridisc and
 only the boundary table is made, for a fixed cubic at M = 16, 24, 32 and 64
 with R = M/2; its node count is the rule's, 3 M (R M)^2, up to 805,306,368.
 One row per run is printed, and the tables go to the standard convergence
-CSV (M,R,V,abs_error,wall_ms) with two more columns: table (boundary or
-volume) and nodes.
+CSV (M,R,V,abs_error,wall_ms) with two more columns: table (boundary,
+volume or volume_fd) and nodes.
 
 Usage:
     python scripts/convergence_study.py --out convergence.csv
@@ -70,12 +72,15 @@ def main(argv=None) -> int:
         f = hs.lift(
             hs.stem_polynomial(tag, 2, {(1, 2): hs.one(tag), (1, 0): hs.basis(tag, 3)})
         )
-        g = hs.lift(_conj_z1_stem(tag, 2, hs.element(tag, rng.standard_normal(tag.dim))))
+        g = _conj_z1_stem(tag, 2, hs.element(tag, rng.standard_normal(tag.dim)))
+        g_fd = hs.StemFunction(arity=2, tag=tag, smoothness=hs.Smoothness.C1, batch_evaluator=g.batch_evaluator,
+                               domain=g.domain)
         runs = [("boundary", hs.reproduce_check, f, hs.QuadratureSpec(M, args.radial, args.volume))
                 for M in (8, 16, 32, 64, 128)]
-        runs += [("volume", hs.correction_check, g, hs.QuadratureSpec(32, args.radial, V)) for V in range(6)]
+        for table, stem in (("volume", g), ("volume_fd", g_fd)):
+            runs += [(table, hs.correction_check, hs.lift(stem), hs.QuadratureSpec(32, args.radial, V)) for V in range(6)]
     rows = []
-    print(f"{'table':>8} {'M':>4} {'R':>4} {'V':>2} {'abs_error':>14} {'nodes':>9} {'wall_ms':>9}")
+    print(f"{'table':>9} {'M':>4} {'R':>4} {'V':>2} {'abs_error':>14} {'nodes':>9} {'wall_ms':>9}")
     for table, check, fn, spec in runs:
         t0 = time.perf_counter()
         rep = check(fn, dom, x, spec)
@@ -83,7 +88,7 @@ def main(argv=None) -> int:
         M, R, V = spec.angular_nodes, spec.radial_nodes, spec.volume_refinement
         rows.append({"M": M, "R": R, "V": V, "abs_error": rep.abs_error, "wall_ms": wall_ms,
                      "table": table, "nodes": rep.nodes_used})
-        print(f"{table:>8} {M:>4} {R:>4} {V:>2} {rep.abs_error:>14.3e} {rep.nodes_used:>9} {wall_ms:>9.1f}")
+        print(f"{table:>9} {M:>4} {R:>4} {V:>2} {rep.abs_error:>14.3e} {rep.nodes_used:>9} {wall_ms:>9.1f}")
 
     write_convergence_csv(args.out, rows, extra=("table", "nodes"))
     print(f"wrote {args.out}")

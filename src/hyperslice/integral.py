@@ -30,17 +30,29 @@ Jacobian cancels the |xi - x|^{1-2n} singularity of the kernel, so
 Gauss-Legendre in the pyramid coordinates and the trapezoid rule in the
 angles converge fast, and no node lands on x.
 
-One pass sums every integral directly in the algebra and componentwise over
-the F_J^k, a stem value F1 + i F2 that must agree with the direct route to
-1e-12 once lifted to F1 + J F2; off-slice evaluation lifts it to F1 + I F2.
-Both routes are linear in the stem's values, so a chunk contributes only its
-four real moments [Re c; Im c] @ [B1 | B2], a (2, 2 width) array, where
+The rules return one thing, the stem value w = F1 + i F2 of the integral,
+and every entry point lifts it: to F1 + J F2 on the domain's slice, to
+F1 + I F2 off it (lift_value).  A rule is linear in the stem's values, so a
+chunk contributes only its complex sum X = sum c (B1 + i B2) (width,), where
 F1 = B1 A and F2 = B2 A for a (width, dim) matrix A: a generic stem's values
-and the volume rule's dbar F are B = F with A the identity (with no dbar
-hook, the moments of F's stencil evaluations are differenced), a
-StemPolynomial's are the real and imaginary parts of its monomials w^mu with
-A its coefficients.  Both rules sum the moments in chunk order and finish
-them once per call, contracting A once; a call is held to NODE_BUDGET nodes.
+and the volume rule's dbar F are B = F with A the identity, a
+StemPolynomial's B1 + i B2 are its monomials w^mu with A its coefficients.
+Both rules sum X in chunk order and contract A once per call (_reduce); a
+call is held to NODE_BUDGET nodes.  The algebra-valued formula,
+(Re c + J Im c)(F1 + J F2) summed node by node, is the same number by
+alternativity and is left to the tests.
+
+The volume term's integrand is sum_j c_j dbar_j F at a node with
+coefficients c_j.  A stem with an exact dbar hook is read per axis.  Any
+other stem is differenced once, along the node's own direction: by the
+Wirtinger chain rule (Krantz, Function Theory of Several Complex Variables,
+1.1), sum_j c_j dbar_j F(xi) = |c| d/d(tbar) F(xi + t v) at t = 0 for the
+unit v = conj(c)/|c|, so one 4-point stencil (xi +- h v, xi +- i h v) at
+DEFAULT_FD_STEP, weighted by |c|/(4h), gives the whole sum: 4 stem calls a
+chunk, not 4 per axis.  The stencil yields only the complex products
+c_j dbar_j F, never the four real sums of Re c_j and Im c_j against F1 and
+F2 apart that lifting c to Re c + J Im c before multiplying would read, so
+it needs the rules to finish on the stem value alone.
 
 Nodes are streamed along the grid's tensor structure.  A grid is only its
 per-factor tables, and a chunk is a few outer nodes, folded once per chunk,
@@ -58,13 +70,14 @@ monomial sums factor over the discs (sum factorisation; Orszag, J. Comput.
 Phys. 37, 1980) but for the kernel factor K = (sum_l d_l)^-n.  Up to n = 2 a
 chunk forms only K and is reduced by one gemm against the last disc's
 weighted power table; it takes 16384 nodes, or fewer outer nodes once its
-fold's 4T doubles an outer node for T terms exceed the last factor's
+fold's 2T doubles an outer node for T terms exceed the last factor's
 columns.  From n = 3 K is an exponential sum (Beylkin & Monzon, ACHA 28,
 2010), so the faces factor too: one exponential table a disc and no node
 (_separable_faces).  Any other stem's faces are folded over conjugation: the
 grid is closed under it and an intrinsic stem has F(conj xi) = conj F(xi),
 so each face evaluates the stem at half of its circle angles and reduces
-each node against its own and its mirror's coefficient (_pair_sums).
+F1 against the sum s = c + c' of each node's and its mirror's coefficient,
+and F2 against their difference t = c - c' (_stem_sums).
 Stem-valued chunks (generic faces and the volume rule) hold F1 and F2 at up
 to 8 doubles a row, so they take 2048 rows in either algebra, and write
 their nodes, kernel factors and coefficients into buffers allocated once
@@ -81,14 +94,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    ImaginaryUnit,
-    canonicalize_unit,
-    element,
-    left_mult_matrix,
-    units_close,
-)
+from .algebra import AlgebraElement, AlgebraTag, ImaginaryUnit, canonicalize_unit, element, units_close
 from .complexified import ComplexifiedElement
 from .slicefun import IntrinsicityError, SliceFunction, SlicePoint, lift_evaluate, lift_value, slice_point
 from .stem import Smoothness, StemPolynomial, _box, dbar_batch, evaluate_stem_batch
@@ -101,7 +107,6 @@ __all__ = [
     "QuadratureSpec",
     "BMReport",
     "bm_boundary_integral",
-    "bm_boundary_dual",
     "bm_volume_integral",
     "off_slice_evaluate",
     "HartogsExtension",
@@ -111,7 +116,6 @@ __all__ = [
 ]
 
 INTERIOR_MARGIN = 0.05
-ROUTE_AGREEMENT_TOL = 1e-12
 # doubles one per-node array of a chunk may hold (128 KiB); a rule divides it
 # by the doubles its widest per-node array holds per row
 CHUNK_DOUBLES = 1 << 14
@@ -202,91 +206,44 @@ class BMReport:
 # shared plumbing
 
 
-def _reduce(j: ImaginaryUnit, parts, A: np.ndarray | None = None, scale: float = 1.0):
-    """Sum the chunks' moments in order, then finish: direct, s lifted to Re(s) + J Im(s), s as Re(s) + i Im(s).
+def _reduce(tag: AlgebraTag, parts, A: np.ndarray | None = None, scale: float = 1.0) -> ComplexifiedElement:
+    """The stem value scale * (sum X) A: the chunks' complex sums X (width,) added in chunk order, A (width, dim) read once.
 
-    A (width, dim) defaults to the identity.  So a result depends on the chunk
-    layout (and so on CHUNK_DOUBLES) and nothing else.
+    A defaults to the identity.  So a result depends on the chunk layout (and
+    so on CHUNK_DOUBLES) and nothing else.
     """
-    A = np.eye(j.tag.dim) if A is None else A
-    moments = np.zeros((2, 2 * A.shape[0]))
+    A = np.eye(tag.dim) if A is None else A
+    X = np.zeros(A.shape[0], dtype=np.complex128)
     for part in parts:
-        moments += part
-    direct, comp = _finish(moments, A, np.ascontiguousarray(left_mult_matrix(j.value).T))
-    w = ComplexifiedElement(element(j.tag, scale * np.real(comp)), element(j.tag, scale * np.imag(comp)))
-    return element(j.tag, scale * direct), lift_value(w, j), w
+        X += part
+    F1, F2 = scale * (np.stack((X.real, X.imag)) @ A)
+    return ComplexifiedElement(element(tag, F1), element(tag, F2))
 
 
-def _finish(moments: np.ndarray, A: np.ndarray, LJT: np.ndarray):
-    """Direct and componentwise sums (dim,) of c (F1 + i F2) from the summed moments (2, 2 width); A is read once.
+def _stem_sums(s: np.ndarray, t: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum s F1 + i sum t F2 (dim,) over one chunk, for coefficients s, t as [Re; Im] rows (2, rows) and F1, F2 (rows, dim).
 
-    Rows RR, RI, IR, II of the moments times A are the sums of Re(c) F1,
-    Re(c) F2, Im(c) F1 and Im(c) F2.  The direct route lifts F to F1 + J F2
-    and applies c as Re(c) + J Im(c), both by left multiplication with J (LJT
-    is its matrix, transposed): S0 = RR A + RI A LJT, S1 = IR A + II A LJT and
-    direct = S0 + S1 LJT.  The componentwise route is (RR - II) A + i (IR + RI) A.
+    With s = t = c it is sum c (F1 + i F2).  A folded face passes s = c + c'
+    and t = c - c' for each evaluated node's and its mirror's coefficient: an
+    intrinsic stem has F(conj xi) = F1(xi) - i F2(xi), so the pair
+    contributes (c + c') F1 + i (c - c') F2.
     """
-    RR, RI, IR, II = moments.reshape(4, -1) @ A
-    return RR + RI @ LJT + (IR + II @ LJT) @ LJT, (RR - II) + 1j * (IR + RI)
-
-
-def _node_sums(c: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of one chunk of nodes, the halves (2, dim) of [Re c; Im c] @ [F1 | F2], for c (rows, 2), each node's Re c and Im c, and F1, F2 (rows, dim)."""
-    F1, F2 = F
-    return c.T @ F1, c.T @ F2
-
-
-def _pair_sums(C: np.ndarray, F: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Moments (2, 2 dim) of one folded chunk: C (2, 2, rows) is [Re c; Im c] of each evaluated node xi and of its mirror conj(xi).
-
-    An intrinsic stem has F(conj xi) = F1(xi) - i F2(xi), so the pair
-    contributes (c + c') F1 + i (c - c') F2: F1 is reduced against c + c'
-    and F2 against c - c', both from one gemm per component over the four rows.
-    """
-    # (dim, 4) products: numpy's gemm for F^T C^T is faster than for C F at these shapes
-    G1, G2 = (part.T @ C.reshape(4, -1).T for part in F)
-    return np.vstack((G1[:, :2] + G1[:, 2:], G2[:, :2] - G2[:, 2:])).T
-
-
-# rows Re(c) Re(m), Re(c) Im(m), Im(c) Re(m), Im(c) Im(m) from rows Re X, Im X, Re Y, Im Y of
-# X = c m and Y = c conj(m): c m + c conj(m) = 2 Re(m) c and c m - c conj(m) = 2i Im(m) c
-_CONJUGATE_PAIR = 0.5 * np.array(
-    [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [0.0, 1.0, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.0]]
-)
+    G1, G2 = s @ F[0], t @ F[1]
+    return (G1[0] - G2[1]) + 1j * (G1[1] + G2[0])
 
 
 def _monomial_sums(Q_outer: np.ndarray, Q_last: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Moments (2, 2T) of one polynomial chunk: B1 and B2 are the real and imaginary parts of the monomials m = w^mu.
+    """X = sum c w^mu (T,) of one polynomial chunk, from the weighted power tables of _power_tables and the kernel factor.
 
-    A node's coefficient times [m; conj m] is its discs' columns of
-    _power_tables times the kernel factor K.  Q_outer (2T, k) is the chunk's
-    outer nodes' fold, Q_last (2T, b) the last disc's columns, which transpose
-    to C order, and K (k, b): G = K Q_last^T sums each outer node's nodes of
-    the chunk, one real gemm through a float view, and summing Q_outer[:, i]
-    G[i] over the outer nodes gives X = sum c m and Y = sum c conj(m).
+    A node's coefficient times w^mu is its discs' columns of the tables times
+    K.  Q_outer (T, k) is the chunk's outer nodes' fold, Q_last (T, b) the
+    last disc's columns, which transpose to C order, and K (k, b): G =
+    K Q_last^T sums each outer node's nodes of the chunk, one real gemm
+    through a float view, and summing Q_outer[:, i] G[i] over the outer
+    nodes gives X.
     """
     G = (K @ Q_last.T.view(np.float64)).view(np.complex128)
-    return _conjugate_pair(np.einsum("ti,it->t", Q_outer, G))
-
-
-def _conjugate_pair(S: np.ndarray) -> np.ndarray:
-    """Moments (2, 2T), rows Re(c) [Re m | Im m] and Im(c) [Re m | Im m], from S = [X; Y] (2T,) complex, X = sum c m and Y = sum c conj(m)."""
-    T = S.shape[0] // 2
-    return (_CONJUGATE_PAIR @ S.view(np.float64).reshape(2, T, 2).transpose(0, 2, 1).reshape(4, T)).reshape(2, 2 * T)
-
-
-def _agreed(direct: AlgebraElement, comp: AlgebraElement) -> AlgebraElement:
-    """The direct value, once the componentwise route agrees with it to ROUTE_AGREEMENT_TOL.
-
-    Both routes are finished from the same summed moments, so the gate checks
-    how J is applied to them, not the sums themselves: a fault in a chunk's
-    moments moves both routes alike and passes it.  Checks against
-    lift_evaluate, such as reproduce_check's abs_error, are what see it.
-    """
-    gap = (direct - comp).norm()
-    if gap > ROUTE_AGREEMENT_TOL * max(1.0, direct.norm()):
-        raise RuntimeError(f"componentwise and direct routes disagree by {gap:.3e}")
-    return direct
+    return np.einsum("ti,it->t", Q_outer, G)
 
 
 def _check_point(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint) -> None:
@@ -441,14 +398,13 @@ def _boundary_columns(dom: PolydiscDomain, x_z: np.ndarray, spec: QuadratureSpec
 
 
 def _power_tables(stem: StemPolynomial, V: np.ndarray, W: np.ndarray, fortran_from: int) -> list:
-    """Each disc's weights times its power table, Q_l = w_l [P_l; conj P_l] (2T, M + R M); from disc fortran_from on Fortran-ordered, so column slices transpose to C order."""
+    """Each disc's weights times its power table, Q_l = w_l P_l (T, M + R M); from disc fortran_from on Fortran-ordered, so column slices transpose to C order."""
     T, Q = len(stem.exponents), []
     for l in range(V.shape[0]):
-        Q.append(np.empty((2 * T, V.shape[1]), dtype=np.complex128, order="F" if l >= fortran_from else "C"))
+        Q.append(np.empty((T, V.shape[1]), dtype=np.complex128, order="F" if l >= fortran_from else "C"))
         # row by row: numpy 2.4 buffers a broadcast product, slowly on a Fortran-ordered table
         for t, p in enumerate(stem.power_columns(l, V[l])):
             np.multiply(W[l], p, out=Q[l][t])
-            np.multiply(W[l], np.conj(p), out=Q[l][T + t])
     return Q
 
 
@@ -465,12 +421,12 @@ def _exponential_sum(n: int, s_min: float, s_max: float) -> tuple[np.ndarray, np
 
 
 def _separable_faces(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem: StemPolynomial) -> list:
-    """Moments (2, 2T) of a StemPolynomial's faces, face 0 first, forming n Q (M + R M) exponentials within NODE_BUDGET.
+    """X = sum c w^mu (T,) of each of a StemPolynomial's faces, face 0 first, forming n Q (M + R M) exponentials within NODE_BUDGET.
 
     A node's s = sum_l D_l lies in [min_k (r_k - e_k)^2, sum_l (r_l + e_l)^2] for e = |x - c|, positive
     by INTERIOR_MARGIN, where K = s^-n = sum_q a_q prod_l exp(-b_q D_l) (_exponential_sum).  So disc l's
     E_l = exp(-b D_l) (Q, M + R M) serves every face: one real gemm each gives its circle and interior sums
-    P_l = Q_l E_l^T (2T, Q), and face k's X = sum c m, Y = sum c conj(m) are (P_k^circle prod_{l!=k} P_l^interior) a.
+    P_l = Q_l E_l^T (T, Q), and face k's X is (P_k^circle prod_{l!=k} P_l^interior) a.
     """
     n, M, circle, interior = dom.n, spec.angular_nodes, [], []
     e = np.abs(x_z - dom.centers)
@@ -483,7 +439,7 @@ def _separable_faces(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray,
         QT = Q.T.view(np.float64)
         circle.append((E[:, :M] @ QT[:M]).view(np.complex128))
         interior.append((E[:, M:] @ QT[M:]).view(np.complex128))
-    return [_conjugate_pair(a @ functools.reduce(np.multiply, [circle[k]] + interior[:k] + interior[k + 1 :])) for k in range(n)]
+    return [a @ functools.reduce(np.multiply, [circle[k]] + interior[:k] + interior[k + 1 :]) for k in range(n)]
 
 
 def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem=None):
@@ -499,9 +455,9 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
     m = 0 .. M // 2, as its first factor, against the other discs' interiors
     in disc order, and at each node xi forms the coefficient c' of its mirror
     conj(xi) from the mirrored columns too; both are halved at the
-    self-conjugate angles 0 and pi.  It yields (Z, C) per chunk: the nodes,
-    complex (n, rows), and C (2, 2, rows), [Re c; Im c] and [Re c'; Im c'],
-    which _pair_sums reduces against the stem values at Z alone.
+    self-conjugate angles 0 and pi.  It yields (Z, P) per chunk: the nodes,
+    complex (n, rows), and P (2, 2, rows), s = c + c' and t = c - c' as
+    [Re; Im] rows, which _stem_sums reduces against the stem values at Z alone.
 
     A chunk's arrays are views of buffers made once per call, so each chunk
     must be reduced before the next is drawn.
@@ -515,10 +471,10 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
             cols = [slice(None, M) if l == k else slice(M, None) for l in range(n)]
             shape = tuple(len(V[l, c]) for l, c in enumerate(cols))
             tables, dists = [q[:, c] for q, c in zip(Q, cols)], [D[l : l + 1, c] for l, c in enumerate(cols)]
-            # K holds 1 double a node and Q_outer 4T an outer node of b nodes, so
-            # CHUNK_DOUBLES // max(b, 4T) outer nodes keep both within CHUNK_DOUBLES
+            # K holds 1 double a node and Q_outer 2T an outer node of b nodes, so
+            # CHUNK_DOUBLES // max(b, 2T) outer nodes keep both within CHUNK_DOUBLES
             b = min(shape[-1], CHUNK_DOUBLES)
-            rows = CHUNK_DOUBLES * b // max(b, 4 * T)
+            rows = CHUNK_DOUBLES * b // max(b, 2 * T)
             for idx, sl in _blocks(shape, rows):
                 d_outer, d_last = _fold(np.add, dists, idx), dists[-1][:, sl]
                 size = (d_outer.shape[1], d_last.shape[1])
@@ -533,7 +489,7 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
     rows = CHUNK_DOUBLES // STEM_ROW_DOUBLES
     Zb = np.empty(n * rows, dtype=np.complex128)
     Sb, Kb = _kernel_buffers(n, 2 * rows)
-    Cb = np.empty(4 * rows)
+    Cb, Pb = np.empty(4 * rows), np.empty(4 * rows)
     for k in range(n):
         discs = [k] + [l for l in range(n) if l != k]
         cols = [slice(None, H)] + [slice(M, None)] * (n - 1)
@@ -558,37 +514,34 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
             C = _view(Cb, (2, 2) + size)
             np.matmul(L.reshape(2, 2 * size[0], 2), last_w[:, :, sl], out=C.reshape(2, 2 * size[0], size[1]))
             C *= K[:, None]
-            yield Z.reshape(n, -1), C.reshape(2, 2, -1)
+            P = _view(Pb, (2, 2) + size)
+            np.add(C[0], C[1], out=P[0])
+            np.subtract(C[0], C[1], out=P[1])
+            yield Z.reshape(n, -1), P.reshape(2, 2, -1)
 
 
 # ---------------------------------------------------------------------------
 # boundary integral
 
 
-def _bm_boundary_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
+def _bm_boundary(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
+    """The boundary rule's stem value at x and its node count."""
     _check_point(f, dom, x)
-    count = _boundary_count(dom.n, spec)
+    tag, count = dom.j.tag, _boundary_count(dom.n, spec)
     if isinstance(f.stem, StemPolynomial) and dom.n >= 3:
-        return (*_reduce(dom.j, _separable_faces(dom, spec, x.z, f.stem), f.stem.coefficients), count)
+        return _reduce(tag, _separable_faces(dom, spec, x.z, f.stem), f.stem.coefficients), count
     _check_budget(count)
     # a chunk is reduced before the generator refills the call's buffers with the next
     chunks = _face_nodes(dom, spec, x.z, f.stem)
     if isinstance(f.stem, StemPolynomial):
-        return (*_reduce(dom.j, itertools.starmap(_monomial_sums, chunks), f.stem.coefficients), count)
-    return (*_reduce(dom.j, (_pair_sums(C, evaluate_stem_batch(f.stem, Z.T)) for Z, C in chunks)), count)
-
-
-def bm_boundary_dual(
-    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
-) -> tuple[AlgebraElement, AlgebraElement]:
-    """Both evaluation routes (direct algebra, componentwise complex) for testing."""
-    return _bm_boundary_both(f, dom, x, spec)[:2]
+        return _reduce(tag, itertools.starmap(_monomial_sums, chunks), f.stem.coefficients), count
+    return _reduce(tag, (_stem_sums(*P, evaluate_stem_batch(f.stem, Z.T)) for Z, P in chunks)), count
 
 
 def bm_boundary_integral(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> AlgebraElement:
-    return _agreed(*bm_boundary_dual(f, dom, x, spec))
+    return lift_value(_bm_boundary(f, dom, x, spec)[0], dom.j)
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +573,18 @@ def _pyramid_table(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 def _volume_units(n: int, q: int, M: int):
     """Spec-only tables of the volume rule; cached, so read-only.
 
-    The pyramid table of _pyramid_table(n, q), and the unit rays
-    e^{i phi} (n, M) of each disc's M angles, offset by a fixed jitter, the
-    draws of default_rng(0).
+    The pyramid table of _pyramid_table(n, q); the unit rays e^{i phi}
+    (n, M) of each disc's M angles, offset by a fixed jitter, the draws of
+    default_rng(0); and the angle tuples (n, M^n), one angle a disc, in C
+    order of (angle of disc 0, ..., angle of disc n-1).
     """
     U, w = _pyramid_table(n, q)
     offset = np.random.default_rng(0).uniform(0.05, 0.45, n)
     rays = np.exp(1j * (2.0 * math.pi * (np.arange(M) + offset[:, None]) / M))
-    for a in (U, w, rays):
+    tuples = np.indices((M,) * n).reshape(n, -1)
+    for a in (U, w, rays, tuples):
         a.setflags(write=False)
-    return U, w, rays
+    return U, w, rays, tuples
 
 
 def _volume_sizes(spec: QuadratureSpec) -> tuple[int, int]:
@@ -661,74 +616,83 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     Gauss-Legendre of order q = 2V+2 runs in tau and in each v, and
     M_v = max(8, M//2) trapezoid angles per disc, so the rule has
     n q^n M_v^n nodes in C order of (pyramid point, angle of disc 0, ...,
-    angle of disc n-1), streamed in the chunks of _blocks.  The spec-only
-    tables are cached (_volume_units); x and the domain enter only through
-    the rays S_l e^{i phi_l}, so xi_l - x_l is a pyramid coordinate times a
-    ray, and |xi - x|^2 = sum_l u_l^2 S_l^2.  Every u_l is positive, so no
-    node lands on x.  Yields (Z, C) per chunk: the nodes, complex (n, rows),
-    and C (n, 2, rows), row j the weights times g_j(xi) as [Re; Im], views of
-    buffers made once per call.
+    angle of disc n-1): a grid of pyramid points times angle tuples,
+    streamed in the chunks of _blocks.  The spec-only tables are cached
+    (_volume_units); x and the domain enter only through the rays
+    S_l e^{i phi_l}, tabulated per call over the M_v^n tuples with their
+    S_l^2 and their weights' product, so xi_l - x_l is a pyramid coordinate
+    times a ray and |xi - x|^2 = sum_l u_l^2 S_l^2 is one rank-n gemm a
+    chunk.  Every u_l is positive, so no node lands on x.  Yields (Z, C) per
+    chunk: the nodes, complex (n, rows), and C (n, 2, rows), row j the
+    weights times g_j(xi) as [Re; Im], views of buffers made once per call.
     """
     n = dom.n
     q, M = _volume_sizes(spec)
-    U, w_pyr, rays = _volume_units(n, q, M)
+    U, w_pyr, rays, tuples = _volume_units(n, q, M)
     x_z = x.z
     e = x_z - dom.centers
     edotr = (np.conj(e)[:, None] * rays).real
     smax = -edotr + np.sqrt(edotr**2 + dom.radii[:, None] ** 2 - np.abs(e)[:, None] ** 2)
-    ray = smax * rays
-    s2 = smax**2
-    w_ang = s2 * (2.0 * math.pi / M)
-    # the last disc's factors of |xi - x|^2 and of each row of C, over its angles
-    B = np.stack((np.ones(M), s2[-1]))
-    beta = np.empty((n, 2, M))
-    beta[:-1] = w_ang[-1]
-    beta[-1] = w_ang[-1] * ray[-1].real, -w_ang[-1] * ray[-1].imag
+    # per angle tuple: each disc's ray and its squared length (n, M^n), and
+    # the weights' product times conj(ray) as [Re; Im] rows (n, 2, M^n)
+    disc = np.arange(n)[:, None]
+    ray, s2 = (smax * rays)[disc, tuples], (smax**2)[disc, tuples]
+    w = np.prod(s2 * (2.0 * math.pi / M), axis=0)
+    beta = np.stack((w * ray.real, -w * ray.imag), axis=1)
     rows = CHUNK_DOUBLES // STEM_ROW_DOUBLES
     Zb = np.empty(n * rows, dtype=np.complex128)
     Sb, Kb = _kernel_buffers(n, rows)
     Cb = np.empty(2 * n * rows)
-    for idx, sl in _blocks((len(w_pyr),) + (M,) * n, rows):
-        p, k, b = idx[0], len(idx[0]), sl.stop - sl.start
-        # the outer nodes' angles of discs 0..n-2, and their rays and weights
-        ang = (np.arange(n - 1)[:, None], np.array(idx[1:], dtype=np.intp).reshape(n - 1, k))
+    for (p,), sl in _blocks((len(w_pyr), ray.shape[1]), rows):
+        k, b = len(p), sl.stop - sl.start
         u = U[p].T
-        d_outer = u[:-1] * ray[ang]
-        w_outer = w_pyr[p] * np.prod(w_ang[ang], axis=0)
         Z = _view(Zb, (n, k, b))
-        Z[:-1] = (x_z[:-1, None] + d_outer)[:, :, None]
-        np.multiply(u[-1, :, None], ray[-1, sl], out=Z[-1])
-        Z[-1] += x_z[-1]
-        A = np.stack((np.sum(u[:-1] ** 2 * s2[ang], axis=0), u[-1] ** 2))
-        K = _kernel_factor(A, B[:, sl], n, _view(Sb, (k, b)), _view(Kb, (k, b)))
-        # row j of C is conj(xi_j - x_j) times the weights: an outer factor times a last-disc factor, times K
-        alpha = np.empty((n, 2, k))
-        alpha[:-1, 0], alpha[:-1, 1] = w_outer * d_outer.real, -w_outer * d_outer.imag
-        alpha[-1] = w_outer * u[-1]
+        np.multiply(u[:, :, None], ray[:, None, sl], out=Z)
+        Z += x_z[:, None, None]
+        K = _kernel_factor(u * u, s2[:, sl], n, _view(Sb, (k, b)), _view(Kb, (k, b)))
+        # row j of C is conj(xi_j - x_j) times the weights: a pyramid factor times a tuple factor, times K
         C = _view(Cb, (n, 2, k, b))
-        np.multiply(alpha[..., None], beta[:, :, None, sl], out=C)
+        np.multiply((w_pyr[p] * u)[:, None, :, None], beta[:, :, None, sl], out=C)
         C *= K
         yield Z.reshape(n, -1), C.reshape(n, 2, -1)
 
 
-def _bm_volume_both(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
-    """Routes, stem value and node count of the volume term: moments of c_j against dbar_j F, per stencil evaluation if no hook."""
+def _directional_sums(F, Z: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_j c_j dbar_j F (dim,) over one chunk of nodes Z (n, rows) with coefficients C (n, 2, rows), by one stencil.
+
+    Per row, |c| = (sum_j |c_j|^2)^(1/2) and the unit v = conj(c)/|c| (every
+    c_j of a Duffy node has u_j > 0, so |c| > 0): the sum is |c| times the
+    dbar of F along v, which dbar_batch differences with the stencil
+    evaluations reduced against |c|.
+    """
+    norm = np.sqrt(np.einsum("jkr,jkr->r", C, C))
+    v = np.empty(C[:, 0].shape, dtype=np.complex128)
+    np.divide(C[:, 0], norm, out=v.real)
+    np.divide(C[:, 1], -norm, out=v.imag)
+    d1, d2 = dbar_batch(F, Z.T, v.T, reduce=lambda G: (norm @ G[0], norm @ G[1]))
+    return d1 + 1j * d2
+
+
+def _bm_volume(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
+    """The volume term's stem value and node count: per chunk, sum_j c_j dbar_j F by the hook per axis, else one directional stencil."""
     _check_point(f, dom, x)
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
     count = _check_budget(_volume_count(n, spec))
     chunks = _volume_nodes(dom, x, spec)
-    parts = (np.hstack(dbar_batch(f.stem, Z.T, jx, reduce=functools.partial(_node_sums, c.T)))
-             for Z, C in chunks for jx, c in enumerate(C))
-    return (*_reduce(dom.j, parts, scale=math.factorial(n - 1) / math.pi**n), count)
+    if f.stem.batch_wirtinger is None:
+        parts = (_directional_sums(f.stem, Z, C) for Z, C in chunks)
+    else:
+        parts = (_stem_sums(c, c, dbar_batch(f.stem, Z.T, j)) for Z, C in chunks for j, c in enumerate(C))
+    return _reduce(dom.j.tag, parts, scale=math.factorial(n - 1) / math.pi**n), count
 
 
 def bm_volume_integral(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> AlgebraElement:
     """The dbar correction, signed so that boundary - volume = f(x)."""
-    return _agreed(*_bm_volume_both(f, dom, x, spec)[:2])
+    return lift_value(_bm_volume(f, dom, x, spec)[0], dom.j)
 
 
 # ---------------------------------------------------------------------------
@@ -744,22 +708,19 @@ def off_slice_evaluate(
 ) -> AlgebraElement:
     """Evaluate f at alpha + beta I from one integral at x = alpha + beta J on the domain's slice.
 
-    The rule's componentwise route gives the stem value F1(z) + i F2(z) (minus
-    the volume term's, for non-regular f); once both routes agree it is lifted
-    to F1 + I F2 as lift_evaluate does, F1 at a real point.  The rule at
-    conj(x) would only give F1 - J F2 again, so it is not integrated.
+    The rules give the stem value F1(z) + i F2(z) (minus the volume term's,
+    for non-regular f), lifted to F1 + I F2 as lift_evaluate does, F1 at a
+    real point.  The rule at conj(x) would only give F1 - J F2 again, so it
+    is not integrated.
     """
     if q_point.tag != dom.j.tag:
         raise SliceMismatchError("point algebra does not match domain")
     x = slice_point(q_point.alpha, q_point.beta, dom.j)
     if include_volume is None:
         include_volume = f.stem.smoothness < Smoothness.ANALYTIC
-    direct, comp, w, _ = _bm_boundary_both(f, dom, x, spec)
-    _agreed(direct, comp)
+    w = _bm_boundary(f, dom, x, spec)[0]
     if include_volume:
-        direct, comp, v, _ = _bm_volume_both(f, dom, x, spec)
-        _agreed(direct, comp)
-        w = w - v
+        w = w - _bm_volume(f, dom, x, spec)[0]
     return w.re if q_point.is_real else lift_value(w, q_point.j)
 
 
@@ -806,8 +767,8 @@ def reproduce_check(
     f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
 ) -> BMReport:
     """Boundary integral against the direct lift, packaged with its node count."""
-    direct, comp, _, nodes = _bm_boundary_both(f, dom, x, spec)
-    reproduced, reference = _agreed(direct, comp), lift_evaluate(f, x)
+    w, nodes = _bm_boundary(f, dom, x, spec)
+    reproduced, reference = lift_value(w, dom.j), lift_evaluate(f, x)
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
 
 
@@ -818,8 +779,7 @@ def correction_check(
 
     nodes_used counts the volume rule's nodes.
     """
-    boundary = bm_boundary_integral(f, dom, x, spec)
-    direct, comp, _, nodes = _bm_volume_both(f, dom, x, spec)
-    reproduced, reference = boundary - _agreed(direct, comp), lift_evaluate(f, x)
+    w = _bm_boundary(f, dom, x, spec)[0]
+    v, nodes = _bm_volume(f, dom, x, spec)
+    reproduced, reference = lift_value(w - v, dom.j), lift_evaluate(f, x)
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
-

@@ -19,9 +19,10 @@ containers implement it:
 
 A scalar evaluation is row 0 of a batch of one.  Without an exact hook,
 derivatives are central differences at the one step DEFAULT_FD_STEP, one
-stencil pair at a time, each point a copy of Z with one column moved;
-dbar_batch forms dF/dzbar alone, reducing each evaluation first (the volume
-rule's chunk moments) when given a linear reduce.
+stencil pair at a time, each point a copy of Z with one column moved, or
+moved along a per-row direction; dbar_batch forms dF/dzbar alone, reducing
+each evaluation first when given a linear reduce (the volume rule's
+weighted chunk sums, along each node's own direction).
 """
 
 from __future__ import annotations
@@ -418,22 +419,36 @@ class WirtingerPair(NamedTuple):
     dzbar: ComplexifiedElement
 
 
-def _stencil_input(F, Z, t: int) -> np.ndarray:
-    """Z as a complex array, after refusing an axis outside [0, arity)."""
-    if not 0 <= t < F.arity:
-        raise ValueError(f"need an axis in [0, {F.arity}), got axis {t}")
-    return np.asarray(Z, dtype=np.complex128)
+def _stencil_input(F, Z, t) -> np.ndarray:
+    """Z as a complex array, after refusing an axis outside [0, arity) or directions not shaped like Z."""
+    Z = np.asarray(Z, dtype=np.complex128)
+    if np.ndim(t) == 0:
+        if not 0 <= t < F.arity:
+            raise ValueError(f"need an axis in [0, {F.arity}), got axis {t}")
+    elif np.shape(t) != Z.shape:
+        raise ValueError(f"directions of shape {np.shape(t)} for nodes of shape {Z.shape}")
+    return Z
 
 
-def _difference(F, Z: np.ndarray, t: int, reduce=tuple):
-    """((dR1/dalpha_t, dR2/dalpha_t), (dR1/dbeta_t, dR2/dbeta_t)) for a linear R = reduce((F1, F2)), F itself by default."""
+def _difference(F, Z: np.ndarray, t, reduce=tuple):
+    """((dR1/dalpha, dR2/dalpha), (dR1/dbeta, dR2/dbeta)) for a linear R = reduce((F1, F2)), F itself by default.
+
+    The derivatives are those of R(F(Z + s d)) in s = alpha + i beta at s = 0,
+    along an axis t (d = e_t) or along per-row directions t (d, shaped like Z).
+    """
     h = DEFAULT_FD_STEP
+    axis = np.ndim(t) == 0
 
     def at(shift):
-        # a C-ordered copy of Z with column t moved (Z + (-step) is Z - step to the bit), evaluated and
-        # reduced before the next, so one stem output is alive at a time
-        W = np.array(Z, order="C")
-        W[:, t] += shift
+        # Z + shift d as one new array (Z + (-step) d is Z - step d to the bit), evaluated and reduced before
+        # the next, so one stem output is alive at a time; a C-ordered copy along an axis, and in the layout
+        # of the directions along them, so that no product or sum has to transpose
+        if axis:
+            W = np.array(Z, order="C")
+            W[:, t] += shift
+        else:
+            W = np.multiply(t, shift)
+            W += Z
         return reduce(evaluate_stem_batch(F, W))
 
     def along(step):
@@ -474,10 +489,15 @@ def wirtinger_batch(F, Z: np.ndarray, t: int):
     return (0.5 * (da1 + db2), 0.5 * (da2 - db1)), _dbar(da1, da2, db1, db2)
 
 
-def dbar_batch(F, Z: np.ndarray, t: int, *, reduce=tuple):
-    """reduce((F1, F2)) of dF/dzbar_t for a linear reduce: the exact hook's, else the dbar step on reduced differences."""
+def dbar_batch(F, Z: np.ndarray, t, *, reduce=tuple):
+    """reduce((F1, F2)) of dF/dzbar along t for a linear reduce: the exact hook's on an axis, else the dbar step on reduced differences.
+
+    t is an axis, or per-row directions d shaped like Z, for which the result
+    is d/d(sbar) F(Z + s d) at s = 0, sum_j conj(d_j) dF/dzbar_j by the
+    Wirtinger chain rule, always differenced (a hook gives axes only).
+    """
     Z = _stencil_input(F, Z, t)
-    if F.batch_wirtinger is not None:
+    if F.batch_wirtinger is not None and np.ndim(t) == 0:
         return reduce(F.batch_wirtinger(Z, t)[1])
     da, db = _difference(F, Z, t, reduce)
     return _dbar(*da, *db)

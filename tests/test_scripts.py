@@ -21,12 +21,16 @@ def test_convergence_study_volume_table(tmp_path, capsys):
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["M", "R", "V", "abs_error", "wall_ms", "table", "nodes"]
-    volume = [r for r in rows if r["table"] == "volume"]
-    assert [int(r["V"]) for r in volume] == list(range(6))
-    errs = [float(r["abs_error"]) for r in volume]
-    assert all(a > b for a, b in zip(errs, errs[1:])), errs
-    nodes = [int(r["nodes"]) for r in volume]
-    assert all(a < b for a, b in zip(nodes, nodes[1:])), nodes
+    # the same stem with its exact dbar hook and without it, differenced along each node's direction
+    tables = {name: [r for r in rows if r["table"] == name] for name in ("volume", "volume_fd")}
+    for volume in tables.values():
+        assert [int(r["V"]) for r in volume] == list(range(6))
+        errs = [float(r["abs_error"]) for r in volume]
+        assert all(a > b for a, b in zip(errs, errs[1:])), errs
+        nodes = [int(r["nodes"]) for r in volume]
+        assert all(a < b for a, b in zip(nodes, nodes[1:])), nodes
+    for exact, fd in zip(tables["volume"], tables["volume_fd"]):
+        assert abs(float(exact["abs_error"]) - float(fd["abs_error"])) <= 1e-9, (exact, fd)
 
 
 def test_convergence_study_tridisc_table(tmp_path, capsys):

@@ -232,6 +232,34 @@ def test_fd_derivatives_are_bitwise_the_explicit_formula(tag, n, layout):
     assert np.abs(dbar_batch(F, Z, 0)[0]).max() > 0.01
 
 
+@pytest.mark.parametrize("tag", [OCTONION, QUATERNION])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dbar_along_directions_is_the_wirtinger_chain_rule(tag, n):
+    # along per-row directions d, dbar_batch differences F(Z + s d) in s once,
+    # which is sum_j conj(d_j) dbar_j F: along e_t it is the axis stencil to
+    # the bit, and along a unit d it matches the per-axis sum at the
+    # rounding of one stencil
+    rng = np.random.default_rng(20 * n + tag.dim)
+    F = _mixed_stem(tag, n, rng)
+    Z = rng.uniform(-0.7, 0.7, (37, n, 2)) @ np.array([1.0, 1j])
+    for t in range(n):
+        e_t = np.zeros((37, n), dtype=complex)
+        e_t[:, t] = 1.0
+        for got, want in zip(dbar_batch(F, Z, e_t), dbar_batch(F, Z, t)):
+            np.testing.assert_array_equal(got, want)
+    d = rng.standard_normal((37, n, 2)) @ np.array([1.0, 1j])
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    want1 = want2 = 0.0
+    for t in range(n):
+        # conj(d_t) (D1 + i D2) in components
+        a, (D1, D2) = np.conj(d[:, t])[:, None], dbar_batch(F, Z, t)
+        want1, want2 = want1 + a.real * D1 - a.imag * D2, want2 + a.imag * D1 + a.real * D2
+    for got, want in zip(dbar_batch(F, Z, d), (want1, want2)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    with pytest.raises(ValueError, match="directions"):
+        dbar_batch(F, Z, d[:, :1] if n > 1 else np.ones((36, 1)))
+
+
 def _fd_outputs_checked(make_batch, expected_dbar):
     """Derivatives of a stem whose arrays must survive them: correct, and the stem's arrays unchanged."""
     returned = []

@@ -208,6 +208,36 @@ def test_cli_rejects_misspelled_config(tmp_path, capsys, body, message):
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize("key", ["route_agreement", "offslice_collapse", "offslice_real_in_plane"])
+def test_cli_rejects_removed_tolerance_keys(tmp_path, capsys, key):
+    # the records of these keys are gone, so an override of one is a config error, not silently unused
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"suite: algebra\nsamples: 5\ntolerances: {{{key}: 1.0e-9}}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("algebra", ["octonion", "quaternion"])
+def test_offslice_nonregular_fails_without_the_volume_term(tmp_path, monkeypatch, algebra):
+    # conj(z_1) c off the slice is the boundary value minus the volume term at
+    # x; an off-slice evaluation that drops the volume term fails the record
+    import hyperslice.integral as itg
+
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"suite: off-slice\nalgebra: {algebra}\nquadrature: {{angular_nodes: 32, radial_nodes: 16}}\n")
+
+    def record():
+        return next(r for r in su.run_suite(su.load_config(path)).records if r.name == "offslice_nonregular")
+
+    assert record().passed
+    evaluate = itg.off_slice_evaluate
+    monkeypatch.setattr(itg, "off_slice_evaluate",
+                        lambda f, dom, q, spec, include_volume=None: evaluate(f, dom, q, spec, include_volume=False))
+    rec = record()
+    assert not rec.passed and rec.metric > 0.05, rec.metric
+
+
 def test_cli_rejects_negative_seed_override(fast_config, capsys):
     # np.random.default_rng would raise on it mid-run, an exit 1 that no record earned
     assert main(["run", "--config", str(fast_config), "--seed", "-5"]) == 2
