@@ -323,12 +323,14 @@ def _kernel_buffers(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_factor(A: np.ndarray, B: np.ndarray, n: int, S: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """K = (A^T B)^-n for rank-2 factors A (..., 2, k) and B (..., 2, b), written into the caller's S and K (..., k, b).
+    """K = (A^T B)^-n for rank-r factors A (..., r, k) and B (..., r, b), written into the caller's S and K (..., k, b).
 
     A^T B is a chunk's squared distance |xi - x|^2 spread over its k outer
     nodes and b last-factor columns by one gemm.  On a boundary face it is
     [d_outer; 1]^T [1; d_last] (_distance_factors), which rounds each entry
-    once, as a broadcast np.add does, without the add's iterator buffers.
+    once, as a broadcast np.add does, without the add's iterator buffers; in
+    the volume rule it is rank n, the pyramid points' u_l^2 against the angle
+    tuples' S_l^2 (_volume_nodes).
     The power is n - 1 multiplies in place (np.power has a fast path for
     squares only), then one reciprocal; below n = 3 S may be K itself.
     """
@@ -573,18 +575,16 @@ def _pyramid_table(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 def _volume_units(n: int, q: int, M: int):
     """Spec-only tables of the volume rule; cached, so read-only.
 
-    The pyramid table of _pyramid_table(n, q); the unit rays e^{i phi}
+    The pyramid table of _pyramid_table(n, q), and the unit rays e^{i phi}
     (n, M) of each disc's M angles, offset by a fixed jitter, the draws of
-    default_rng(0); and the angle tuples (n, M^n), one angle a disc, in C
-    order of (angle of disc 0, ..., angle of disc n-1).
+    default_rng(0).
     """
     U, w = _pyramid_table(n, q)
     offset = np.random.default_rng(0).uniform(0.05, 0.45, n)
     rays = np.exp(1j * (2.0 * math.pi * (np.arange(M) + offset[:, None]) / M))
-    tuples = np.indices((M,) * n).reshape(n, -1)
-    for a in (U, w, rays, tuples):
+    for a in (U, w, rays):
         a.setflags(write=False)
-    return U, w, rays, tuples
+    return U, w, rays
 
 
 def _volume_sizes(spec: QuadratureSpec) -> tuple[int, int]:
@@ -619,7 +619,7 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     angle of disc n-1): a grid of pyramid points times angle tuples,
     streamed in the chunks of _blocks.  The spec-only tables are cached
     (_volume_units); x and the domain enter only through the rays
-    S_l e^{i phi_l}, tabulated per call over the M_v^n tuples with their
+    S_l e^{i phi_l}, tabulated per chunk over its angle tuples with their
     S_l^2 and their weights' product, so xi_l - x_l is a pyramid coordinate
     times a ray and |xi - x|^2 = sum_l u_l^2 S_l^2 is one rank-n gemm a
     chunk.  Every u_l is positive, so no node lands on x.  Yields (Z, C) per
@@ -628,31 +628,40 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     """
     n = dom.n
     q, M = _volume_sizes(spec)
-    U, w_pyr, rays, tuples = _volume_units(n, q, M)
+    U, w_pyr, rays = _volume_units(n, q, M)
     x_z = x.z
     e = x_z - dom.centers
     edotr = (np.conj(e)[:, None] * rays).real
     smax = -edotr + np.sqrt(edotr**2 + dom.radii[:, None] ** 2 - np.abs(e)[:, None] ** 2)
-    # per angle tuple: each disc's ray and its squared length (n, M^n), and
-    # the weights' product times conj(ray) as [Re; Im] rows (n, 2, M^n)
-    disc = np.arange(n)[:, None]
-    ray, s2 = (smax * rays)[disc, tuples], (smax**2)[disc, tuples]
-    w = np.prod(s2 * (2.0 * math.pi / M), axis=0)
-    beta = np.stack((w * ray.real, -w * ray.imag), axis=1)
+    ray_l, s2_l, disc = smax * rays, smax**2, np.arange(n)[:, None]
+
+    def tuple_tables(sl):
+        # per angle tuple of the slice: each disc's ray and its squared length
+        # (n, b), and the weights' product times conj(ray) as [Re; Im] rows (n, 2, b)
+        angles = np.array(np.unravel_index(np.arange(sl.start, sl.stop), (M,) * n)).reshape(n, -1)
+        ray, s2 = ray_l[disc, angles], s2_l[disc, angles]
+        w = np.prod(s2 * (2.0 * math.pi / M), axis=0)
+        return ray, s2, np.stack((w * ray.real, -w * ray.imag), axis=1)
+
     rows = CHUNK_DOUBLES // STEM_ROW_DOUBLES
     Zb = np.empty(n * rows, dtype=np.complex128)
     Sb, Kb = _kernel_buffers(n, rows)
     Cb = np.empty(2 * n * rows)
-    for (p,), sl in _blocks((len(w_pyr), ray.shape[1]), rows):
+    held = None
+    for (p,), sl in _blocks((len(w_pyr), M**n), rows):
+        # every chunk takes all M^n tuples unless they exceed its rows, so the
+        # tables are made once a call then, and once a chunk of at most rows otherwise
+        if sl != held:
+            held, (ray, s2, beta) = sl, tuple_tables(sl)
         k, b = len(p), sl.stop - sl.start
         u = U[p].T
         Z = _view(Zb, (n, k, b))
-        np.multiply(u[:, :, None], ray[:, None, sl], out=Z)
+        np.multiply(u[:, :, None], ray[:, None, :], out=Z)
         Z += x_z[:, None, None]
-        K = _kernel_factor(u * u, s2[:, sl], n, _view(Sb, (k, b)), _view(Kb, (k, b)))
+        K = _kernel_factor(u * u, s2, n, _view(Sb, (k, b)), _view(Kb, (k, b)))
         # row j of C is conj(xi_j - x_j) times the weights: a pyramid factor times a tuple factor, times K
         C = _view(Cb, (n, 2, k, b))
-        np.multiply((w_pyr[p] * u)[:, None, :, None], beta[:, :, None, sl], out=C)
+        np.multiply((w_pyr[p] * u)[:, None, :, None], beta[:, :, None, :], out=C)
         C *= K
         yield Z.reshape(n, -1), C.reshape(n, 2, -1)
 

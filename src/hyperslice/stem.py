@@ -419,14 +419,16 @@ class WirtingerPair(NamedTuple):
     dzbar: ComplexifiedElement
 
 
-def _stencil_input(F, Z, t) -> np.ndarray:
-    """Z as a complex array, after refusing an axis outside [0, arity) or directions not shaped like Z."""
+def _stencil_input(F, Z, t, directions: bool = False) -> np.ndarray:
+    """Z as a complex array, after refusing an axis outside [0, arity), and directions unless allowed and shaped like Z."""
     Z = np.asarray(Z, dtype=np.complex128)
-    if np.ndim(t) == 0:
-        if not 0 <= t < F.arity:
-            raise ValueError(f"need an axis in [0, {F.arity}), got axis {t}")
-    elif np.shape(t) != Z.shape:
-        raise ValueError(f"directions of shape {np.shape(t)} for nodes of shape {Z.shape}")
+    if np.ndim(t) != 0:
+        if not directions:
+            raise ValueError(f"need an axis in [0, {F.arity}), got directions of shape {np.shape(t)}")
+        if np.shape(t) != Z.shape:
+            raise ValueError(f"directions of shape {np.shape(t)} for nodes of shape {Z.shape}")
+    elif not 0 <= t < F.arity:
+        raise ValueError(f"need an axis in [0, {F.arity}), got axis {t}")
     return Z
 
 
@@ -435,6 +437,10 @@ def _difference(F, Z: np.ndarray, t, reduce=tuple):
 
     The derivatives are those of R(F(Z + s d)) in s = alpha + i beta at s = 0,
     along an axis t (d = e_t) or along per-row directions t (d, shaped like Z).
+    An axis keeps its own branch, which moves column t alone: Z + s e_t
+    would add 0 * s to every other coordinate, which turns a -0.0 into +0.0
+    (the side of a branch cut, for a stem that has one) and costs a full
+    product per stencil point.
     """
     h = DEFAULT_FD_STEP
     axis = np.ndim(t) == 0
@@ -496,7 +502,7 @@ def dbar_batch(F, Z: np.ndarray, t, *, reduce=tuple):
     is d/d(sbar) F(Z + s d) at s = 0, sum_j conj(d_j) dF/dzbar_j by the
     Wirtinger chain rule, always differenced (a hook gives axes only).
     """
-    Z = _stencil_input(F, Z, t)
+    Z = _stencil_input(F, Z, t, directions=True)
     if F.batch_wirtinger is not None and np.ndim(t) == 0:
         return reduce(F.batch_wirtinger(Z, t)[1])
     da, db = _difference(F, Z, t, reduce)

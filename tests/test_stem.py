@@ -364,6 +364,17 @@ def test_derivatives_reject_bad_axis_or_step_before_any_stem_call(fn, hook, t, h
     assert calls == (["hook"] if hook and fn is not central_differences else ["eval"] * 4)
 
 
+@pytest.mark.parametrize("fn", [central_differences, wirtinger_batch])
+@pytest.mark.parametrize("hook", [False, True])
+def test_axis_derivatives_refuse_directions_before_any_stem_call(fn, hook):
+    # only dbar_batch differences along per-row directions; the others take an axis
+    F, calls = _counting_stem(hook)
+    Z = np.array([[0.2 + 0.1j, -0.3 + 0.4j]])
+    with pytest.raises(ValueError, match="need an axis"):
+        fn(F, Z, np.array([[1.0, 0.0]], dtype=complex))
+    assert calls == []
+
+
 def test_is_holomorphic_makes_four_stem_calls_per_axis():
     F, calls = _counting_stem(hook=False)
     assert not is_holomorphic(F).passed
