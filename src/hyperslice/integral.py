@@ -30,17 +30,17 @@ Jacobian cancels the |xi - x|^{1-2n} singularity of the kernel, so
 Gauss-Legendre in the pyramid coordinates and the trapezoid rule in the
 angles converge fast, and no node lands on x.
 
-The rules return one thing, the stem value w = F1 + i F2 of the integral,
-and every entry point lifts it: to F1 + J F2 on the domain's slice, to
-F1 + I F2 off it (lift_value).  A rule is linear in the stem's values, so a
-chunk contributes only its complex sum X = sum c (B1 + i B2) (width,), where
-F1 = B1 A and F2 = B2 A for a (width, dim) matrix A: a generic stem's values
-and the volume rule's dbar F are B = F with A the identity, a
-StemPolynomial's B1 + i B2 are its monomials w^mu with A its coefficients.
-Both rules sum X in chunk order and contract A once per call (_reduce); a
-call is held to NODE_BUDGET nodes.  The algebra-valued formula,
-(Re c + J Im c)(F1 + J F2) summed node by node, is the same number by
-alternativity and is left to the tests.
+There is one stem value per point z = alpha + i beta, w = F1 + i F2, the
+rules' return and bm_stem_value's; it fixes f on the sphere alpha + beta S,
+and the caller lifts it, to F1 + I F2 at any unit I (lift_value).  A rule is
+linear in the stem's values, so a chunk contributes only its complex sum X =
+sum c (B1 + i B2) (width,), where F1 = B1 A and F2 = B2 A for a (width, dim)
+matrix A: a generic stem's values and the volume rule's dbar F are B = F
+with A the identity, a StemPolynomial's B1 + i B2 are its monomials w^mu
+with A its coefficients.  Both rules sum X in chunk order and contract A once
+per call (_reduce); a call is held to NODE_BUDGET nodes.  The algebra-valued
+formula, (Re c + J Im c)(F1 + J F2) summed node by node, is the same number
+by alternativity and is left to the tests.
 
 The volume term's integrand is sum_j c_j dbar_j F at a node with
 coefficients c_j.  A stem with an exact dbar hook is read per axis.  Any
@@ -94,9 +94,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraTag, ImaginaryUnit, canonicalize_unit, element, units_close
+from .algebra import AlgebraElement, AlgebraMismatchError, AlgebraTag, ImaginaryUnit, canonicalize_unit, element, units_close
 from .complexified import ComplexifiedElement
-from .slicefun import IntrinsicityError, SliceFunction, SlicePoint, lift_evaluate, lift_value, slice_point
+from .slicefun import IntrinsicityError, SliceFunction, SlicePoint, lift_evaluate, lift_value
 from .stem import Smoothness, StemPolynomial, _box, dbar_batch, evaluate_stem_batch
 
 __all__ = [
@@ -108,6 +108,7 @@ __all__ = [
     "BMReport",
     "bm_boundary_integral",
     "bm_volume_integral",
+    "bm_stem_value",
     "off_slice_evaluate",
     "HartogsExtension",
     "hartogs_extend",
@@ -167,10 +168,6 @@ class PolydiscDomain:
         if fraction <= 0.0:
             raise ValueError("scale fraction must be positive")
         return PolydiscDomain(self.centers, self.radii * fraction, self.j)
-
-    def contains_z(self, z: np.ndarray, margin: float = 0.0) -> bool:
-        z = np.asarray(z, dtype=np.complex128)
-        return bool(np.all(np.abs(z - self.centers) <= (1.0 - margin) * self.radii))
 
 
 @dataclass(frozen=True)
@@ -246,18 +243,27 @@ def _monomial_sums(Q_outer: np.ndarray, Q_last: np.ndarray, K: np.ndarray) -> np
     return np.einsum("ti,it->t", Q_outer, G)
 
 
-def _check_point(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint) -> None:
+def _check_z(f: SliceFunction, dom: PolydiscDomain, z) -> np.ndarray:
+    """z as a complex (n,) array, once f is an intrinsic stem of the domain's algebra and z a finite point inside the margin."""
     _check_intrinsic(f)
+    if f.tag != dom.j.tag:
+        raise AlgebraMismatchError(f"stem algebra {f.tag} does not match domain {dom.j.tag}")
+    z = np.asarray(z, dtype=np.complex128)
+    if z.shape != (dom.n,):
+        raise ValueError(f"point of shape {z.shape} for a domain of arity {dom.n}")
+    if not np.isfinite(z).all():
+        raise ValueError("point must be finite")
+    if np.any(np.abs(z - dom.centers) > (1.0 - INTERIOR_MARGIN) * dom.radii):
+        raise PointTooCloseToBoundaryError(f"each coordinate must stay {INTERIOR_MARGIN:.2f}*radius away from its circle")
+    return z
+
+
+def _check_slice(dom: PolydiscDomain, x: SlicePoint) -> None:
+    """Refuse a point off the domain's slice, for the entry points that lift to dom.j."""
     if x.tag != dom.j.tag:
         raise SliceMismatchError(f"point algebra {x.tag} does not match domain {dom.j.tag}")
     if not x.is_real and not units_close(x.j, dom.j, 1e-12):
         raise SliceMismatchError("point lies on a different slice than the domain")
-    if x.arity != dom.n:
-        raise ValueError(f"point arity {x.arity} != domain arity {dom.n}")
-    if not dom.contains_z(x.z, margin=INTERIOR_MARGIN):
-        raise PointTooCloseToBoundaryError(
-            f"each coordinate must stay {INTERIOR_MARGIN:.2f}*radius away from its circle"
-        )
 
 
 def _check_intrinsic(f: SliceFunction) -> None:
@@ -327,8 +333,9 @@ def _kernel_factor(A: np.ndarray, B: np.ndarray, n: int, S: np.ndarray, K: np.nd
 
     A^T B is a chunk's squared distance |xi - x|^2 spread over its k outer
     nodes and b last-factor columns by one gemm.  On a boundary face it is
-    [d_outer; 1]^T [1; d_last] (_distance_factors), which rounds each entry
-    once, as a broadcast np.add does, without the add's iterator buffers; in
+    [d_outer; 1]^T [1; d_last] (_with_ones, B once a face), which rounds each
+    entry once in any gemm layout, as a broadcast np.add does, without the
+    add's iterator buffers; in
     the volume rule it is rank n, the pyramid points' u_l^2 against the angle
     tuples' S_l^2 (_volume_nodes).
     The power is n - 1 multiplies in place (np.power has a fast path for
@@ -343,12 +350,11 @@ def _kernel_factor(A: np.ndarray, B: np.ndarray, n: int, S: np.ndarray, K: np.nd
     return np.divide(1.0, K, out=K)
 
 
-def _distance_factors(d_outer: np.ndarray, d_last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-2 factors [d_outer; 1] (..., 2, k) and [1; d_last] (..., 2, b), whose product is d_outer[i] + d_last[j]."""
-    A = np.ones(d_outer.shape[:-1] + (2, d_outer.shape[-1]))
-    B = np.ones(d_last.shape[:-1] + (2, d_last.shape[-1]))
-    A[..., 0, :], B[..., 1, :] = d_outer, d_last
-    return A, B
+def _with_ones(d: np.ndarray, row: int) -> np.ndarray:
+    """d (..., k) and a row of ones as (..., 2, k), d in the given row: [d_outer; 1] (row 0) times [1; d_last] (row 1) is d_outer[i] + d_last[j]."""
+    F = np.ones(d.shape[:-1] + (2, d.shape[-1]))
+    F[..., row, :] = d
+    return F
 
 
 @functools.lru_cache(maxsize=None)
@@ -477,10 +483,11 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
             # CHUNK_DOUBLES // max(b, 2T) outer nodes keep both within CHUNK_DOUBLES
             b = min(shape[-1], CHUNK_DOUBLES)
             rows = CHUNK_DOUBLES * b // max(b, 2 * T)
+            last = _with_ones(dists[-1], 1)
             for idx, sl in _blocks(shape, rows):
-                d_outer, d_last = _fold(np.add, dists, idx), dists[-1][:, sl]
-                size = (d_outer.shape[1], d_last.shape[1])
-                K_chunk = _kernel_factor(*_distance_factors(d_outer, d_last), n, _view(S, size), _view(K, size))
+                d_outer = _fold(np.add, dists, idx)
+                size = (d_outer.shape[1], sl.stop - sl.start)
+                K_chunk = _kernel_factor(_with_ones(d_outer, 0), last[..., sl], n, _view(S, size), _view(K, size))
                 yield _fold(np.multiply, tables, idx), tables[-1][:, sl], K_chunk
         return
     _, mirror, half = _boundary_units(M, spec.radial_nodes)
@@ -500,6 +507,7 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
         dists = [DD[:, l, c] for l, c in zip(discs, cols)]
         # the last factor's weight pair as [Re; Im] rows (2, 2, len), the right factor of the coefficient gemm
         last_w = np.stack((weights[-1].real, weights[-1].imag), axis=1)
+        last_d = _with_ones(dists[-1], 1)
         for idx, sl in _blocks(tuple(len(v) for v in nodes), rows):
             a, d = _fold(np.multiply, weights, idx), _fold(np.add, dists, idx)
             size = (a.shape[1], sl.stop - sl.start)
@@ -507,7 +515,7 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
             for l, v, i in zip(discs, nodes, idx):
                 Z[l] = v[i][:, None]
             Z[discs[-1]] = nodes[-1][sl]
-            K = _kernel_factor(*_distance_factors(d, dists[-1][:, sl]), n, _view(Sb, (2,) + size), _view(Kb, (2,) + size))
+            K = _kernel_factor(_with_ones(d, 0), last_d[..., sl], n, _view(Sb, (2,) + size), _view(Kb, (2,) + size))
             # [Re; Im] of a_i w_j for each pair row as one real gemm: [[Re a, -Im a]; [Im a, Re a]] [Re w; Im w]
             L = np.empty((2, 2, size[0], 2))
             L[:, 0, :, 0] = L[:, 1, :, 1] = a.real
@@ -526,24 +534,23 @@ def _face_nodes(dom: PolydiscDomain, spec: QuadratureSpec, x_z: np.ndarray, stem
 # boundary integral
 
 
-def _bm_boundary(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
-    """The boundary rule's stem value at x and its node count."""
-    _check_point(f, dom, x)
+def _bm_boundary(f: SliceFunction, dom: PolydiscDomain, z, spec: QuadratureSpec):
+    """The boundary rule's stem value at z (n,) and its node count."""
+    z = _check_z(f, dom, z)
     tag, count = dom.j.tag, _boundary_count(dom.n, spec)
     if isinstance(f.stem, StemPolynomial) and dom.n >= 3:
-        return _reduce(tag, _separable_faces(dom, spec, x.z, f.stem), f.stem.coefficients), count
+        return _reduce(tag, _separable_faces(dom, spec, z, f.stem), f.stem.coefficients), count
     _check_budget(count)
     # a chunk is reduced before the generator refills the call's buffers with the next
-    chunks = _face_nodes(dom, spec, x.z, f.stem)
+    chunks = _face_nodes(dom, spec, z, f.stem)
     if isinstance(f.stem, StemPolynomial):
         return _reduce(tag, itertools.starmap(_monomial_sums, chunks), f.stem.coefficients), count
     return _reduce(tag, (_stem_sums(*P, evaluate_stem_batch(f.stem, Z.T)) for Z, P in chunks)), count
 
 
-def bm_boundary_integral(
-    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
-) -> AlgebraElement:
-    return lift_value(_bm_boundary(f, dom, x, spec)[0], dom.j)
+def bm_boundary_integral(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec) -> AlgebraElement:
+    _check_slice(dom, x)
+    return lift_value(_bm_boundary(f, dom, x.z, spec)[0], dom.j)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +609,8 @@ def _volume_count(n: int, spec: QuadratureSpec) -> int:
     return n * math.prod(_volume_sizes(spec)) ** n
 
 
-def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
-    """Duffy-pyramid rule in per-disc polar coordinates centered at x.
+def _volume_nodes(dom: PolydiscDomain, x_z: np.ndarray, spec: QuadratureSpec):
+    """Duffy-pyramid rule in per-disc polar coordinates centered at x_z (n,).
 
     Disc l is written xi_l = x_l + u_l S_l(phi_l) e^{i phi_l} with u_l in
     [0,1], where S_l(phi) (smax below) is the ray length from x_l to the
@@ -629,7 +636,6 @@ def _volume_nodes(dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
     n = dom.n
     q, M = _volume_sizes(spec)
     U, w_pyr, rays = _volume_units(n, q, M)
-    x_z = x.z
     e = x_z - dom.centers
     edotr = (np.conj(e)[:, None] * rays).real
     smax = -edotr + np.sqrt(edotr**2 + dom.radii[:, None] ** 2 - np.abs(e)[:, None] ** 2)
@@ -682,14 +688,14 @@ def _directional_sums(F, Z: np.ndarray, C: np.ndarray) -> np.ndarray:
     return d1 + 1j * d2
 
 
-def _bm_volume(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec):
-    """The volume term's stem value and node count: per chunk, sum_j c_j dbar_j F by the hook per axis, else one directional stencil."""
-    _check_point(f, dom, x)
+def _bm_volume(f: SliceFunction, dom: PolydiscDomain, z, spec: QuadratureSpec):
+    """The volume term's stem value at z (n,) and node count: per chunk, sum_j c_j dbar_j F by the hook per axis, else one directional stencil."""
+    z = _check_z(f, dom, z)
     if f.stem.smoothness < Smoothness.C1:
         raise ValueError("volume term needs a C1 stem with Wirtinger derivatives")
     n = dom.n
     count = _check_budget(_volume_count(n, spec))
-    chunks = _volume_nodes(dom, x, spec)
+    chunks = _volume_nodes(dom, z, spec)
     if f.stem.batch_wirtinger is None:
         parts = (_directional_sums(f.stem, Z, C) for Z, C in chunks)
     else:
@@ -697,62 +703,57 @@ def _bm_volume(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: Quadr
     return _reduce(dom.j.tag, parts, scale=math.factorial(n - 1) / math.pi**n), count
 
 
-def bm_volume_integral(
-    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
-) -> AlgebraElement:
+def bm_volume_integral(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec) -> AlgebraElement:
     """The dbar correction, signed so that boundary - volume = f(x)."""
-    return lift_value(_bm_volume(f, dom, x, spec)[0], dom.j)
+    _check_slice(dom, x)
+    return lift_value(_bm_volume(f, dom, x.z, spec)[0], dom.j)
 
 
 # ---------------------------------------------------------------------------
 # off-slice evaluation and Hartogs extension
 
 
-def off_slice_evaluate(
-    f: SliceFunction,
-    dom: PolydiscDomain,
-    q_point: SlicePoint,
-    spec: QuadratureSpec,
-    include_volume: bool | None = None,
-) -> AlgebraElement:
-    """Evaluate f at alpha + beta I from one integral at x = alpha + beta J on the domain's slice.
+def bm_stem_value(f: SliceFunction, dom: PolydiscDomain, z, spec: QuadratureSpec) -> ComplexifiedElement:
+    """The stem value F1(z) + i F2(z) at z = alpha + i beta (n,): the boundary rule's, less the volume term's below Smoothness.ANALYTIC.
 
-    The rules give the stem value F1(z) + i F2(z) (minus the volume term's,
-    for non-regular f), lifted to F1 + I F2 as lift_evaluate does, F1 at a
-    real point.  The rule at conj(x) would only give F1 - J F2 again, so it
-    is not integrated.
+    The domain's J plays no part.  lift_value(w, I) is f at alpha + beta I for any unit I as given;
+    a SlicePoint's canonical j goes with its own z, conjugated whenever the canonical sign flipped the unit.
     """
+    w = _bm_boundary(f, dom, z, spec)[0]
+    if f.stem.smoothness < Smoothness.ANALYTIC:
+        w = w - _bm_volume(f, dom, z, spec)[0]
+    return w
+
+
+def _lift_at(q_point: SlicePoint, dom: PolydiscDomain, stem_value) -> AlgebraElement:
+    """stem_value(q_point.z) lifted to q_point's unit, F1 alone at a real point."""
     if q_point.tag != dom.j.tag:
         raise SliceMismatchError("point algebra does not match domain")
-    x = slice_point(q_point.alpha, q_point.beta, dom.j)
-    if include_volume is None:
-        include_volume = f.stem.smoothness < Smoothness.ANALYTIC
-    w = _bm_boundary(f, dom, x, spec)[0]
-    if include_volume:
-        w = w - _bm_volume(f, dom, x, spec)[0]
+    w = stem_value(q_point.z)
     return w.re if q_point.is_real else lift_value(w, q_point.j)
+
+
+def off_slice_evaluate(f: SliceFunction, dom: PolydiscDomain, q_point: SlicePoint, spec: QuadratureSpec) -> AlgebraElement:
+    """Evaluate f at alpha + beta I from one integral at x = alpha + beta J on the domain's slice: bm_stem_value lifted to I.
+
+    The rule at conj(x) would only give F1 - J F2 again, so it is not integrated.
+    """
+    return _lift_at(q_point, dom, lambda z: bm_stem_value(f, dom, z, spec))
 
 
 @dataclass(frozen=True, eq=False)
 class HartogsExtension:
-    """Evaluator from hartogs_extend: off_slice_evaluate on the contour's faces alone, no volume term."""
+    """Evaluator from hartogs_extend: the boundary rule on the contour's faces alone, no volume term, lifted to the point's unit."""
 
     source: SliceFunction
     contour: PolydiscDomain
     spec: QuadratureSpec
 
     def __call__(self, q_point: SlicePoint) -> AlgebraElement:
-        return off_slice_evaluate(
-            self.source, self.contour, q_point, self.spec, include_volume=False
-        )
+        return _lift_at(q_point, self.contour, lambda z: _bm_boundary(self.source, self.contour, z, self.spec)[0])
 
 
-def hartogs_extend(
-    f: SliceFunction,
-    dom: PolydiscDomain,
-    hole_radius_fraction: float,
-    spec: QuadratureSpec,
-) -> HartogsExtension:
+def hartogs_extend(f: SliceFunction, dom: PolydiscDomain, hole_radius_fraction: float, spec: QuadratureSpec) -> HartogsExtension:
     """Extension across a concentric polydisc hole via the scaled-boundary integral.
 
     Needs n >= 2: the one-variable Cauchy integral over the outer circle does
@@ -772,23 +773,21 @@ def hartogs_extend(
 # reports
 
 
-def reproduce_check(
-    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
-) -> BMReport:
+def reproduce_check(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec) -> BMReport:
     """Boundary integral against the direct lift, packaged with its node count."""
-    w, nodes = _bm_boundary(f, dom, x, spec)
+    _check_slice(dom, x)
+    w, nodes = _bm_boundary(f, dom, x.z, spec)
     reproduced, reference = lift_value(w, dom.j), lift_evaluate(f, x)
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)
 
 
-def correction_check(
-    f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec
-) -> BMReport:
+def correction_check(f: SliceFunction, dom: PolydiscDomain, x: SlicePoint, spec: QuadratureSpec) -> BMReport:
     """Boundary integral minus the volume term against the direct lift.
 
     nodes_used counts the volume rule's nodes.
     """
-    w = _bm_boundary(f, dom, x, spec)[0]
-    v, nodes = _bm_volume(f, dom, x, spec)
+    _check_slice(dom, x)
+    w = _bm_boundary(f, dom, x.z, spec)[0]
+    v, nodes = _bm_volume(f, dom, x.z, spec)
     reproduced, reference = lift_value(w - v, dom.j), lift_evaluate(f, x)
     return BMReport(reproduced, reference, (reproduced - reference).norm(), nodes)

@@ -637,21 +637,21 @@ def _offslice_suite(cfg: ExperimentConfig, tag: AlgebraTag) -> list:
     rng, dom, x = _bm_domain(cfg, tag)
     spec = cfg.quadrature
     f = sf.lift(random_polynomial(tag, 2, 3, rng, terms=4))
-    points = [sf.slice_point(x.alpha, x.beta, alg.sample_unit_imaginary(tag, rng)) for _ in range(4)]
+    units = [alg.sample_unit_imaginary(tag, rng) for _ in range(64)]
+    U = np.array([I.coeffs for I in units])
+    # each unit's canonical point, at conj(x) with -I whenever the canonical sign flips I
+    points = [sf.slice_point(x.alpha, x.beta, I) for I in units]
+    Z, canonical = np.array([q.z for q in points]), np.array([q.j.coeffs for q in points])
 
-    def match():
-        for q_point in points:
-            val = quad.off_slice_evaluate(f, dom, q_point, spec)
-            yield (val - sf.lift_evaluate(f, q_point)).norm()
+    def errors(g):
+        # one stem value at x fixes g on the sphere: lift_value at every unit as drawn, in one product
+        w = quad.bm_stem_value(g, dom, x.z, spec)
+        return _row_norms(w.re.coeffs + alg.multiply_batch(tag, U, w.im.coeffs[None]) - sf.lift_evaluate_batch(g, Z, canonical))
 
-    def nonregular():
-        # conj(z_1) c is not slice regular, so the value off the slice needs the volume term at x
-        g = sf.lift(_conj_z1_stem(tag, 2, alg.random_element(tag, np.random.default_rng(cfg.seed + 70))))
-        for q_point in points:
-            val = quad.off_slice_evaluate(g, dom, q_point, spec, include_volume=True)
-            yield (val - sf.lift_evaluate(g, q_point)).norm()
-
-    checks = {"offslice_match": match, "offslice_nonregular": nonregular}
+    # conj(z_1) c is not slice regular, so its stem value at x needs the volume term
+    c = alg.random_element(tag, np.random.default_rng(cfg.seed + 70))
+    checks = {"offslice_match": lambda: errors(f),
+              "offslice_nonregular": lambda: errors(sf.lift(_conj_z1_stem(tag, 2, c)))}
     return _run_checks(cfg, checks, m=spec.angular_nodes, r=spec.radial_nodes)
 
 

@@ -183,7 +183,7 @@ def test_volume_fd_path_is_bitwise_the_explicit_formula():
         return (norm @ p1 - norm @ m1) * s, (norm @ p2 - norm @ m2) * s
 
     parts = []
-    for Z, C in itg._volume_nodes(dom, x, spec):
+    for Z, C in itg._volume_nodes(dom, x.z, spec):
         norm = np.sqrt(np.einsum("jkr,jkr->r", C, C))
         v = (C[:, 0] / norm - 1j * (C[:, 1] / norm)).T
         (da1, da2), (db1, db2) = sums(Z, h * v, norm), sums(Z, (1j * h) * v, norm)
@@ -320,7 +320,7 @@ def test_volume_rule_reaches_1e10_within_1e5_nodes():
     f = sf.lift(_conj_z1_stem(TAG, 2, element(TAG, [0.5, -1.0, 0.25, 0, 0, 2.0, 0, -0.75])))
     spec = itg.QuadratureSpec(32, 16, 5)
     b = itg.bm_boundary_integral(f, dom, x, spec)
-    w, nodes = itg._bm_volume(f, dom, x, spec)
+    w, nodes = itg._bm_volume(f, dom, x.z, spec)
     assert nodes <= 100_000
     assert (b - sf.lift_value(w, dom.j) - sf.lift_evaluate(f, x)).norm() <= 1e-10
 
@@ -416,7 +416,7 @@ def test_conjugate_point_integral_is_the_j_conjugate_stem_value(n, M):
         dom, x = _ragged(n, Jt)
         c = element(tag, rng.standard_normal(tag.dim))
         for f in (sf.lift(_random_cubic(rng, tag, n)), sf.SliceFunction(_recip_sum_stem(tag, n, c))):
-            w = itg._bm_boundary(f, dom, x, spec)[0]
+            w = itg._bm_boundary(f, dom, x.z, spec)[0]
             mirrored = sf.lift_value(complex_conjugate(w), dom.j)
             value = itg.bm_boundary_integral(f, dom, x.conjugated(), spec)
             assert (value - mirrored).norm() <= 1e-13 * (1.0 + value.norm()), (tag.name, type(f.stem).__name__)
@@ -430,9 +430,9 @@ def test_off_slice_and_hartogs_integrate_once_at_the_point(monkeypatch):
     # both rules record the point of every boundary and volume pass
     passes = []
     for kind, rule in (("boundary", itg._bm_boundary), ("volume", itg._bm_volume)):
-        def counted(f, dom, x, *args, kind=kind, rule=rule):
-            passes.append((kind, x.z.copy()))
-            return rule(f, dom, x, *args)
+        def counted(f, dom, z, *args, kind=kind, rule=rule):
+            passes.append((kind, np.array(z)))
+            return rule(f, dom, z, *args)
 
         monkeypatch.setattr(itg, f"_bm_{kind}", counted)
     dom, x = _bidisc(), _x2()
@@ -468,8 +468,60 @@ def test_off_slice_with_volume_term_matches_lift(tag):
     for _ in range(2):
         q = sf.slice_point(x.alpha, x.beta, alg.sample_unit_imaginary(tag, rng))
         assert (itg.off_slice_evaluate(f, dom, q, SPEC) - sf.lift_evaluate(f, q)).norm() <= 5e-3
-        # without the volume term the boundary value alone is far off
-        assert (itg.off_slice_evaluate(f, dom, q, SPEC, include_volume=False) - sf.lift_evaluate(f, q)).norm() > 0.05
+        # without the volume term the boundary rule's stem value alone, lifted, is far off
+        assert (sf.lift_value(itg._bm_boundary(f, dom, q.z, SPEC)[0], q.j) - sf.lift_evaluate(f, q)).norm() > 0.05
+
+
+@pytest.mark.parametrize("tag", [OCTONION, QUATERNION], ids=lambda t: t.name)
+def test_stem_value_lifted_to_a_unit_is_the_off_slice_value(tag):
+    # one stem value at x serves every unit as drawn; off_slice_evaluate
+    # integrates at the canonical point's own z, which is x when the
+    # canonical sign keeps the unit (the same bits) and conj(x) when it
+    # flips it (the same value, to rounding at the default spec: the volume
+    # rule's jittered angles are not mirror symmetric, so at (32,16,1) its
+    # values at x and conj(x) differ by its own error, about 6e-12)
+    from hyperslice.suites import _conj_z1_stem
+
+    rng = np.random.default_rng(32)
+    dom = itg.PolydiscDomain(np.zeros(2), np.ones(2), alg.sample_unit_imaginary(tag, rng))
+    x = sf.point_from_z(np.array([0.3 + 0.2j, -0.1 + 0.4j]), dom.j)
+    units = {}
+    while len(units) < 2:
+        I = alg.sample_unit_imaginary(tag, rng)
+        units.setdefault(alg.canonicalize_unit(I)[1], I)
+    for f in (sf.lift(_random_cubic(rng, tag, 2)), sf.lift(_conj_z1_stem(tag, 2, element(tag, rng.standard_normal(tag.dim))))):
+        w = itg.bm_stem_value(f, dom, x.z, SPEC)
+        assert w.im.norm() > 1e-3
+        for sign, I in units.items():
+            q = sf.slice_point(x.alpha, x.beta, I)
+            value, lifted = itg.off_slice_evaluate(f, dom, q, SPEC), sf.lift_value(w, I)
+            if sign > 0:
+                np.testing.assert_array_equal(lifted.coeffs, value.coeffs)
+            else:
+                np.testing.assert_array_equal(q.z, np.conj(x.z))
+                assert (lifted - value).norm() <= 1e-13 * (1.0 + value.norm())
+
+
+def test_stem_value_refuses_bad_points_before_any_stem_call():
+    # a non-finite z, a z of the wrong length, a z inside the margin and a
+    # stem of another algebra are refused before either rule evaluates the
+    # stem, for a regular stem and for one that needs the volume term
+    def unreachable(*args):
+        raise AssertionError("the stem was evaluated")
+
+    dom = _bidisc()
+    for smoothness in (stm.Smoothness.ANALYTIC, stm.Smoothness.C1):
+        f = sf.SliceFunction(stm.StemFunction(arity=2, tag=TAG, smoothness=smoothness, batch_evaluator=unreachable,
+                                              batch_wirtinger=unreachable))
+        for z, error, match in [([np.nan, 0.1j], ValueError, "finite"), ([0.1, np.inf], ValueError, "finite"),
+                                ([0.1 + 0.1j], ValueError, "shape"), ([0.1, 0.2, 0.3], ValueError, "shape"),
+                                ([0.97, 0.0], itg.PointTooCloseToBoundaryError, "away from its circle")]:
+            with pytest.raises(error, match=match):
+                itg.bm_stem_value(f, dom, np.array(z, dtype=complex), SPEC)
+    # a stem of another algebra than the domain's
+    q = sf.SliceFunction(stm.StemFunction(arity=2, tag=QUATERNION, batch_evaluator=unreachable))
+    with pytest.raises(alg.AlgebraMismatchError):
+        itg.bm_stem_value(q, dom, _x2().z, SPEC)
 
 
 def test_hartogs_extension_reads_only_the_contour():
@@ -803,7 +855,7 @@ def test_folded_faces_match_unfolded_reference(n, M):
         Jt = alg.sample_unit_imaginary(tag, rng)
         dom, x = _ragged(n, Jt)
         F = _recip_sum_stem(tag, n, element(tag, rng.standard_normal(tag.dim)))
-        w = itg._bm_boundary(sf.SliceFunction(F), dom, x, spec)[0]
+        w = itg._bm_boundary(sf.SliceFunction(F), dom, x.z, spec)[0]
         got = w.re.coeffs + 1j * w.im.coeffs
         want = np.zeros(tag.dim, dtype=complex)
         for k in range(n):
@@ -879,7 +931,7 @@ def test_kernel_factor_powers_match_np_power():
     S, K = np.empty((2, 1, 64, 256))
     for n in (1, 2, 3, 4):
         want = 1.0 / np.power(d_outer.T + d_last, n)
-        itg._kernel_factor(*itg._distance_factors(d_outer, d_last), n, S, K)
+        itg._kernel_factor(itg._with_ones(d_outer, 0), itg._with_ones(d_last, 1), n, S, K)
         np.testing.assert_allclose(K[0], want, rtol=2e-15, atol=0)
 
 
@@ -952,7 +1004,7 @@ def test_polynomial_chunks_bound_the_outer_fold(monkeypatch, terms):
 
 
 @pytest.mark.parametrize("path", ["polynomial", "generic"])
-def test_chunk_sum_fault_passes_the_gate_and_fails_reproduction(monkeypatch, path):
+def test_chunk_sum_fault_fails_reproduction(monkeypatch, path):
     # a fault in the chunk sums, here each chunk's complex sum X conjugated,
     # moves the stem value the rules return, and the comparison with the
     # lift sees it.  A generic face's chunks are reduced by _stem_sums
@@ -1205,7 +1257,7 @@ def _check_rules_against_meshgrid(dom, x, spec):
         V_ref = np.concatenate(V_ref, axis=1)
         assert V.shape == V_ref.shape == (len(p.exponents), sum(len(Z_face) for Z_face, _ in faces))
         np.testing.assert_allclose(V, V_ref, rtol=1e-14, atol=0)
-    Z, C, sizes = _streamed(itg._volume_nodes(dom, x, spec))
+    Z, C, sizes = _streamed(itg._volume_nodes(dom, x.z, spec))
     Z_ref, C_ref = _volume_reference(dom, x, spec, 0)
     assert Z.shape == Z_ref.shape and max(sizes) <= stem_rows
     np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-15)
@@ -1300,7 +1352,8 @@ def test_polynomial_chunks_hold_one_kernel_factor():
     for n in (1, 2, 3):
         want = 1.0 / functools.reduce(np.multiply, [d_outer.T + d_last] * n)
         got = []
-        peak = _traced_peak_mb(lambda: got.append(itg._kernel_factor(*itg._distance_factors(d_outer, d_last), n, S, K)))
+        B = itg._with_ones(d_last, 1)
+        peak = _traced_peak_mb(lambda: got.append(itg._kernel_factor(itg._with_ones(d_outer, 0), B, n, S, K)))
         assert got[0] is K
         np.testing.assert_array_equal(K[0], want)
         assert peak * 2**20 <= 8192, n
@@ -1310,6 +1363,41 @@ def test_polynomial_chunks_hold_one_kernel_factor():
         f = sf.lift(_random_cubic(np.random.default_rng(5), TAG, n))
         peak = _traced_peak_mb(lambda: itg.bm_boundary_integral(f, dom, x, itg.QuadratureSpec(*spec)))
         assert peak <= 1.5, f"n={n} {spec} peak {peak:.2f} MB"
+
+
+@pytest.mark.parametrize("chunk", [2048, 4])
+def test_face_kernel_factor_matches_a_per_chunk_last_factor(monkeypatch, chunk):
+    # each face builds [1; d_last] once and passes each chunk a column slice
+    # of it; every entry d_outer 1 + 1 d_last rounds once in any gemm layout,
+    # so K has the bits of a freshly allocated, contiguous per-chunk factor,
+    # on chunked polynomial faces and on folded generic faces alike
+    monkeypatch.setattr(itg, "CHUNK_DOUBLES", chunk * itg.STEM_ROW_DOUBLES)
+    kernel, sliced = itg._kernel_factor, []
+
+    def checked(A, B, n, S, K):
+        fresh = np.ones(B.shape)
+        fresh[..., 1, :] = B[..., 1, :]
+        S2 = np.empty(S.shape)
+        want = kernel(A, fresh, n, S2, S2 if S is K else np.empty(K.shape))
+        got = kernel(A, B, n, S, K)
+        np.testing.assert_array_equal(got, want)
+        sliced.append(not B.flags.c_contiguous)
+        return got
+
+    monkeypatch.setattr(itg, "_kernel_factor", checked)
+    spec, kinds = itg.QuadratureSpec(8, 5, 1), {}
+    for n in (1, 2, 3):
+        dom, x = _ragged(n)
+        p = _random_cubic(np.random.default_rng(5), TAG, n)
+        generic = sf.SliceFunction(stm.StemFunction(arity=n, tag=TAG, batch_evaluator=p.batch_evaluator))
+        # n = 3 polynomial faces are separable and form no kernel factor
+        for f in ([sf.lift(p)] if n < 3 else []) + [generic]:
+            sliced.clear()
+            itg.bm_boundary_integral(f, dom, x, spec)
+            assert sliced, (n, type(f.stem).__name__)
+            kinds[type(f.stem).__name__] = kinds.get(type(f.stem).__name__, False) or any(sliced)
+    # below a whole face a chunk, both face kinds pass column slices
+    assert kinds == {"StemPolynomial": chunk < 2048, "StemFunction": chunk < 2048}
 
 
 def _tridisc_bm(j=J):

@@ -221,8 +221,10 @@ def test_cli_rejects_removed_tolerance_keys(tmp_path, capsys, key):
 @pytest.mark.parametrize("algebra", ["octonion", "quaternion"])
 def test_offslice_nonregular_fails_without_the_volume_term(tmp_path, monkeypatch, algebra):
     # conj(z_1) c off the slice is the boundary value minus the volume term at
-    # x; an off-slice evaluation that drops the volume term fails the record
+    # x; a volume rule that returns a zero stem value fails the record
     import hyperslice.integral as itg
+    from hyperslice.algebra import zero
+    from hyperslice.complexified import ComplexifiedElement
 
     path = tmp_path / "cfg.yaml"
     path.write_text(f"suite: off-slice\nalgebra: {algebra}\nquadrature: {{angular_nodes: 32, radial_nodes: 16}}\n")
@@ -231,11 +233,33 @@ def test_offslice_nonregular_fails_without_the_volume_term(tmp_path, monkeypatch
         return next(r for r in su.run_suite(su.load_config(path)).records if r.name == "offslice_nonregular")
 
     assert record().passed
-    evaluate = itg.off_slice_evaluate
-    monkeypatch.setattr(itg, "off_slice_evaluate",
-                        lambda f, dom, q, spec, include_volume=None: evaluate(f, dom, q, spec, include_volume=False))
+    monkeypatch.setattr(itg, "_bm_volume", lambda f, dom, z, spec: (ComplexifiedElement(zero(f.tag), zero(f.tag)), 0))
     rec = record()
     assert not rec.passed and rec.metric > 0.05, rec.metric
+
+
+@pytest.mark.parametrize("algebra", ["octonion", "quaternion"])
+def test_offslice_suite_integrates_once_per_record(tmp_path, monkeypatch, algebra):
+    # one stem value per record serves all of its units: offslice_match makes
+    # one boundary integral, offslice_nonregular one boundary and one volume
+    # integral, at x itself
+    import hyperslice.integral as itg
+
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"suite: off-slice\nalgebra: {algebra}\nquadrature: {{angular_nodes: 32, radial_nodes: 16}}\n")
+    calls = []
+    for kind in ("boundary", "volume"):
+        rule = getattr(itg, f"_bm_{kind}")
+
+        def counted(f, dom, z, spec, kind=kind, rule=rule):
+            calls.append((kind, tuple(np.asarray(z))))
+            return rule(f, dom, z, spec)
+
+        monkeypatch.setattr(itg, f"_bm_{kind}", counted)
+    report = su.run_suite(su.load_config(path))
+    assert all(r.passed for r in report.records)
+    assert [kind for kind, _ in calls] == ["boundary", "boundary", "volume"]
+    assert {z for _, z in calls} == {(0.3 + 0.2j, -0.1 + 0.4j)}
 
 
 def test_cli_rejects_negative_seed_override(fast_config, capsys):
